@@ -5,9 +5,8 @@ State files are JSON objects {"kind": "pure"|"density", "dim": N,
 an N x N coefficient matrix for pure states, an N^2 x N^2 matrix for
 densities.  Commands print a human-readable summary by default or a
 canonical machine report with --json.  Exit codes: 0 success, 1 input
-error, 2 numerical failure (rank violations; non-convergence under
---strict).  The QCONC_THREADS environment variable caps internal
-parallelism.
+error, 2 numerical failure (LAPACK failures; non-convergence under
+--strict).
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ import json
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import InputError, NumericalError, ParseError, ValidationError
+from .linalg import lapack_errors
 from .mixed import (
     DensityMatrix,
     d_lower_bound,
@@ -52,6 +51,8 @@ def _complex_array(data, shape: tuple[int, int]) -> np.ndarray:
         raise ParseError(f"data is not a numeric array: {exc}") from exc
     if arr.shape != shape + (2,):
         raise ParseError(f"expected data shape {shape + (2,)}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ParseError("data contains NaN or infinite values")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -131,42 +132,38 @@ def _build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="emit a canonical JSON report")
     common.add_argument("--strict", action="store_true", help="non-convergence exits 2")
 
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument("--m", type=int, default=None)
+    profile.add_argument("--n", type=int, default=None)
+
+    search = argparse.ArgumentParser(add_help=False, parents=[common, profile])
+    search.add_argument("--restarts", type=int, default=4)
+    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--t-max", type=int, default=None, dest="t_max")
+    search.add_argument("--tol", type=float, default=1e-8)
+    search.add_argument("--max-sweeps", type=int, default=100, dest="max_sweeps")
+
     parser = _Parser(prog="qconc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eof-pure", parents=[common], help="entanglement of formation of a pure state")
     p.add_argument("file")
 
-    p = sub.add_parser("concurrence", parents=[common], help="pure-state concurrence measures")
+    p = sub.add_parser("concurrence", parents=[common, profile], help="pure-state concurrence measures")
     p.add_argument("file")
     p.add_argument("--which", choices=("c2", "cn", "D"), default="cn")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
 
-    p = sub.add_parser("bound", parents=[common], help="closed-form concurrence lower bound")
+    p = sub.add_parser("bound", parents=[common, profile], help="closed-form concurrence lower bound")
     p.add_argument("file")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--no-clamp", action="store_true", help="keep negative per-index deficits")
     p.add_argument("--eof", action="store_true", help="also convert to an entanglement bound")
 
-    p = sub.add_parser("roof", parents=[common], help="numeric convex-roof minimization")
+    p = sub.add_parser("roof", parents=[search], help="numeric convex-roof minimization")
     p.add_argument("file")
     p.add_argument("--objective", choices=("D", "E"), required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-max", type=int, default=None, dest="t_max")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-sweeps", type=int, default=100, dest="max_sweeps")
 
-    p = sub.add_parser("certify", parents=[common], help="bound vs. roof minimum for average D")
+    p = sub.add_parser("certify", parents=[search], help="bound vs. roof minimum for average D")
     p.add_argument("file")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=4)
 
     p = sub.add_parser("check", parents=[common], help="validate a state file; PPT and support class")
     p.add_argument("file")
@@ -177,12 +174,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
 
-    p = sub.add_parser("invariance", parents=[common], help="drift under random local unitaries")
+    p = sub.add_parser("invariance", parents=[common, profile], help="drift under random local unitaries")
     p.add_argument("file")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
 
     return parser
 
@@ -216,6 +211,11 @@ def _cmd_bound(ns) -> tuple[dict, dict, int]:
     return results, flags, 0
 
 
+def _search_knobs(ns) -> dict:
+    keys = ("t_max", "restarts", "seed", "tol", "max_sweeps")
+    return {key: getattr(ns, key) for key in keys}
+
+
 def _cmd_roof(ns) -> tuple[dict, dict, int]:
     rho = _as_density(load_state(ns.file))
     if ns.objective == "E":
@@ -225,16 +225,7 @@ def _cmd_roof(ns) -> tuple[dict, dict, int]:
         m, n = _resolve_mn(ns.m, ns.n, rho.dim)
         objective = AverageD(m, n)
         results = {"m": m, "n": n}
-    problem = RoofProblem(
-        target=rho,
-        objective=objective,
-        t_max=ns.t_max,
-        restarts=ns.restarts,
-        seed=ns.seed,
-        tol=ns.tol,
-        max_sweeps=ns.max_sweeps,
-    )
-    res = minimize_roof(problem)
+    res = minimize_roof(RoofProblem(target=rho, objective=objective, **_search_knobs(ns)))
     results.update(
         value=res.value,
         iterations=res.iterations,
@@ -248,7 +239,7 @@ def _cmd_roof(ns) -> tuple[dict, dict, int]:
 def _cmd_certify(ns) -> tuple[dict, dict, int]:
     rho = _as_density(load_state(ns.file))
     m, n = _resolve_mn(ns.m, ns.n, rho.dim)
-    rep = certify_bound(rho, m, n, seed=ns.seed, restarts=ns.restarts)
+    rep = certify_bound(rho, m, n, **_search_knobs(ns))
     results = {"bound": rep.bound, "roof_min": rep.roof_min, "gap": rep.gap, "m": m, "n": n}
     flags = {"violation": rep.violation, "converged": rep.converged}
     code = 2 if (ns.strict and not rep.converged) else 0
@@ -341,8 +332,12 @@ def dispatch(argv) -> tuple[Report, int]:
     Raises the underlying InputError or NumericalError on failure; main()
     maps those to exit codes 1 and 2.
     """
-    ns = _build_parser().parse_args(argv)
-    results, flags, code = _HANDLERS[ns.command](ns)
+    return _run(_build_parser().parse_args(argv), argv)
+
+
+def _run(ns, argv) -> tuple[Report, int]:
+    with lapack_errors():
+        results, flags, code = _HANDLERS[ns.command](ns)
     inputs = {}
     if getattr(ns, "file", None) is not None:
         inputs[ns.file] = file_digest(ns.file)
@@ -351,7 +346,7 @@ def dispatch(argv) -> tuple[Report, int]:
         inputs=inputs,
         results=results,
         flags=flags,
-        versions={"qconc": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        versions={"qconc": __version__, "numpy": np.__version__},
     )
     return report, code
 
@@ -359,20 +354,15 @@ def dispatch(argv) -> tuple[Report, int]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        report, code = dispatch(argv)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        ns = _build_parser().parse_args(argv)
+        report, code = _run(ns, argv)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if "--json" in argv:
-        print(report_to_json(report))
-    else:
-        print(render_text(report))
+    print(report_to_json(report) if ns.json else render_text(report))
     if code == 2:
         print("error: did not converge", file=sys.stderr)
     return code

@@ -21,6 +21,10 @@ class NumericalError(QconcError):
     """A computation produced results outside certified tolerances."""
 
 
+class NonFinite(InputError):
+    """NaN or infinite entries in a state or matrix."""
+
+
 # linalg
 class NotHermitian(InputError):
     pass

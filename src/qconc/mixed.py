@@ -14,9 +14,8 @@ bound on the decomposition-averaged generalized concurrence D.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,12 +24,12 @@ from .errors import (
     BadShape,
     BadTrace,
     DimensionMismatch,
+    NonFinite,
     NotFormA,
     NotHermitian,
     NotPSD,
     NumericalInconsistency,
     OutOfRange,
-    RankViolation,
     UnsupportedFamily,
 )
 from .linalg import hermitian_eig, sqrt_psd
@@ -40,8 +39,10 @@ from .spectra import eof_from_spectrum, eof_of_d
 
 DENSITY_TOL = 1e-10
 RANK_EPS = 1e-12
-RANK_VIOLATION_TOL = 1e-8
-THREADS_ENV = "QCONC_THREADS"
+MEMBER_DROP = 1e-14
+
+# S restricted to its nonzero rows and columns J = (r1, c1, r2, c2).
+_S4 = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +122,27 @@ class Decomposition:
     def weights(self) -> np.ndarray:
         return np.array([p for p, _ in self.members])
 
+    @classmethod
+    def from_rows(cls, W: np.ndarray, N: int) -> "Decomposition":
+        """Ensemble of the rows of W, read as subnormalized N x N states.
+
+        Rows with squared norm at most MEMBER_DROP are dropped; weights sum to 1.
+        """
+        members = []
+        for w in W:
+            p = float(np.vdot(w, w).real)
+            if p > MEMBER_DROP:
+                members.append((p, from_coefficients(w.reshape(N, N), renormalize=True)))
+        total = math.fsum(p for p, _ in members)
+        return cls(tuple((p / total, psi) for p, psi in members))
+
 
 def validate_density(M, N: int, tol: float = DENSITY_TOL) -> DensityMatrix:
     """Validate an N^2 x N^2 array as a density matrix.
 
     Raises
     ------
-    BadShape, NotHermitian, NotPSD, BadTrace
+    BadShape, NonFinite, NotHermitian, NotPSD, BadTrace
         For the respective violated property (PSD allows eigenvalues down
         to ``-tol``; Hermiticity is relative to the Frobenius norm).
     """
@@ -136,6 +151,8 @@ def validate_density(M, N: int, tol: float = DENSITY_TOL) -> DensityMatrix:
         raise BadShape(f"factor dimension must be >= 2, got {N}")
     if A.shape != (N * N, N * N):
         raise BadShape(f"expected shape {(N * N, N * N)}, got {A.shape}")
+    if not np.isfinite(A).all():
+        raise NonFinite("density matrix has NaN or infinite entries")
     scale = max(np.linalg.norm(A), 1.0)
     if np.linalg.norm(A - A.conj().T) > tol * scale:
         raise NotHermitian("density matrix is not Hermitian within tolerance")
@@ -196,6 +213,44 @@ def canonical_indices(N: int) -> list[SIndex]:
     ]
 
 
+def _support(idx: SIndex, N: int) -> list[int]:
+    """0-based rows J = (r1, c1, r2, c2) of S's nonzero entries, in S4's order."""
+    i, p, j, q = idx.astuple()
+    if max(j, q) > N:
+        raise BadIndex(f"index {idx} outside 1..{N}")
+    return [N * (i - 1) + p - 1, N * (j - 1) + q - 1, N * (i - 1) + q - 1, N * (j - 1) + p - 1]
+
+
+@lru_cache(maxsize=16)
+def _support_table(N: int) -> np.ndarray:
+    """Rows J of every canonical index, shape (C(N,2)^2, 4), in canonical order."""
+    table = np.array([_support(idx, N) for idx in canonical_indices(N)])
+    table.flags.writeable = False
+    return table
+
+
+def _spectra(R: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Lambda spectra of the indices with rows J (shape (K, 4)); (K, 4), descending.
+
+    S = P S4 P^T with P the N^2 x 4 selection of the rows J, so for the
+    Hermitian root R = sqrt(rho), R S conj(R) = X S4 X^T with X = R[:, J].
+    With the QR factorization X = Q Rx the spectrum is the singular values
+    of the 4 x 4 core Rx S4 Rx^T (Mintert, Kus, Buchleitner, PRL 92, 167902).
+    """
+    X = np.swapaxes(R.T[J], 1, 2)  # X[k] = R[:, J[k]]
+    if X.shape[1] > 4:  # at N = 2, X is already 4 x 4
+        X = np.linalg.qr(X, mode="r")
+    return np.linalg.svd(X @ _S4 @ np.swapaxes(X, 1, 2), compute_uv=False)
+
+
+def _deficit_norm(lam: np.ndarray, clamp: bool) -> float:
+    """sqrt of the summed squared deficits Lambda1 - Lambda2 - Lambda3 - Lambda4."""
+    d = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    if clamp:
+        d = np.maximum(d, 0.0)
+    return math.sqrt(math.fsum((d * d).tolist()))
+
+
 def s_matrix_raw(i: int, p: int, j: int, q: int, N: int) -> np.ndarray:
     """Minor-extraction matrix for an ordered quadruple, no canonicalization.
 
@@ -246,45 +301,31 @@ def d_ipjq_pure(psi: PureState, idx: SIndex) -> float:
     return float(form)
 
 
-def _lambda_values(R: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """All singular values of R S conj(R) for a precomputed Hermitian root R."""
-    return np.linalg.svd(R @ S @ R.conj(), compute_uv=False)
-
-
 def lambda_spectrum(rho: DensityMatrix, idx: SIndex) -> LambdaSpectrum:
     """Top four singular values of sqrt(rho) S conj(sqrt(rho)), descending.
 
     These coincide with the eigenvalues of
     sqrt( sqrt(rho) S rho* S sqrt(rho) ).  The matrix has rank at most four
-    because S has only four nonzero rows; a fifth singular value at or above
-    1e-8 signals numerical corruption.
+    because S has only four nonzero rows; ``_spectra`` works on a 4 x 4 core.
 
     Raises
     ------
-    RankViolation
-        If the fifth singular value is >= 1e-8.
     BadIndex
         If the quadruple does not fit the density's dimension.
     """
-    N = rho.dim
-    if max(idx.j, idx.q) > N:
-        raise BadIndex(f"index {idx} outside 1..{N}")
-    sv = _lambda_values(sqrt_psd(rho.matrix), s_matrix(idx, N))
-    if sv.size > 4 and sv[4] >= RANK_VIOLATION_TOL:
-        raise RankViolation(f"fifth singular value {sv[4]:.3e} at index {idx}")
-    return LambdaSpectrum(tuple(float(x) for x in sv[:4]))
+    lam = _spectra(sqrt_psd(rho.matrix), np.array([_support(idx, rho.dim)]))
+    return LambdaSpectrum(tuple(float(x) for x in lam[0]))
 
 
 def tau_matrix(rho: DensityMatrix, idx: SIndex) -> np.ndarray:
     """Complex symmetric matrix tau_kl = <v_k| S |v_l*> over eigenvectors.
 
     The v_k are the subnormalized eigenvectors of rho; tau's singular
-    values equal the Lambda spectrum (padded with zeros).
+    values equal the Lambda spectrum (padded with zeros).  Only the rows J
+    of the eigenvectors enter: tau = V[J]^H S4 conj(V[J]).
     """
-    vecs = eigen_vectors_subnormalized(rho)
-    S = s_matrix(idx, rho.dim)
-    V = np.column_stack(vecs)
-    tau = V.conj().T @ S @ V.conj()
+    V = np.column_stack(eigen_vectors_subnormalized(rho))[_support(idx, rho.dim)]
+    tau = V.conj().T @ _S4 @ V.conj()
     return 0.5 * (tau + tau.T)
 
 
@@ -295,31 +336,9 @@ def optimal_index_decomposition(rho: DensityMatrix, idx: SIndex) -> Decompositio
     ensemble |w_k> = sum_l conj(U_kl) |v_l> then realizes rho and carries the
     Lambda spectrum on its diagonal quadratic forms.
     """
-    vecs = eigen_vectors_subnormalized(rho)
-    V = np.column_stack(vecs)
-    S = s_matrix(idx, rho.dim)
-    tau = V.conj().T @ S @ V.conj()
-    U, _ = takagi_factor(0.5 * (tau + tau.T))
-    W = U.conj() @ V.T
-    members = []
-    for k in range(W.shape[0]):
-        p = float(np.vdot(W[k], W[k]).real)
-        if p <= 1e-14:
-            continue
-        A = (W[k] / np.sqrt(p)).reshape(rho.dim, rho.dim)
-        members.append((p, from_coefficients(A, renormalize=True)))
-    total = math.fsum(p for p, _ in members)
-    members = [(p / total, psi) for p, psi in members]
-    return Decomposition(tuple(members))
-
-
-def _max_workers(n_tasks: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_tasks))
+    U, _ = takagi_factor(tau_matrix(rho, idx))
+    V = np.column_stack(eigen_vectors_subnormalized(rho))
+    return Decomposition.from_rows(U.conj() @ V.T, rho.dim)
 
 
 def d_lower_bound(rho: DensityMatrix, m: int, n: int, clamp: bool = True) -> float:
@@ -331,35 +350,19 @@ def d_lower_bound(rho: DensityMatrix, m: int, n: int, clamp: bool = True) -> flo
     with i = j or p = q vanish, so the sum runs over canonical indices with
     weight 4.  With ``clamp`` (the default) each deficit is floored at 0,
     which reproduces the established closed form at N = 2; disabling it
-    evaluates the literal signed expression.
+    evaluates the literal signed expression.  The squared deficits are
+    added with compensated summation.
 
-    Terms are accumulated with compensated summation in canonical index
-    order, so the result does not depend on the evaluation schedule (the
-    per-index spectra may be computed in parallel, capped by the
-    QCONC_THREADS environment variable).
+    The bound is unchanged by swapping the two subsystems, and by local
+    unitaries U (x) V at N = 2 and on pure states.  For mixed states at
+    N >= 3 the clamped per-index sum depends on the local basis, so
+    ``qconc invariance`` on such a density can report a nonzero
+    ``max_dev_D_bound``.
     """
     if m < 1 or n < 2:
         raise OutOfRange(f"need m >= 1 and n >= 2, got m={m} n={n}")
-    N = rho.dim
-    R = sqrt_psd(rho.matrix)
-    indices = canonical_indices(N)
-
-    def term(idx: SIndex) -> float:
-        sv = _lambda_values(R, s_matrix(idx, N))
-        if sv.size > 4 and sv[4] >= RANK_VIOLATION_TOL:
-            raise RankViolation(f"fifth singular value {sv[4]:.3e} at index {idx}")
-        d = sv[0] - sv[1] - sv[2] - sv[3]
-        if clamp:
-            d = max(0.0, d)
-        return 4.0 * d * d
-
-    workers = _max_workers(len(indices))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            terms = list(pool.map(term, indices))
-    else:
-        terms = [term(idx) for idx in indices]
-    return float(m * n / 4.0) * math.sqrt(math.fsum(terms))
+    lam = _spectra(sqrt_psd(rho.matrix), _support_table(rho.dim))
+    return float(m * n / 2.0) * _deficit_norm(lam, clamp)
 
 
 def eof_lower_bound(rho: DensityMatrix, m: int, n: int) -> float:
@@ -442,6 +445,7 @@ def form_a_check(rho: DensityMatrix, tol: float = 1e-9) -> bool:
 
 
 FORM_A_INDICES = (SIndex(1, 1, 2, 2), SIndex(1, 1, 2, 3), SIndex(1, 2, 2, 3))
+_FORM_A_SUPPORT = np.array([_support(idx, 3) for idx in FORM_A_INDICES])
 
 
 def example_3x3_bound(rho: DensityMatrix, clamp: bool = True) -> float:
@@ -460,12 +464,5 @@ def example_3x3_bound(rho: DensityMatrix, clamp: bool = True) -> float:
     """
     if rho.dim != 3 or not form_a_check(rho):
         raise NotFormA("density is not supported on the rows-2=3 subspace")
-    R = sqrt_psd(rho.matrix)
-    terms = []
-    for idx in FORM_A_INDICES:
-        sv = _lambda_values(R, s_matrix(idx, 3))
-        d = sv[0] - sv[1] - sv[2] - sv[3]
-        if clamp:
-            d = max(0.0, d)
-        terms.append(d * d)
-    return float(math.sqrt(2.0) * math.sqrt(math.fsum(terms)))
+    lam = _spectra(sqrt_psd(rho.matrix), _FORM_A_SUPPORT)
+    return float(math.sqrt(2.0) * _deficit_norm(lam, clamp))

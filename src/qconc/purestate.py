@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NonFinite,
     NotNormalized,
     NumericalInconsistency,
     ProfileMismatch,
@@ -91,10 +92,14 @@ def from_coefficients(A, tol: float = NORM_TOL, renormalize: bool = False) -> Pu
         Norm outside ``tol`` and ``renormalize`` not set.
     DimensionMismatch
         Not a square matrix with N >= 2.
+    NonFinite
+        NaN or infinite entries.
     """
     M = np.asarray(A, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 2:
         raise DimensionMismatch(f"need a square N x N matrix with N >= 2, got {M.shape}")
+    if not np.isfinite(M).all():
+        raise NonFinite("coefficient matrix has NaN or infinite entries")
     norm = float(np.linalg.norm(M))
     if norm < 1e-12:
         raise ZeroState("coefficient matrix has vanishing norm")
@@ -197,9 +202,6 @@ def profile_from_values(
     nonzero = lam[lam >= tol]
     clusters = _cluster(nonzero, tol)
     sizes = [len(c) for c in clusters]
-    diag = f"observed clusters of sizes {sizes} with means " + str(
-        [float(np.mean(c)) for c in clusters]
-    )
 
     values: list[float] = []
     if sizes == [m] * n:
@@ -208,6 +210,8 @@ def profile_from_values(
         for c in clusters:
             values.extend([float(np.mean(c))] * (len(c) // m))
     else:
+        means = [float(np.mean(c)) for c in clusters]
+        diag = f"observed clusters of sizes {sizes} with means {means}"
         raise ProfileMismatch(f"profile (m={m}, n={n}) not matched; {diag}")
     return SpectrumProfile(n=n, m=m, values=tuple(values))
 

@@ -18,17 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotIsometry, OutOfRange, ProfileMismatch
-from .mixed import DensityMatrix, Decomposition, d_lower_bound, eigen_vectors_subnormalized
+from .mixed import MEMBER_DROP, DensityMatrix, Decomposition, d_lower_bound, eigen_vectors_subnormalized
 from .purestate import (
     PureState,
     eof_pure,
-    from_coefficients,
     generalized_concurrence_D,
     profile_from_values,
 )
 
 ISOMETRY_TOL = 1e-10
-MEMBER_DROP = 1e-14
 PROFILE_TOL = 1e-6
 
 
@@ -184,19 +182,7 @@ def transform_decomposition(vectors, V) -> Decomposition:
     if np.linalg.norm(A.conj().T @ A - np.eye(A.shape[1])) > ISOMETRY_TOL:
         raise NotIsometry("columns are not orthonormal within 1e-10")
     N = int(round(math.sqrt(Vmat.shape[1])))
-    return _decomposition_from_rows(A.conj() @ Vmat, N)
-
-
-def _decomposition_from_rows(W: np.ndarray, N: int) -> Decomposition:
-    members = []
-    for k in range(W.shape[0]):
-        p = float(np.vdot(W[k], W[k]).real)
-        if p <= MEMBER_DROP:
-            continue
-        psi = from_coefficients(W[k].reshape(N, N), renormalize=True)
-        members.append((p, psi))
-    total = math.fsum(p for p, _ in members)
-    return Decomposition(tuple((p / total, psi) for p, psi in members))
+    return Decomposition.from_rows(A.conj() @ Vmat, N)
 
 
 def average_objective(decomposition: Decomposition, objective) -> float:
@@ -338,7 +324,7 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
                 best = (trace[-1], W.copy(), tuple(trace), converged)
 
     value, W, trace, converged = best
-    decomposition = _decomposition_from_rows(W, N)
+    decomposition = Decomposition.from_rows(W, N)
     if math.isfinite(value):
         value = average_objective(decomposition, problem.objective)
     return RoofResult(

@@ -1,10 +1,13 @@
 """End-to-end tests for the qconc command line."""
 import json
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from qconc import DensityMatrix, from_coefficients, pure_density
+from qconc import DensityMatrix, certify_bound, from_coefficients, pure_density
 from qconc.cli import dispatch, dumps_state, load_state, main
 from qconc.errors import ParseError, BadTrace, ValidationError
 from qconc.purestate import PureState
@@ -210,9 +213,57 @@ def test_certify_command_pure_state(tmp_path):
     assert report.flags["violation"] is False
 
 
-def test_thread_env_does_not_change_output(monkeypatch):
-    monkeypatch.delenv("QCONC_THREADS", raising=False)
-    base, _ = dispatch(["bound", FORM_A_FILE, "--m", "1", "--n", "2"])
-    monkeypatch.setenv("QCONC_THREADS", "2")
-    threaded, _ = dispatch(["bound", FORM_A_FILE, "--m", "1", "--n", "2"])
-    assert report_to_json(base) == report_to_json(threaded)
+def test_certify_command_forwards_search_options():
+    argv = ["certify", FORM_A_FILE, "--m", "1", "--n", "2", "--restarts", "1"]
+    argv += ["--t-max", "3", "--tol", "1e-3", "--max-sweeps", "2", "--seed", "5"]
+    report, code = dispatch(argv)
+    assert code == 0
+    rho = load_state(FORM_A_FILE)
+    rep = certify_bound(rho, 1, 2, seed=5, restarts=1, t_max=3, tol=1e-3, max_sweeps=2)
+    assert report.results["roof_min"] == rep.roof_min
+    assert report.flags["converged"] is rep.converged
+
+
+def test_repeated_bound_reports_are_identical():
+    argv = ["bound", FORM_A_FILE, "--m", "1", "--n", "2", "--eof"]
+    first = report_to_json(dispatch(argv)[0])
+    assert all(report_to_json(dispatch(argv)[0]) == first for _ in range(3))
+
+
+def test_main_abbreviated_json_flag_emits_report(capsys):
+    assert main(["check", BELL_FILE, "--js"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert json.loads(out)["flags"]["kind"] == "pure"
+    assert report_to_json(report_from_json(out)) == out
+
+
+@pytest.mark.parametrize("bad_value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "command,source",
+    [("check", WERNER_FILE), ("bound", WERNER_FILE), ("check", BELL_FILE), ("concurrence", BELL_FILE)],
+)
+def test_main_rejects_non_finite_state_files(tmp_path, capsys, command, source, bad_value):
+    with open(source, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["data"][0][1][0] = bad_value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_main_lapack_failure_exits_two(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert main(["check", WERNER_FILE]) == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import qconc.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

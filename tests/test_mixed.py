@@ -30,6 +30,7 @@ from qconc.errors import (
     BadShape,
     BadTrace,
     DimensionMismatch,
+    NonFinite,
     NotFormA,
     NotHermitian,
     NotPSD,
@@ -37,7 +38,7 @@ from qconc.errors import (
     UnsupportedFamily,
 )
 from qconc.linalg import sqrt_psd
-from qconc.mixed import eigen_vectors_subnormalized, s_matrix_raw
+from qconc.mixed import _spectra, _support_table, eigen_vectors_subnormalized, s_matrix_raw
 from qconc.roofopt import transform_decomposition
 from qconc.sampling import (
     generator,
@@ -73,6 +74,11 @@ def test_validate_density_errors():
         validate_density(np.diag([0.7, 0.5, -0.1, -0.1]), 2)
     with pytest.raises(BadTrace):
         validate_density(np.eye(4) / 5.0, 2)
+    for bad_value in (np.nan, np.inf):
+        bad = np.eye(4) / 4.0
+        bad[1, 2] = bad_value
+        with pytest.raises(NonFinite):
+            validate_density(bad, 2)
     rho = validate_density(np.eye(4) / 4.0, 2)
     assert rho.dim == 2
 
@@ -138,6 +144,10 @@ def test_s_matrix_rejects_out_of_range():
         s_matrix_raw(1, 1, 2, 3, 2)
     with pytest.raises(BadIndex):
         d_ipjq_pure(BELL, SIndex(1, 1, 2, 3))
+    rho = random_density(3, 2, 30)
+    for fn in (lambda_spectrum, tau_matrix, optimal_index_decomposition):
+        with pytest.raises(BadIndex):
+            fn(rho, SIndex(1, 1, 2, 4))
 
 
 def test_d_ipjq_pure_examples():
@@ -428,11 +438,31 @@ def test_d_lower_bound_local_unitary_invariance_two_qubits():
         assert abs(d_lower_bound(rotated, 1, 2) - d_lower_bound(rho, 1, 2)) < 1e-8
 
 
-def test_d_lower_bound_thread_count_is_immaterial(monkeypatch):
+def test_d_lower_bound_repeat_calls_are_identical():
     rho = random_form_a_mixture(4, 51)
-    monkeypatch.delenv("QCONC_THREADS", raising=False)
-    serial = d_lower_bound(rho, 1, 2)
-    monkeypatch.setenv("QCONC_THREADS", "2")
-    assert d_lower_bound(rho, 1, 2) == serial
-    monkeypatch.setenv("QCONC_THREADS", "not-a-number")
-    assert d_lower_bound(rho, 1, 2) == serial
+    _support_table.cache_clear()
+    first = d_lower_bound(rho, 1, 2)
+    assert all(d_lower_bound(rho, 1, 2) == first for _ in range(5))
+
+
+def test_batched_spectra_match_dense_oracle():
+    """The rank-4 kernel against the dense N^2 x N^2 product, index by index."""
+    for n in (2, 3, 4, 5, 6):
+        indices = canonical_indices(n)
+        for rank in (1, 2, 3, n * n):
+            rho = random_density(n, rank, 52, n)
+            root = sqrt_psd(rho.matrix)
+            dense = np.array(
+                [
+                    np.linalg.svd(root @ s_matrix(idx, n) @ root.conj(), compute_uv=False)[:4]
+                    for idx in indices
+                ]
+            )
+            np.testing.assert_allclose(
+                _spectra(root, _support_table(n)), dense, rtol=0.0, atol=1e-12
+            )
+            deficit = dense[:, 0] - dense[:, 1] - dense[:, 2] - dense[:, 3]
+            for clamp in (True, False):
+                d = np.maximum(deficit, 0.0) if clamp else deficit
+                expect = 0.5 * math.sqrt(math.fsum((4.0 * d * d).tolist()))
+                assert abs(d_lower_bound(rho, 1, 2, clamp=clamp) - expect) <= 1e-12

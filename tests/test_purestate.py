@@ -18,6 +18,7 @@ from qconc import (
 )
 from qconc.errors import (
     DimensionMismatch,
+    NonFinite,
     NotNormalized,
     ProfileMismatch,
     ZeroState,
@@ -42,6 +43,9 @@ def test_from_coefficients_validation():
         from_coefficients(np.zeros((2, 2)))
     with pytest.raises(NotNormalized):
         from_coefficients(np.eye(2))
+    for bad_value in (np.nan, np.inf, complex(0.0, np.inf)):
+        with pytest.raises(NonFinite):
+            from_coefficients([[0.5, bad_value], [0.5, 0.5]], renormalize=True)
     psi = from_coefficients(np.eye(2), renormalize=True)
     assert abs(np.linalg.norm(psi.coeffs) - 1.0) < 1e-14
 
