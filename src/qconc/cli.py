@@ -23,7 +23,6 @@ from .linalg import lapack_errors
 from .mixed import (
     DensityMatrix,
     d_lower_bound,
-    eof_lower_bound,
     form_a_check,
     ppt_check,
     pure_density,
@@ -41,7 +40,7 @@ from .purestate import (
 from .report import Report, canonical_json, file_digest, render_text, report_to_json
 from .roofopt import AverageD, AverageE, RoofProblem, certify_bound, minimize_roof
 from .sampling import generator, haar_unitary
-from .spectra import EigFamily, arith3_closed_forms, convexity_value, dE_dD, lemma_value
+from .spectra import EigFamily, arith3_closed_forms, convexity_value, dE_dD, eof_of_bound, lemma_value
 
 
 def _complex_array(data, shape: tuple[int, int]) -> np.ndarray:
@@ -202,10 +201,11 @@ def _cmd_bound(ns) -> tuple[dict, dict, int]:
     rho = _as_density(load_state(ns.file))
     m, n = _resolve_mn(ns.m, ns.n, rho.dim)
     clamp = not ns.no_clamp
-    results = {"D_bound": d_lower_bound(rho, m, n, clamp=clamp), "m": m, "n": n}
+    d = d_lower_bound(rho, m, n, clamp=clamp)
+    results = {"D_bound": d, "m": m, "n": n}
     flags = {"clamped": clamp, "warnings": []}
     if ns.eof:
-        results["E_bound"] = eof_lower_bound(rho, m, n)
+        results["E_bound"] = eof_of_bound(d if clamp else d_lower_bound(rho, m, n), m, n)
         if not clamp:
             flags["warnings"].append("E_bound always uses the clamped D bound")
     return results, flags, 0
@@ -274,44 +274,41 @@ def _cmd_lemma(ns) -> tuple[dict, dict, int]:
     return results, {}, 0
 
 
+def _pure_measures(psi: PureState) -> dict:
+    i0, i1 = local_invariants(psi)
+    values = {"eof": eof_pure(psi), "cn": concurrence_cn(psi), "i0": i0, "i1": i1}
+    if psi.dim == 2:
+        values["c2"] = concurrence_c2(psi)
+    return values
+
+
 def _cmd_invariance(ns) -> tuple[dict, dict, int]:
     state = load_state(ns.file)
     N = state.dim
-    if isinstance(state, PureState):
-        base = {
-            "eof": eof_pure(state),
-            "cn": concurrence_cn(state),
-            "i0": local_invariants(state)[0],
-            "i1": local_invariants(state)[1],
-        }
-        if N == 2:
-            base["c2"] = concurrence_c2(state)
-        dev = dict.fromkeys(base, 0.0)
-        for t in range(ns.trials):
-            U = haar_unitary(N, generator(ns.seed, t, 0))
-            V = haar_unitary(N, generator(ns.seed, t, 1))
-            moved = from_coefficients(U @ state.coeffs @ V.T, renormalize=True)
-            i0, i1 = local_invariants(moved)
-            now = {"eof": eof_pure(moved), "cn": concurrence_cn(moved), "i0": i0, "i1": i1}
-            if N == 2:
-                now["c2"] = concurrence_c2(moved)
-            for key, val in now.items():
-                dev[key] = max(dev[key], abs(val - base[key]))
-        results = {f"max_dev_{k}": v for k, v in sorted(dev.items())}
-        results["trials"] = ns.trials
-        return results, {"kind": "pure"}, 0
+    pure = isinstance(state, PureState)
+    if pure:
+        measures, results = _pure_measures, {}
+    else:
+        m, n = _resolve_mn(ns.m, ns.n, N)
+        results = {"m": m, "n": n}
 
-    m, n = _resolve_mn(ns.m, ns.n, N)
-    base_bound = d_lower_bound(state, m, n)
-    worst = 0.0
+        def measures(rho: DensityMatrix) -> dict:
+            return {"D_bound": d_lower_bound(rho, m, n)}
+
+    base = measures(state)
+    dev = dict.fromkeys(base, 0.0)
     for t in range(ns.trials):
         U = haar_unitary(N, generator(ns.seed, t, 0))
         V = haar_unitary(N, generator(ns.seed, t, 1))
-        L = np.kron(U, V)
-        moved = validate_density(L @ state.matrix @ L.conj().T, N)
-        worst = max(worst, abs(d_lower_bound(moved, m, n) - base_bound))
-    results = {"max_dev_D_bound": worst, "trials": ns.trials, "m": m, "n": n}
-    return results, {"kind": "density"}, 0
+        if pure:
+            moved = from_coefficients(U @ state.coeffs @ V.T, renormalize=True)
+        else:
+            L = np.kron(U, V)
+            moved = validate_density(L @ state.matrix @ L.conj().T, N)
+        for key, val in measures(moved).items():
+            dev[key] = max(dev[key], abs(val - base[key]))
+    results.update({f"max_dev_{k}": v for k, v in dev.items()}, trials=ns.trials)
+    return results, {"kind": "pure" if pure else "density"}, 0
 
 
 _HANDLERS = {

@@ -35,7 +35,7 @@ from .errors import (
 from .linalg import hermitian_eig, sqrt_psd
 from .linalg import takagi as takagi_factor
 from .purestate import PureState, from_coefficients, generalized_concurrence_D
-from .spectra import eof_from_spectrum, eof_of_d
+from .spectra import eof_of_bound
 
 DENSITY_TOL = 1e-10
 RANK_EPS = 1e-12
@@ -366,50 +366,18 @@ def d_lower_bound(rho: DensityMatrix, m: int, n: int, clamp: bool = True) -> flo
 
 
 def eof_lower_bound(rho: DensityMatrix, m: int, n: int) -> float:
-    """Entanglement-of-formation bound E(D) from the clamped D bound.
-
-    n = 2 maps D through the two-eigenvalue curve ``eof_of_d``.  n = 3
-    inverts D on the arithmetic-progression family (bisection on the free
-    parameter, tolerance 1e-12) and evaluates the spectrum entropy there.
-    A clamped bound of 0 gives 0.
+    """Entanglement-of-formation bound ``spectra.eof_of_bound`` of the clamped D bound.
 
     Raises
     ------
     UnsupportedFamily
-        For n outside {2, 3}.
+        For n outside {2, 3}, before the bound is computed.
     OutOfRange
         If D exceeds the family's maximum beyond roundoff.
     """
     if n not in (2, 3):
         raise UnsupportedFamily(f"no spectrum family for n = {n}")
-    d = d_lower_bound(rho, m, n, clamp=True)
-    if d <= 0.0:
-        return 0.0
-    if n == 2:
-        if d > 1.0 + 1e-9:
-            raise OutOfRange(f"bound {d!r} exceeds the two-eigenvalue maximum 1")
-        return eof_of_d(min(d, 1.0), m)
-
-    dmax = 1.0 / math.sqrt(3.0 * m)
-    if d > dmax * (1.0 + 1e-9):
-        raise OutOfRange(f"bound {d!r} exceeds the arithmetic-family maximum {dmax!r}")
-    d = min(d, dmax)
-    half = 1.0 / (3.0 * m)
-
-    def curve(v: float) -> float:
-        return math.sqrt(max(1.0 - 9.0 * m * m * v * v, 0.0)) / math.sqrt(3.0 * m)
-
-    lo, hi = 0.0, half * (1.0 - 1e-15)
-    # curve is strictly decreasing in v on [0, 1/(3m))
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if curve(mid) > d:
-            lo = mid
-        else:
-            hi = mid
-    v = 0.5 * (lo + hi)
-    values = (half - v, half, half + v)
-    return eof_from_spectrum(values, m)
+    return eof_of_bound(d_lower_bound(rho, m, n, clamp=True), m, n)
 
 
 def ppt_check(rho: DensityMatrix) -> tuple[bool, float]:

@@ -27,7 +27,8 @@ from .errors import (
     ProfileMismatch,
     ZeroState,
 )
-from .linalg import hermitian_eig
+from .linalg import lapack_errors
+from .spectra import concurrence_of_values, entropy_bits
 
 NORM_TOL = 1e-10
 CLUSTER_TOL = 1e-8
@@ -113,10 +114,15 @@ def reduced_density(psi: PureState) -> np.ndarray:
     return psi.coeffs @ psi.coeffs.conj().T
 
 
+def schmidt_values(A: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of A A^H, clamped at 0: the one Schmidt-spectrum kernel."""
+    return np.maximum(np.linalg.eigvalsh(A @ A.conj().T)[::-1], 0.0)
+
+
 def schmidt_spectrum(psi: PureState) -> np.ndarray:
-    """Descending eigenvalues of the reduced density, clamped at 0."""
-    w, _ = hermitian_eig(reduced_density(psi))
-    return np.clip(w, 0.0, None)
+    """Schmidt spectrum, descending and clamped at 0; LAPACK failures raise ConvergenceFailure."""
+    with lapack_errors():
+        return schmidt_values(psi.coeffs)
 
 
 def eof_pure(psi: PureState) -> float:
@@ -124,9 +130,7 @@ def eof_pure(psi: PureState) -> float:
 
     0 * log 0 is taken as 0; the result lies in [0, log2 N].
     """
-    lam = schmidt_spectrum(psi)
-    lam = lam[lam > 0.0]
-    return float(-(lam * np.log2(lam)).sum())
+    return entropy_bits(schmidt_spectrum(psi))
 
 
 def concurrence_c2(psi: PureState) -> float:
@@ -242,9 +246,7 @@ def generalized_concurrence_D(
     family, for instance) are still accepted.  The value is returned raw;
     callers that care can flag D outside [0, 1].
     """
-    prof = spectrum_profile(psi, m, n, tol, allow_coincident=True)
-    prod = float(np.prod(prof.values))
-    return float(m * n * np.sqrt(prod))
+    return concurrence_of_values(spectrum_profile(psi, m, n, tol, allow_coincident=True).values, m)
 
 
 def psi_condition_iii(

@@ -6,6 +6,10 @@ subnormalized eigenvectors, |w_k> = sum_l conj(V_kl) |v_l>.  The optimizer
 does multi-start derivative-free local search in V: sweeps of two-row
 complex Givens-style rotations (two angles per row pair), each angle
 minimized by golden-section search, accepting only strict improvement.
+Each member is scored by the package's shared kernels: its Schmidt
+spectrum from ``purestate.schmidt_values``, then ``spectra.entropy_bits``
+or the (m, n) profile match and ``spectra.concurrence_of_values``; the
+final ``average_objective`` recompute sees bit-identical spectra.
 This is an independent numeric check of the closed-form lower bounds; it
 never certifies global optimality.
 """
@@ -14,17 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import NotIsometry, OutOfRange, ProfileMismatch
 from .mixed import MEMBER_DROP, DensityMatrix, Decomposition, d_lower_bound, eigen_vectors_subnormalized
-from .purestate import (
-    PureState,
-    eof_pure,
-    generalized_concurrence_D,
-    profile_from_values,
-)
+from .purestate import profile_from_values, schmidt_spectrum, schmidt_values
+from .sampling import generator, haar_isometry
+from .spectra import concurrence_of_values, entropy_bits
 
 ISOMETRY_TOL = 1e-10
 PROFILE_TOL = 1e-6
@@ -92,74 +94,38 @@ class RoofResult:
     trace: tuple[float, ...] = field(repr=False, default=())
 
 
-def _eig_desc(G: np.ndarray, N: int) -> list[float]:
-    """Descending eigenvalues of a small Hermitian matrix.
+def _pure_measure(objective):
+    """The objective's value of a normalized Schmidt spectrum; the one objective dispatch.
 
-    N = 2 and N = 3 use closed forms (quadratic / trigonometric), which the
-    golden-section inner loop hits thousands of times per sweep; larger N
-    falls back to LAPACK.
+    AverageD matches the (m, n) profile with coincident clusters allowed and
+    raises ProfileMismatch on failure.
     """
-    if N == 2:
-        t = G[0, 0].real + G[1, 1].real
-        det = G[0, 0].real * G[1, 1].real - (G[0, 1].real ** 2 + G[0, 1].imag ** 2)
-        disc = math.sqrt(max(t * t - 4.0 * det, 0.0))
-        return [0.5 * (t + disc), 0.5 * (t - disc)]
-    if N == 3:
-        a, b, c = G[0, 0].real, G[1, 1].real, G[2, 2].real
-        p1 = abs(G[0, 1]) ** 2 + abs(G[0, 2]) ** 2 + abs(G[1, 2]) ** 2
-        q = (a + b + c) / 3.0
-        p2 = (a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2 + 2.0 * p1
-        if p2 <= 0.0:
-            return [q, q, q]
-        p = math.sqrt(p2 / 6.0)
-        d0, d1, d2 = a - q, b - q, c - q
-        detB = (
-            d0 * (d1 * d2 - abs(G[1, 2]) ** 2)
-            - (G[0, 1] * (G[0, 1].conjugate() * d2 - G[1, 2] * G[0, 2].conjugate())).real
-            + (G[0, 2] * (G[0, 1].conjugate() * G[1, 2].conjugate() - d1 * G[0, 2].conjugate())).real
-        ) / (p * p * p)
-        r = min(max(detB / 2.0, -1.0), 1.0)
-        phi = math.acos(r) / 3.0
-        hi = q + 2.0 * p * math.cos(phi)
-        lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-        return [hi, 3.0 * q - hi - lo, lo]
-    return np.linalg.eigvalsh(G)[::-1].tolist()
+    if isinstance(objective, AverageE):
+        return entropy_bits
+    if isinstance(objective, AverageD):
+        m, n, tol = objective.m, objective.n, objective.tol
+
+        def d_of(lam) -> float:
+            prof = profile_from_values(lam, m, n, tol, allow_coincident=True)
+            return concurrence_of_values(prof.values, m)
+
+        return d_of
+    raise OutOfRange(f"unknown objective {objective!r}")
 
 
-def _member_entropy(w: np.ndarray, N: int) -> float:
-    """Weighted EoF contribution p*E(psi) from one subnormalized row."""
+def _member(w: np.ndarray, N: int, measure) -> float:
+    """p * f(psi) of one subnormalized row, weighted and normalized as in Decomposition.from_rows.
+
+    A profile mismatch scores +inf.
+    """
     p = float(np.vdot(w, w).real)
     if p <= MEMBER_DROP:
         return 0.0
     A = w.reshape(N, N)
-    ent = 0.0
-    for lam in _eig_desc(A @ A.conj().T, N):
-        if lam > 0.0:
-            ent -= lam * math.log2(lam)
-    return ent + p * math.log2(p)
-
-
-def _member_dconc(w: np.ndarray, N: int, m: int, n: int, tol: float) -> float:
-    """Weighted D contribution p*D(psi), +inf when the profile fails."""
-    p = float(np.vdot(w, w).real)
-    if p <= MEMBER_DROP:
-        return 0.0
-    A = w.reshape(N, N)
-    lam = [max(v / p, 0.0) for v in _eig_desc(A @ A.conj().T, N)]
     try:
-        prof = profile_from_values(lam, m, n, tol, allow_coincident=True)
+        return p * measure(schmidt_values(A / float(np.linalg.norm(A))))
     except ProfileMismatch:
         return math.inf
-    prod = float(np.prod(prof.values))
-    return p * m * n * math.sqrt(prod)
-
-
-def _member_fn(objective, N: int):
-    if isinstance(objective, AverageE):
-        return lambda w: _member_entropy(w, N)
-    if isinstance(objective, AverageD):
-        return lambda w: _member_dconc(w, N, objective.m, objective.n, objective.tol)
-    raise OutOfRange(f"unknown objective {objective!r}")
 
 
 def transform_decomposition(vectors, V) -> Decomposition:
@@ -188,22 +154,17 @@ def transform_decomposition(vectors, V) -> Decomposition:
 def average_objective(decomposition: Decomposition, objective) -> float:
     """Weighted average sum_a p_a f(psi_a) of the objective's pure measure.
 
-    f is eof_pure for AverageE and generalized_concurrence_D (at the
-    objective's profile tolerance) for AverageD.
+    f is the entropy of the Schmidt spectrum for AverageE and the
+    generalized concurrence D (at the objective's profile tolerance) for
+    AverageD, through the same kernels the roof search scores members with.
 
     Raises
     ------
     ProfileMismatch
         For AverageD when a member's spectrum fails the (m, n) profile.
     """
-    if isinstance(objective, AverageE):
-        f = eof_pure
-    elif isinstance(objective, AverageD):
-        def f(psi: PureState) -> float:
-            return generalized_concurrence_D(psi, objective.m, objective.n, objective.tol)
-    else:
-        raise OutOfRange(f"unknown objective {objective!r}")
-    return float(math.fsum(p * f(psi) for p, psi in decomposition.members))
+    f = _pure_measure(objective)
+    return float(math.fsum(p * f(schmidt_spectrum(psi)) for p, psi in decomposition.members))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -259,39 +220,26 @@ def _pair_step(W: np.ndarray, vals: list[float], a: int, b: int, member) -> floa
     return base - (vals[a] + vals[b])
 
 
-def _random_isometry(t: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    A = rng.standard_normal((t, r)) + 1j * rng.standard_normal((t, r))
-    Q, R = np.linalg.qr(A)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
-
-
 def _run_start(W: np.ndarray, member, tol: float, max_sweeps: int):
     t = W.shape[0]
     vals = [member(W[k]) for k in range(t)]
     trace = [math.fsum(vals)]
-    converged = False
-    sweeps = 0
     for _ in range(max_sweeps):
         for a in range(t):
             for b in range(a + 1, t):
                 _pair_step(W, vals, a, b, member)
-        total = math.fsum(vals)
-        sweeps += 1
-        drop = trace[-1] - total
-        trace.append(total)
-        if math.isfinite(total) and drop < tol:
-            converged = True
-            break
-    return trace, sweeps, converged
+        trace.append(math.fsum(vals))
+        if math.isfinite(trace[-1]) and trace[-2] - trace[-1] < tol:
+            return trace, True
+    return trace, False
 
 
 def minimize_roof(problem: RoofProblem) -> RoofResult:
     """Best decomposition over cardinalities rank..t_max and all restarts.
 
     Start 0 at each cardinality is the eigendecomposition (identity
-    isometry); later starts use Haar-random isometries drawn from a
-    deterministic per-(cardinality, start) seed stream, so results are
+    isometry); later starts use ``sampling.haar_isometry`` drawn from
+    ``generator(seed, cardinality, start)``, so results are
     reproducible bit for bit and independent of evaluation order.  Within
     a start, row-pair rotations are swept until the per-sweep improvement
     falls below tol or the sweep cap is hit; the objective trace never
@@ -306,7 +254,7 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
     if t_hi < r:
         raise OutOfRange(f"t_max {t_hi} below the density's rank {r}")
     Vmat = np.array(vecs)
-    member = _member_fn(problem.objective, N)
+    member = partial(_member, N=N, measure=_pure_measure(problem.objective))
 
     best = None
     total_sweeps = 0
@@ -315,11 +263,10 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
             if k == 0:
                 iso = np.eye(t, r, dtype=complex)
             else:
-                ss = np.random.SeedSequence(entropy=problem.seed, spawn_key=(t, k))
-                iso = _random_isometry(t, r, np.random.Generator(np.random.PCG64(ss)))
+                iso = haar_isometry(t, r, generator(problem.seed, t, k))
             W = iso.conj() @ Vmat
-            trace, sweeps, converged = _run_start(W, member, problem.tol, problem.max_sweeps)
-            total_sweeps += sweeps
+            trace, converged = _run_start(W, member, problem.tol, problem.max_sweeps)
+            total_sweeps += len(trace) - 1
             if best is None or trace[-1] < best[0]:
                 best = (trace[-1], W.copy(), tuple(trace), converged)
 

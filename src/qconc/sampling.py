@@ -1,5 +1,5 @@
-"""Reproducible random generators: Haar unitaries, random pure states, and
-random mixtures supported on the rows-2=3 class.
+"""Reproducible random generators: Haar isometries and unitaries, random pure
+states, and random mixtures supported on the rows-2=3 class.
 
 All randomness flows through NumPy's PCG64 bit generator seeded with
 ``SeedSequence(entropy=seed, spawn_key=key)``.  Identical seeds and keys
@@ -31,20 +31,25 @@ def _as_generator(rng) -> np.random.Generator:
     return generator(int(rng))
 
 
-def haar_unitary(N: int, rng) -> np.ndarray:
-    """Haar-distributed N x N unitary.
+def haar_isometry(t: int, r: int, rng) -> np.ndarray:
+    """Haar-distributed t x r isometry (orthonormal columns), t >= r >= 1.
 
     Complex standard-normal matrix, QR orthonormalization, then the R
     diagonal's phases are absorbed into Q to remove the QR gauge.  ``rng``
     is a Generator or an integer seed.
     """
-    if N < 1:
-        raise OutOfRange(f"need N >= 1, got {N}")
+    if not (1 <= r <= t):
+        raise OutOfRange(f"need t >= r >= 1, got t={t} r={r}")
     g = _as_generator(rng)
-    A = g.standard_normal((N, N)) + 1j * g.standard_normal((N, N))
+    A = g.standard_normal((t, r)) + 1j * g.standard_normal((t, r))
     Q, R = np.linalg.qr(A)
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
+
+
+def haar_unitary(N: int, rng) -> np.ndarray:
+    """Haar-distributed N x N unitary: the square case of ``haar_isometry``."""
+    return haar_isometry(N, N, rng)
 
 
 def random_pure(N: int, rng) -> PureState:

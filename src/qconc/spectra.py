@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpectrum, DegeneratePoint, OutOfRange
+from .errors import BadSpectrum, DegeneratePoint, OutOfRange, UnsupportedFamily
 
 FAMILY_KINDS = ("two", "arith3")
 NORMALIZATION_TOL = 1e-12
@@ -80,7 +80,18 @@ class EigFamily:
 
     def concurrence(self, t: float) -> float:
         """D(t) = m*n*sqrt(prod lambda_i(t))."""
-        return float(self.m * self.n * math.sqrt(float(np.prod(self.values(t)))))
+        return concurrence_of_values(self.values(t), self.m)
+
+
+def entropy_bits(values) -> float:
+    """Shannon entropy -sum lambda log2(lambda) in bits; values <= 0 add nothing."""
+    lam = np.asarray(values, dtype=float).tolist()
+    return -sum((v * math.log2(v) for v in lam if v > 0.0), 0.0)
+
+
+def concurrence_of_values(values, m: int) -> float:
+    """Generalized concurrence m*n*sqrt(prod lambda) of n distinct nonnegative values."""
+    return m * len(values) * math.sqrt(math.prod(values))
 
 
 def eof_from_spectrum(values, m: int) -> float:
@@ -90,7 +101,7 @@ def eof_from_spectrum(values, m: int) -> float:
         raise BadSpectrum(f"eigenvalues must be positive, got {values}")
     if m * lam.sum() > 1.0 + 1e-8:
         raise BadSpectrum(f"m * sum(values) = {m * lam.sum()!r} exceeds 1")
-    return float(-m * (lam * np.log2(lam)).sum())
+    return m * entropy_bits(lam)
 
 
 def eof_of_d(d: float, m: int) -> float:
@@ -108,18 +119,45 @@ def eof_of_d(d: float, m: int) -> float:
     if not (0.0 <= d <= 1.0):
         raise OutOfRange(f"d = {d!r} outside [0, 1]")
     x = (1.0 + math.sqrt(max(1.0 - d * d, 0.0))) / (2.0 * m)
-    y = 1.0 / m - x
-    ent = -x * math.log2(x)
-    if y > 0.0:
-        ent -= y * math.log2(y)
-    return float(m * ent)
+    return m * entropy_bits((x, 1.0 / m - x))
 
 
 def d_two_eigen(lam1: float, lam2: float, m: int) -> float:
     """Concurrence d = 2m sqrt(lam1 lam2) of a two-value spectrum."""
     if lam1 < 0.0 or lam2 < 0.0:
         raise OutOfRange(f"eigenvalues must be nonnegative, got {(lam1, lam2)}")
-    return float(2.0 * m * math.sqrt(lam1 * lam2))
+    return concurrence_of_values((lam1, lam2), m)
+
+
+def eof_of_bound(d: float, m: int, n: int) -> float:
+    """Entanglement bound E(D) from a clamped lower bound d on D; d <= 0 gives 0.
+
+    n = 2 maps d through ``eof_of_d``.  n = 3 takes the arithmetic-family
+    spectrum with D = d, v = sqrt(1 - 3 m d^2) / (3m), forming its smallest
+    value 1/(3m) - v as d^2 / (1 + sqrt(1 - 3 m d^2)) to keep it positive.
+
+    Raises
+    ------
+    UnsupportedFamily
+        For n outside {2, 3}.
+    OutOfRange
+        For m < 1, or if d exceeds the family's maximum beyond roundoff.
+    """
+    if n not in (2, 3):
+        raise UnsupportedFamily(f"no spectrum family for n = {n}")
+    if m < 1:
+        raise OutOfRange(f"multiplicity must be >= 1, got {m}")
+    if d <= 0.0:
+        return 0.0
+    dmax = 1.0 if n == 2 else 1.0 / math.sqrt(3.0 * m)
+    if d > dmax * (1.0 + 1e-9):
+        raise OutOfRange(f"bound {d!r} exceeds the n = {n} family maximum {dmax!r}")
+    d = min(d, dmax)
+    if n == 2:
+        return eof_of_d(d, m)
+    root = math.sqrt(max(1.0 - 3.0 * m * d * d, 0.0))
+    half = 1.0 / (3.0 * m)
+    return eof_from_spectrum((d * d / (1.0 + root), half, half + root / (3.0 * m)), m)
 
 
 def _central1(f, t: float, h: float) -> float:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qconc import DensityMatrix, certify_bound, from_coefficients, pure_density
+from qconc import DensityMatrix, certify_bound, eof_lower_bound, from_coefficients, pure_density
 from qconc.cli import dispatch, dumps_state, load_state, main
 from qconc.errors import ParseError, BadTrace, ValidationError
 from qconc.purestate import PureState
@@ -76,6 +76,23 @@ def test_bound_command_werner():
     assert abs(report.results["E_bound"] - eof_of_d(0.25, 1)) < 1e-9
     assert report.flags["clamped"] is True
     assert WERNER_FILE in report.inputs
+
+
+def test_bound_eof_computes_the_lambda_spectra_once(monkeypatch):
+    import qconc.mixed as mixed
+
+    calls = []
+    spectra = mixed._spectra
+
+    def counting(R, J):
+        calls.append(J.shape)
+        return spectra(R, J)
+
+    monkeypatch.setattr(mixed, "_spectra", counting)
+    report, code = dispatch(["bound", FORM_A_FILE, "--m", "1", "--n", "2", "--eof"])
+    assert code == 0 and len(calls) == 1
+    rho = load_state(FORM_A_FILE)
+    assert report.results["E_bound"] == eof_lower_bound(rho, 1, 2)
 
 
 def test_bound_command_defaults_to_two_qubit_profile():

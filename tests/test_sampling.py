@@ -17,6 +17,7 @@ from qconc import (
     validate_density,
 )
 from qconc.errors import BadRank, OutOfRange
+from qconc.sampling import haar_isometry
 
 
 def test_haar_unitary_is_unitary():
@@ -38,6 +39,19 @@ def test_haar_unitary_deterministic_and_fresh():
     rng = generator(63)
     c, d = haar_unitary(3, rng), haar_unitary(3, rng)
     assert np.linalg.norm(c - d) > 1e-3
+
+
+def test_haar_isometry_has_orthonormal_columns():
+    rng = generator(65)
+    for t, r in ((1, 1), (3, 2), (5, 3), (4, 4)):
+        iso = haar_isometry(t, r, rng)
+        assert iso.shape == (t, r)
+        np.testing.assert_allclose(iso.conj().T @ iso, np.eye(r), atol=1e-12)
+    square = haar_isometry(3, 3, generator(66))
+    np.testing.assert_array_equal(square, haar_unitary(3, generator(66)))
+    for t, r in ((2, 3), (2, 0)):
+        with pytest.raises(OutOfRange):
+            haar_isometry(t, r, generator(67))
 
 
 def test_haar_unitary_first_entry_moment():

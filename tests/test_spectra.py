@@ -7,15 +7,18 @@ import pytest
 from qconc.spectra import (
     EigFamily,
     arith3_closed_forms,
+    concurrence_of_values,
     convexity_value,
     d_two_eigen,
     dE_dD,
+    entropy_bits,
     eof_from_spectrum,
+    eof_of_bound,
     eof_of_d,
     lemma_value,
 )
 from qconc import eof_pure, from_coefficients
-from qconc.errors import BadSpectrum, DegeneratePoint, OutOfRange
+from qconc.errors import BadSpectrum, DegeneratePoint, OutOfRange, UnsupportedFamily
 
 from oracles import eof_from_concurrence
 
@@ -168,3 +171,47 @@ def test_arith3_stable_near_origin():
         lemma_cf, convexity_cf = arith3_closed_forms(1, v)
         assert math.isfinite(lemma_cf) and math.isfinite(convexity_cf)
         assert lemma_cf < 0.0 and convexity_cf < 0.0
+
+
+def test_entropy_and_concurrence_kernels():
+    assert entropy_bits([0.5, 0.5, 0.0, -1e-18]) == 1.0
+    assert entropy_bits([1.0]) == 0.0
+    assert abs(entropy_bits([0.25] * 4) - 2.0) < 1e-15
+    assert concurrence_of_values((0.5, 0.5), 1) == 1.0
+    assert abs(concurrence_of_values((0.1, 0.2, 0.3), 2) - 6.0 * math.sqrt(0.006)) < 1e-15
+    assert concurrence_of_values((0.7, 0.0), 1) == 0.0
+
+
+def _arith3_eof(d, m):
+    """E on the arithmetic family at D = d, straight from v = sqrt(1 - 3 m d^2) / (3m)."""
+    half = 1.0 / (3.0 * m)
+    v = math.sqrt(1.0 - 3.0 * m * d * d) / (3.0 * m)
+    return -m * sum(x * math.log2(x) for x in (half - v, half, half + v) if x > 0.0)
+
+
+def test_eof_of_bound_three_value_closed_form():
+    for m in (1, 2, 3):
+        dmax = 1.0 / math.sqrt(3.0 * m)
+        for frac in np.linspace(0.01, 0.99, 53):
+            d = float(frac) * dmax
+            assert abs(eof_of_bound(d, m, 3) - _arith3_eof(d, m)) < 1e-13
+        assert abs(eof_of_bound(dmax, m, 3) - math.log2(3.0 * m)) < 1e-12
+        assert abs(eof_of_bound(dmax * (1.0 + 5e-10), m, 3) - math.log2(3.0 * m)) < 1e-12
+        tiny = eof_of_bound(1e-9, m, 3)
+        assert 0.0 < tiny < math.log2(3.0 * m)
+        assert abs(tiny - _arith3_eof(1e-9, m)) < 1e-13
+        with pytest.raises(OutOfRange):
+            eof_of_bound(dmax * (1.0 + 1e-6), m, 3)
+
+
+def test_eof_of_bound_two_value_and_checks():
+    assert eof_of_bound(0.0, 1, 2) == 0.0 and eof_of_bound(-0.1, 1, 3) == 0.0
+    assert eof_of_bound(0.6, 2, 2) == eof_of_d(0.6, 2)
+    assert eof_of_bound(1.0 + 5e-10, 1, 2) == 1.0
+    with pytest.raises(OutOfRange):
+        eof_of_bound(1.01, 1, 2)
+    with pytest.raises(OutOfRange):
+        eof_of_bound(0.5, 0, 3)
+    for n in (1, 4):
+        with pytest.raises(UnsupportedFamily):
+            eof_of_bound(0.5, 1, n)
