@@ -15,7 +15,6 @@ from .errors import (
     NumericalError,
     ProfileMismatch,
     QconcError,
-    RankViolation,
 )
 from .linalg import hermitian_eig, sqrt_psd, takagi
 from .mixed import (
@@ -86,7 +85,6 @@ __all__ = [
     "InputError",
     "NumericalError",
     "ProfileMismatch",
-    "RankViolation",
     "hermitian_eig",
     "sqrt_psd",
     "takagi",

@@ -135,12 +135,15 @@ def _build_parser() -> _Parser:
     profile.add_argument("--m", type=int, default=None)
     profile.add_argument("--n", type=int, default=None)
 
-    search = argparse.ArgumentParser(add_help=False, parents=[common, profile])
-    search.add_argument("--restarts", type=int, default=4)
-    search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--t-max", type=int, default=None, dest="t_max")
-    search.add_argument("--tol", type=float, default=1e-8)
-    search.add_argument("--max-sweeps", type=int, default=100, dest="max_sweeps")
+    # Unset search flags stay out of the namespace, so RoofProblem's defaults apply.
+    search = argparse.ArgumentParser(
+        add_help=False, parents=[common, profile], argument_default=argparse.SUPPRESS
+    )
+    search.add_argument("--restarts", type=int)
+    search.add_argument("--seed", type=int)
+    search.add_argument("--t-max", type=int, dest="t_max")
+    search.add_argument("--tol", type=float)
+    search.add_argument("--max-sweeps", type=int, dest="max_sweeps")
 
     parser = _Parser(prog="qconc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -192,8 +195,7 @@ def _cmd_concurrence(ns) -> tuple[dict, dict, int]:
         return {"c2": concurrence_c2(psi)}, {}, 0
     if ns.which == "cn":
         return {"cn": concurrence_cn(psi)}, {}, 0
-    m = 1 if ns.m is None else ns.m
-    n = 2 if ns.n is None else ns.n
+    m, n = _resolve_mn(ns.m, ns.n, psi.dim)
     return {"D": generalized_concurrence_D(psi, m, n), "m": m, "n": n}, {}, 0
 
 
@@ -213,7 +215,7 @@ def _cmd_bound(ns) -> tuple[dict, dict, int]:
 
 def _search_knobs(ns) -> dict:
     keys = ("t_max", "restarts", "seed", "tol", "max_sweeps")
-    return {key: getattr(ns, key) for key in keys}
+    return {key: getattr(ns, key) for key in keys if hasattr(ns, key)}
 
 
 def _cmd_roof(ns) -> tuple[dict, dict, int]:

@@ -89,10 +89,6 @@ class BadIndex(InputError):
     pass
 
 
-class RankViolation(NumericalError):
-    pass
-
-
 class NotFormA(InputError):
     pass
 
@@ -104,10 +100,6 @@ class UnsupportedFamily(InputError):
 # roofopt
 class NotIsometry(InputError):
     pass
-
-
-class NoConvergence(NumericalError):
-    """Raised only on request; minimize_roof normally reports converged=False."""
 
 
 # sampling

@@ -19,8 +19,7 @@ from .errors import ConvergenceFailure, NotHermitian, NotPSD, NotSymmetric
 HERMITIAN_TOL = 1e-10
 SYMMETRIC_TOL = 1e-10
 PSD_CLAMP = 1e-10
-NULL_GROUP_TOL = 1e-12
-DEGENERATE_TOL = 1e-8  # relative to the largest value; unitary eigenvalues have scale 1
+NULL_TOL = 1e-12
 
 
 @contextmanager
@@ -93,47 +92,21 @@ def sqrt_psd(M) -> np.ndarray:
     return 0.5 * (R + R.conj().T)
 
 
-def _degenerate_groups(s: np.ndarray, tol: float) -> list[list[int]]:
-    """Group indices of a descending value list, each group spanning at most tol."""
-    groups: list[list[int]] = []
-    start = 0
-    for k in range(1, s.size + 1):
-        if k == s.size or (s[start] - s[k]) > tol:
-            groups.append(list(range(start, k)))
-            start = k
-    return groups
-
-
-def _symmetric_unitary_sqrt(B: np.ndarray) -> np.ndarray:
-    """Symmetric unitary Q with Q @ Q = B for a symmetric unitary B.
-
-    B = C + iD with C, D real symmetric, and B^H B = I makes them commute,
-    so one real orthogonal O diagonalizes both: the eigenvectors of C,
-    rotated within each cluster of equal eigenvalues of C onto eigenvectors
-    of D.  Then B = O diag(z) O^T and Q = O diag(sqrt(z/|z|)) O^T.
-    """
-    c, O = np.linalg.eigh(B.real)
-    for g in _degenerate_groups(-c, DEGENERATE_TOL):
-        if len(g) > 1:
-            _, R = np.linalg.eigh(O[:, g].T @ B.imag @ O[:, g])
-            O[:, g] = O[:, g] @ R
-    z = np.einsum("ij,ik,kj->j", O, B, O)
-    return (O * np.sqrt(z / np.abs(z))) @ O.T
-
-
 def takagi(T) -> tuple[np.ndarray, np.ndarray]:
     """Takagi factorization of a complex symmetric matrix.
 
-    Finds a unitary U and nonnegative values L (descending) such that
-    ``U @ T @ U.T = diag(L)``.  The values L coincide with the singular
+    Finds a unitary U and nonnegative values s (descending) such that
+    ``U @ T @ U.T = diag(s)``.  The values s coincide with the singular
     values of T.
 
-    The construction starts from the SVD ``T = V S W^H``.  Symmetry of T
-    forces ``B = V^H conj(W)`` to be a symmetric unitary that is block
-    diagonal over groups of equal singular values; a symmetric unitary
-    square root of each block supplies the phase correction, giving
-    ``U = (V B^{1/2})^H``.  Re-symmetrizing each block absorbs roundoff
-    before the square root.
+    With T = A + iB (A, B real symmetric), a row u = x - iy of U solves
+    T u = s conj(u), which is the real symmetric eigenproblem
+    ``[[A, B], [B, -A]] (x, y) = s (x, y)``.  The embedding has eigenvalues
+    +-s, and (x, y) -> (-y, x) maps the +s eigenspace onto the -s one, so
+    rows taken from the top n eigenvectors are orthonormal, repeated values
+    included.  Rows for values at or below 1e-12 * max(||T||_F, 1) are an
+    orthonormal completion.  A final polar step restores unitarity where
+    small values let the +s and -s eigenvectors mix.
 
     Raises
     ------
@@ -147,15 +120,15 @@ def takagi(T) -> tuple[np.ndarray, np.ndarray]:
     if np.linalg.norm(A - A.T) > SYMMETRIC_TOL * scale:
         raise NotSymmetric("matrix is not complex symmetric within 1e-10")
 
-    V, s, Wh = np.linalg.svd(A)
-    B = V.conj().T @ Wh.T  # V^H conj(W)
-    # Null-space groups keep the identity block: nothing links the V and W
-    # bases there, so B's block is a generic (non-symmetric) unitary.  The
-    # block multiplies zero singular values, so no phase fix is needed.
-    Q = np.eye(s.size, dtype=complex)
-    for g in _degenerate_groups(s, DEGENERATE_TOL * s.max(initial=0.0)):
-        if s[g[0]] > NULL_GROUP_TOL * scale:
-            blk = B[np.ix_(g, g)]
-            Q[np.ix_(g, g)] = _symmetric_unitary_sqrt(0.5 * (blk + blk.T))
-    U = (V @ Q).conj().T
-    return U, s.copy()
+    n = A.shape[0]
+    H = 0.5 * (A + A.T)
+    w, Z = np.linalg.eigh(np.block([[H.real, H.imag], [H.imag, -H.real]]))
+    s = np.maximum(w[::-1][:n], 0.0)
+    r = int(np.count_nonzero(s > NULL_TOL * scale))
+    top = Z[:, ::-1][:, :r]
+    U = (top[:n] - 1j * top[n:]).T
+    if r < n:
+        Q, _ = np.linalg.qr(U.conj().T, mode="complete")
+        U = np.vstack([U, Q[:, r:].conj().T])
+    L, _, R = np.linalg.svd(U)
+    return L @ R, s

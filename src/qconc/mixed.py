@@ -112,12 +112,7 @@ class Decomposition:
     members: tuple[tuple[float, PureState], ...]
 
     def density(self) -> np.ndarray:
-        dim = self.members[0][1].dim
-        rho = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for p, psi in self.members:
-            z = psi.vector()
-            rho += p * np.outer(z, z.conj())
-        return rho
+        return mix_pure_states(self.weights(), [psi for _, psi in self.members]).matrix
 
     def weights(self) -> np.ndarray:
         return np.array([p for p, _ in self.members])
@@ -166,11 +161,16 @@ def validate_density(M, N: int, tol: float = DENSITY_TOL) -> DensityMatrix:
     return DensityMatrix(N, H)
 
 
-def pure_density(psi: PureState) -> DensityMatrix:
-    """Rank-one density matrix of a pure state."""
+def _projector(psi: PureState) -> np.ndarray:
+    """|z><z| for the normalized vector z of psi."""
     z = psi.vector()
     z = z / np.linalg.norm(z)
-    return DensityMatrix(psi.dim, np.outer(z, z.conj()))
+    return np.outer(z, z.conj())
+
+
+def pure_density(psi: PureState) -> DensityMatrix:
+    """Rank-one density matrix of a pure state."""
+    return DensityMatrix(psi.dim, _projector(psi))
 
 
 def mix_pure_states(weights, states) -> DensityMatrix:
@@ -182,24 +182,20 @@ def mix_pure_states(weights, states) -> DensityMatrix:
     dim = states[0].dim
     rho = np.zeros((dim * dim, dim * dim), dtype=complex)
     for wk, psi in zip(w, states):
-        z = psi.vector()
-        z = z / np.linalg.norm(z)
-        rho += wk * np.outer(z, z.conj())
+        rho += wk * _projector(psi)
     return DensityMatrix(dim, 0.5 * (rho + rho.conj().T))
 
 
-def eigen_vectors_subnormalized(rho: DensityMatrix) -> list[np.ndarray]:
-    """Orthogonal eigenvectors scaled so that <v_k|v_k> = eigenvalue.
+def eigen_vectors_subnormalized(rho: DensityMatrix) -> np.ndarray:
+    """Orthogonal eigenvectors scaled so that <v_k|v_k> = eigenvalue, as rows.
 
-    Only eigenvalues above 1e-12 contribute; the outer-product sum of the
-    returned vectors reconstructs rho within 1e-9.
+    Returns a C-contiguous (r, N^2) array, eigenvalues descending; only
+    eigenvalues above 1e-12 contribute.  The outer-product sum of the rows
+    reconstructs rho within 1e-9.
     """
     w, V = hermitian_eig(rho.matrix)
-    out = []
-    for k in range(w.size):
-        if w[k] > RANK_EPS:
-            out.append(np.sqrt(w[k]) * V[:, k])
-    return out
+    keep = w > RANK_EPS
+    return np.ascontiguousarray((V[:, keep] * np.sqrt(w[keep])).T)
 
 
 def canonical_indices(N: int) -> list[SIndex]:
@@ -317,6 +313,13 @@ def lambda_spectrum(rho: DensityMatrix, idx: SIndex) -> LambdaSpectrum:
     return LambdaSpectrum(tuple(float(x) for x in lam[0]))
 
 
+def _tau(V: np.ndarray, J) -> np.ndarray:
+    """tau = V[J]^H S4 conj(V[J]) over the rows V of eigen_vectors_subnormalized."""
+    Y = V[:, J].conj()
+    tau = Y @ _S4 @ Y.T
+    return 0.5 * (tau + tau.T)
+
+
 def tau_matrix(rho: DensityMatrix, idx: SIndex) -> np.ndarray:
     """Complex symmetric matrix tau_kl = <v_k| S |v_l*> over eigenvectors.
 
@@ -324,9 +327,7 @@ def tau_matrix(rho: DensityMatrix, idx: SIndex) -> np.ndarray:
     values equal the Lambda spectrum (padded with zeros).  Only the rows J
     of the eigenvectors enter: tau = V[J]^H S4 conj(V[J]).
     """
-    V = np.column_stack(eigen_vectors_subnormalized(rho))[_support(idx, rho.dim)]
-    tau = V.conj().T @ _S4 @ V.conj()
-    return 0.5 * (tau + tau.T)
+    return _tau(eigen_vectors_subnormalized(rho), _support(idx, rho.dim))
 
 
 def optimal_index_decomposition(rho: DensityMatrix, idx: SIndex) -> Decomposition:
@@ -336,9 +337,9 @@ def optimal_index_decomposition(rho: DensityMatrix, idx: SIndex) -> Decompositio
     ensemble |w_k> = sum_l conj(U_kl) |v_l> then realizes rho and carries the
     Lambda spectrum on its diagonal quadratic forms.
     """
-    U, _ = takagi_factor(tau_matrix(rho, idx))
-    V = np.column_stack(eigen_vectors_subnormalized(rho))
-    return Decomposition.from_rows(U.conj() @ V.T, rho.dim)
+    V = eigen_vectors_subnormalized(rho)
+    U, _ = takagi_factor(_tau(V, _support(idx, rho.dim)))
+    return Decomposition.from_rows(U.conj() @ V, rho.dim)
 
 
 def d_lower_bound(rho: DensityMatrix, m: int, n: int, clamp: bool = True) -> float:

@@ -248,12 +248,11 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
     """
     rho = problem.target
     N = rho.dim
-    vecs = eigen_vectors_subnormalized(rho)
-    r = len(vecs)
+    Vmat = eigen_vectors_subnormalized(rho)
+    r = Vmat.shape[0]
     t_hi = r + 2 if problem.t_max is None else problem.t_max
     if t_hi < r:
         raise OutOfRange(f"t_max {t_hi} below the density's rank {r}")
-    Vmat = np.array(vecs)
     member = partial(_member, N=N, measure=_pure_measure(problem.objective))
 
     best = None
@@ -294,33 +293,16 @@ class CertifyReport:
     converged: bool
 
 
-def certify_bound(
-    rho: DensityMatrix,
-    m: int,
-    n: int,
-    seed: int = 0,
-    restarts: int = 4,
-    t_max: int | None = None,
-    tol: float = 1e-8,
-    max_sweeps: int = 100,
-) -> CertifyReport:
+def certify_bound(rho: DensityMatrix, m: int, n: int, **search) -> CertifyReport:
     """Compare d_lower_bound against minimize_roof(AverageD).
 
-    gap = roof_min - bound; a gap below -1e-6 is flagged as a violation
-    (the bound is supposed to sit below every decomposition average).
+    ``search`` holds RoofProblem's search settings (t_max, restarts, seed,
+    tol, max_sweeps), with RoofProblem's defaults.  gap = roof_min - bound;
+    a gap below -1e-6 is flagged as a violation (the bound is supposed to
+    sit below every decomposition average).
     """
     bound = d_lower_bound(rho, m, n, clamp=True)
-    result = minimize_roof(
-        RoofProblem(
-            target=rho,
-            objective=AverageD(m, n),
-            t_max=t_max,
-            restarts=restarts,
-            seed=seed,
-            tol=tol,
-            max_sweeps=max_sweeps,
-        )
-    )
+    result = minimize_roof(RoofProblem(target=rho, objective=AverageD(m, n), **search))
     gap = result.value - bound
     return CertifyReport(
         bound=float(bound),

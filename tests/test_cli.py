@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qconc import DensityMatrix, certify_bound, eof_lower_bound, from_coefficients, pure_density
-from qconc.cli import dispatch, dumps_state, load_state, main
+from qconc.cli import _build_parser, _search_knobs, dispatch, dumps_state, load_state, main
 from qconc.errors import ParseError, BadTrace, ValidationError
 from qconc.purestate import PureState
 from qconc.report import report_from_json, report_to_json
@@ -128,6 +128,18 @@ def test_eof_pure_and_concurrence_commands():
     assert abs(report.results["D"] - np.sqrt(2.0)) < 1e-12
 
 
+def test_concurrence_D_resolves_the_profile_like_bound(tmp_path, capsys):
+    report, _ = dispatch(["concurrence", BELL_FILE, "--which", "D"])
+    assert (report.results["m"], report.results["n"]) == (1, 2)
+    assert abs(report.results["D"] - 1.0) < 1e-12
+    path = tmp_path / "pure3.json"
+    path.write_text(dumps_state(from_coefficients(np.diag([0.8, 0.6, 0.0]))))
+    for flags in ([], ["--m", "1"]):
+        assert main(["concurrence", str(path), "--which", "D"] + flags) == 1
+        assert main(["bound", str(path)] + flags) == 1
+    assert capsys.readouterr().err.count("error: --m and --n") == 4
+
+
 def test_lemma_command_arith3_matches_closed_forms():
     third = 1.0 / 3.0
     report, _ = dispatch(
@@ -238,6 +250,13 @@ def test_certify_command_forwards_search_options():
     rho = load_state(FORM_A_FILE)
     rep = certify_bound(rho, 1, 2, seed=5, restarts=1, t_max=3, tol=1e-3, max_sweeps=2)
     assert report.results["roof_min"] == rep.roof_min
+    assert report.flags["converged"] is rep.converged
+
+    ns = _build_parser().parse_args(["certify", BELL_FILE])
+    assert _search_knobs(ns) == {}
+    report, code = dispatch(["certify", BELL_FILE])
+    rep = certify_bound(pure_density(load_state(BELL_FILE)), 1, 2)
+    assert code == 0 and report.results["roof_min"] == rep.roof_min
     assert report.flags["converged"] is rep.converged
 
 

@@ -115,3 +115,17 @@ def test_takagi_factorization_fuzz():
         np.testing.assert_allclose(u @ u.conj().T, np.eye(n), atol=1e-10)
         sv = np.linalg.svd(t, compute_uv=False)
         np.testing.assert_allclose(vals, sv, atol=1e-10)
+    for trial in range(300):
+        # plant tiny singular values, 1e-13 to 1e-6, every other trial repeated
+        n = int(rng.integers(2, 10))
+        k = int(rng.integers(1, n))
+        s = rng.random(n) + 0.1
+        s[:k] = 10.0 ** rng.uniform(-13.0, -6.0, k)
+        if trial % 2:
+            s[:k] = s[0]
+        w = haar_unitary(n, rng)
+        t = w @ np.diag(np.sort(s)[::-1]) @ w.T
+        u, vals = takagi(t)
+        np.testing.assert_allclose(u @ t @ u.T, np.diag(vals), atol=1e-9)
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(n), atol=1e-10)
+        np.testing.assert_allclose(vals, np.linalg.svd(t, compute_uv=False), atol=1e-10)

@@ -37,7 +37,7 @@ from qconc.errors import (
     OutOfRange,
     UnsupportedFamily,
 )
-from qconc.linalg import sqrt_psd
+from qconc.linalg import hermitian_eig, sqrt_psd
 from qconc.mixed import _spectra, _support_table, eigen_vectors_subnormalized, s_matrix_raw
 from qconc.roofopt import transform_decomposition
 from qconc.sampling import (
@@ -249,6 +249,18 @@ def test_optimal_index_decomposition_diagonalizes():
         forms.sort(reverse=True)
         for got, want in zip(forms, lam):
             assert abs(got - want) < 1e-8
+
+
+def test_optimal_index_decomposition_eigendecomposes_rho_once(monkeypatch):
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return hermitian_eig(M)
+
+    monkeypatch.setattr("qconc.mixed.hermitian_eig", counting)
+    optimal_index_decomposition(random_density(3, 3, 36), SIndex(1, 1, 2, 2))
+    assert len(calls) == 1
 
 
 def test_optimal_index_decomposition_maximally_mixed():
