@@ -56,6 +56,7 @@ from .roofopt import (
     AverageE,
     RoofProblem,
     RoofResult,
+    RoofStart,
     average_objective,
     certify_bound,
     minimize_roof,
@@ -130,6 +131,7 @@ __all__ = [
     "AverageD",
     "RoofProblem",
     "RoofResult",
+    "RoofStart",
     "transform_decomposition",
     "average_objective",
     "minimize_roof",

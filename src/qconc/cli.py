@@ -142,8 +142,9 @@ def _build_parser() -> _Parser:
     search.add_argument("--restarts", type=int)
     search.add_argument("--seed", type=int)
     search.add_argument("--t-max", type=int, dest="t_max")
-    search.add_argument("--tol", type=float)
-    search.add_argument("--max-sweeps", type=int, dest="max_sweeps")
+    search.add_argument("--tol", type=float, help="converged once the Riemannian gradient norm is below this")
+    search.add_argument("--max-sweeps", type=int, dest="max_sweeps",
+                        help="cap on conjugate-gradient cycles of 2tr - r^2 iterations per start")
 
     parser = _Parser(prog="qconc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

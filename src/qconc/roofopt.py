@@ -1,30 +1,25 @@
 """Convex-roof minimization over pure-state decompositions.
 
 Any decomposition of a rank-r density matrix into t >= r pure states is
-parametrized by a t x r columns-orthonormal matrix V acting on the
-subnormalized eigenvectors, |w_k> = sum_l conj(V_kl) |v_l>.  The optimizer
-does multi-start derivative-free local search in V: sweeps of two-row
-complex Givens-style rotations (two angles per row pair), each angle
-minimized by golden-section search, accepting only strict improvement.
-Each member is scored by the package's shared kernels: its Schmidt
-spectrum from ``purestate.schmidt_values``, then ``spectra.entropy_bits``
-or the (m, n) profile match and ``spectra.concurrence_of_values``; the
-final ``average_objective`` recompute sees bit-identical spectra.
-This is an independent numeric check of the closed-form lower bounds; it
-never certifies global optimality.
+parametrized by a t x r isometry Q acting on the subnormalized
+eigenvectors: |w_k> = sum_l conj(Q_kl) |v_l>.  ``minimize_roof`` searches
+these isometries from several starts (the Riemannian conjugate-gradient
+search of ``roofsearch``) and recomputes the winner's value through
+``average_objective`` from the member states.  This is an independent
+numeric check of the closed-form lower bounds; it never certifies global
+optimality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .errors import NotIsometry, OutOfRange, ProfileMismatch
-from .mixed import MEMBER_DROP, DensityMatrix, Decomposition, d_lower_bound, eigen_vectors_subnormalized
-from .purestate import profile_from_values, schmidt_spectrum, schmidt_values
+from .mixed import DensityMatrix, Decomposition, d_lower_bound, eigen_vectors_subnormalized
+from .purestate import profile_from_values, schmidt_spectrum
 from .sampling import generator, haar_isometry
 from .spectra import concurrence_of_values, entropy_bits
 
@@ -43,8 +38,11 @@ class AverageD:
 
     Members whose normalized spectrum fails the profile at relative
     tolerance ``tol`` (coincident-cluster rule applied) are nonconforming:
-    ``average_objective`` raises ProfileMismatch and the optimizer treats
-    the candidate as +inf.
+    ``average_objective`` raises ProfileMismatch and the search scores
+    them +inf.  For m = 1, a member with fewer than n Schmidt values at or
+    above ``tol`` is not a mismatch: it scores the continuous limit
+    n sqrt(lambda_1 ... lambda_n) of its top n values, which is 0 for a
+    product state.
     """
 
     m: int
@@ -58,8 +56,12 @@ class RoofProblem:
 
     t_max caps the decomposition cardinality (None means rank + 2);
     restarts counts optimization starts per cardinality, the first being
-    the eigendecomposition itself; tol is the per-sweep objective-change
-    convergence threshold.
+    the eigendecomposition itself.  tol is the threshold on the Frobenius
+    norm of the Riemannian gradient (at kinks, the minimum-norm
+    subgradient) below which a start has converged.  max_sweeps caps the
+    conjugate-gradient cycles of a start; a cycle is 2tr - r^2 iterations
+    (the real dimension of the t x r isometries), after which the
+    direction restarts at steepest descent.
     """
 
     target: DensityMatrix
@@ -78,13 +80,31 @@ class RoofProblem:
 
 
 @dataclass(frozen=True)
+class RoofStart:
+    """One start of the search: its cardinality t, start index and outcome.
+
+    ``kinks`` counts the members at a D(1, 2) kink at the end of the start.
+    """
+
+    t: int
+    start: int
+    value: float
+    iterations: int
+    converged: bool
+    kinks: int
+
+
+@dataclass(frozen=True)
 class RoofResult:
     """Best decomposition found, its objective value, and search metadata.
 
-    ``iterations`` counts sweeps summed over every start; ``trace`` holds
-    the per-sweep objective values of the winning start (nonincreasing);
-    ``converged`` reports whether the winning start stalled below tol
-    before hitting the sweep cap.
+    ``iterations`` counts search iterations summed over every start (an
+    iteration is one line-search step, or one accepted rotation probe);
+    ``trace`` holds the search's objective value before the first and
+    after every iteration of the winning start, nonincreasing up to the
+    objective's rounding (``roofsearch.FLAT`` relative); ``converged``
+    reports whether the winning start's gradient norm fell below tol;
+    ``starts`` holds one record per (cardinality, start).
     """
 
     value: float
@@ -92,40 +112,31 @@ class RoofResult:
     iterations: int
     converged: bool
     trace: tuple[float, ...] = field(repr=False, default=())
+    starts: tuple[RoofStart, ...] = field(repr=False, default=())
+
+
+def _profile_values(lam, m: int, n: int, tol: float):
+    """The n profile values of a descending normalized spectrum, coincident clusters allowed.
+
+    The m = 1 wall rule: fewer than n values at or above tol give the top n
+    values.  Any other mismatch raises ProfileMismatch.
+    """
+    try:
+        return profile_from_values(lam, m, n, tol, allow_coincident=True).values
+    except ProfileMismatch:
+        if m == 1 and n <= len(lam) and np.count_nonzero(lam >= tol) < n:
+            return lam[:n]
+        raise
 
 
 def _pure_measure(objective):
-    """The objective's value of a normalized Schmidt spectrum; the one objective dispatch.
-
-    AverageD matches the (m, n) profile with coincident clusters allowed and
-    raises ProfileMismatch on failure.
-    """
+    """The objective's value of a normalized Schmidt spectrum; the one objective dispatch."""
     if isinstance(objective, AverageE):
         return entropy_bits
     if isinstance(objective, AverageD):
         m, n, tol = objective.m, objective.n, objective.tol
-
-        def d_of(lam) -> float:
-            prof = profile_from_values(lam, m, n, tol, allow_coincident=True)
-            return concurrence_of_values(prof.values, m)
-
-        return d_of
+        return lambda lam: concurrence_of_values(_profile_values(lam, m, n, tol), m)
     raise OutOfRange(f"unknown objective {objective!r}")
-
-
-def _member(w: np.ndarray, N: int, measure) -> float:
-    """p * f(psi) of one subnormalized row, weighted and normalized as in Decomposition.from_rows.
-
-    A profile mismatch scores +inf.
-    """
-    p = float(np.vdot(w, w).real)
-    if p <= MEMBER_DROP:
-        return 0.0
-    A = w.reshape(N, N)
-    try:
-        return p * measure(schmidt_values(A / float(np.linalg.norm(A))))
-    except ProfileMismatch:
-        return math.inf
 
 
 def transform_decomposition(vectors, V) -> Decomposition:
@@ -155,8 +166,8 @@ def average_objective(decomposition: Decomposition, objective) -> float:
     """Weighted average sum_a p_a f(psi_a) of the objective's pure measure.
 
     f is the entropy of the Schmidt spectrum for AverageE and the
-    generalized concurrence D (at the objective's profile tolerance) for
-    AverageD, through the same kernels the roof search scores members with.
+    generalized concurrence D (at the objective's profile tolerance, with
+    the m = 1 wall rule of AverageD) for AverageD.
 
     Raises
     ------
@@ -167,118 +178,58 @@ def average_objective(decomposition: Decomposition, objective) -> float:
     return float(math.fsum(p * f(schmidt_spectrum(psi)) for p, psi in decomposition.members))
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo: float, hi: float, iters: int = 30) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _rotated(wa: np.ndarray, wb: np.ndarray, theta: float, phi: float):
-    c = math.cos(theta)
-    s = math.sin(theta) * complex(math.cos(phi), math.sin(phi))
-    return c * wa + s * wb, -np.conj(s) * wa + c * wb
-
-
-def _pair_step(W: np.ndarray, vals: list[float], a: int, b: int, member) -> float:
-    """Optimize one row pair in place; returns the achieved decrease."""
-    wa, wb = W[a], W[b]
-    base = vals[a] + vals[b]
-
-    def at(theta: float, phi: float) -> float:
-        na, nb = _rotated(wa, wb, theta, phi)
-        return member(na) + member(nb)
-
-    t1, f1 = _golden_min(lambda t: at(t, 0.0), -math.pi / 2, math.pi / 2)
-    t2, f2 = _golden_min(lambda t: at(t, math.pi / 2), -math.pi / 2, math.pi / 2)
-    theta, phi, best = (t1, 0.0, f1) if f1 <= f2 else (t2, math.pi / 2, f2)
-    p3, f3 = _golden_min(lambda p: at(theta, p), -math.pi, math.pi)
-    if f3 < best:
-        phi, best = p3, f3
-    t4, f4 = _golden_min(lambda t: at(t, phi), -math.pi / 2, math.pi / 2)
-    if f4 < best:
-        theta, best = t4, f4
-
-    if not best < base:
-        return 0.0
-    na, nb = _rotated(wa, wb, theta, phi)
-    W[a], W[b] = na, nb
-    vals[a], vals[b] = member(na), member(nb)
-    return base - (vals[a] + vals[b])
-
-
-def _run_start(W: np.ndarray, member, tol: float, max_sweeps: int):
-    t = W.shape[0]
-    vals = [member(W[k]) for k in range(t)]
-    trace = [math.fsum(vals)]
-    for _ in range(max_sweeps):
-        for a in range(t):
-            for b in range(a + 1, t):
-                _pair_step(W, vals, a, b, member)
-        trace.append(math.fsum(vals))
-        if math.isfinite(trace[-1]) and trace[-2] - trace[-1] < tol:
-            return trace, True
-    return trace, False
-
-
 def minimize_roof(problem: RoofProblem) -> RoofResult:
     """Best decomposition over cardinalities rank..t_max and all restarts.
 
     Start 0 at each cardinality is the eigendecomposition (identity
     isometry); later starts use ``sampling.haar_isometry`` drawn from
-    ``generator(seed, cardinality, start)``, so results are
-    reproducible bit for bit and independent of evaluation order.  Within
-    a start, row-pair rotations are swept until the per-sweep improvement
-    falls below tol or the sweep cap is hit; the objective trace never
-    increases.  A result is always returned; a winning start that hit the
-    cap is reported with converged=False rather than raised.
+    ``generator(seed, cardinality, start)``, so results are reproducible
+    bit for bit and independent of evaluation order.  Each start runs the
+    conjugate-gradient search until the gradient norm falls below tol, a
+    line search fails, or the cycle cap is hit; the objective trace does
+    not increase beyond rounding.  A result is always returned; a winning start that did not
+    converge is reported with converged=False rather than raised.  The
+    value is recomputed from the winning decomposition's members by
+    ``average_objective`` (+inf if a member fails the profile).
     """
     rho = problem.target
     N = rho.dim
-    Vmat = eigen_vectors_subnormalized(rho)
-    r = Vmat.shape[0]
+    V = eigen_vectors_subnormalized(rho)
+    r = V.shape[0]
     t_hi = r + 2 if problem.t_max is None else problem.t_max
     if t_hi < r:
         raise OutOfRange(f"t_max {t_hi} below the density's rank {r}")
-    member = partial(_member, N=N, measure=_pure_measure(problem.objective))
+    # Imported on first use, so that processes which never search never compile it.
+    from .roofsearch import Descent, member_kernel, search
+
+    descent = Descent(V, N, *member_kernel(problem.objective, rho))
 
     best = None
-    total_sweeps = 0
+    starts = []
     for t in range(r, t_hi + 1):
         for k in range(problem.restarts):
             if k == 0:
                 iso = np.eye(t, r, dtype=complex)
             else:
                 iso = haar_isometry(t, r, generator(problem.seed, t, k))
-            W = iso.conj() @ Vmat
-            trace, converged = _run_start(W, member, problem.tol, problem.max_sweeps)
-            total_sweeps += len(trace) - 1
+            Q, trace, converged, kinks = search(descent, iso, problem.tol, problem.max_sweeps)
+            starts.append(RoofStart(t, k, trace[-1], len(trace) - 1, converged, kinks))
             if best is None or trace[-1] < best[0]:
-                best = (trace[-1], W.copy(), tuple(trace), converged)
+                best = (trace[-1], Q, tuple(trace), converged)
 
-    value, W, trace, converged = best
-    decomposition = Decomposition.from_rows(W, N)
-    if math.isfinite(value):
+    _, Q, trace, converged = best
+    decomposition = Decomposition.from_rows(Q.conj() @ V, N)
+    try:
         value = average_objective(decomposition, problem.objective)
+    except ProfileMismatch:
+        value = math.inf
     return RoofResult(
         value=float(value),
         decomposition=decomposition,
-        iterations=total_sweeps,
+        iterations=sum(s.iterations for s in starts),
         converged=converged,
         trace=trace,
+        starts=tuple(starts),
     )
 
 

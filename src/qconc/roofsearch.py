@@ -1,0 +1,486 @@
+"""The roof search behind ``roofopt.minimize_roof``.
+
+A decomposition of a rank-r density into t >= r members is a t x r
+isometry Q acting on the subnormalized eigenvectors V: the rows are
+W = conj(Q) V.  ``search`` runs a Riemannian Polak-Ribiere+
+conjugate-gradient descent over these isometries, the variational method
+of Audenaert, Verstraete and De Moor (PRA 64, 052304, 2001) and
+Rothlisberger et al. (PRA 79, 042301, 2009).  Steps are
+Q <- exp(-eta H) Q along a skew-Hermitian direction H, the exponential
+taken through ``eigh`` of iH; the step length comes from a strong-Wolfe
+line search (Armijo decrease, curvature test, cubic interpolation).  The
+Riemannian gradient is Omega = E Q^H - Q E^H with E = conj(G) V^T
+assembled from the members' Euclidean gradients G_k.
+
+One batched kernel per objective returns every member's value p f(psi)
+and G_k = 2 X A_k with respect to the member's coefficient matrix A_k
+(M = A A^H, p = tr M):
+
+* AverageE: one batched ``eigh``, X = (log p - log M) / ln 2 on the range
+  of M.
+* AverageD(1, 2) where every member has Schmidt rank <= 2 (N = 2 or a
+  form-(a) support): the value 2 ||2x2 minors of A|| = 2 sqrt(e2(M)) by
+  Cauchy-Binet, X = (p I - M) / sqrt(e2(M)), evaluated as 2 J^H u through
+  the minors' Jacobian J and unit minor vector u; no ``eigh``.
+* any other AverageD(m, n): the spectral gradient of the matched profile;
+  a step that leaves the profile scores +inf and is rejected.
+
+The D(1, 2) sum of minor norms has kinks at product members.  A member
+within SNAP_TOL of a product state is snapped onto it by a Newton step
+when that does not raise the objective; at a kink (minor norm at most
+KINK_TOL * p) the search uses the minimum-norm subgradient, found by
+relaxing the member's unit minor vector to the unit ball (the group-lasso
+test), as both the stationarity test and the descent direction.  A
+start's first step scans one period of its geodesic, and a converged
+point is probed along every two-row rotation, so that saddles such as
+the eigendecomposition of a symmetric state are left behind.
+
+``roofopt`` imports this module on the first search: every process that
+imports qconc compiles roofopt, and the CLI's other subcommands never
+search.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from .errors import OutOfRange, ProfileMismatch
+from .mixed import DensityMatrix, form_a_check
+from .roofopt import AverageD, AverageE, _profile_values
+from .spectra import concurrence_of_values
+
+# Eigenvalues of M at or below RANGE_TOL * p are outside the range of M.
+RANGE_TOL = 1e-12
+# A D(1, 2) member whose minor norm is at most SNAP_TOL * p is snapped onto
+# the nearest product state when that lowers the objective; one at most
+# KINK_TOL * p sits at a kink of the objective; snapping stops at SNAP_FLOOR * p.
+SNAP_TOL = 1e-4
+KINK_TOL = 1e-10
+SNAP_FLOOR = 1e-13
+ARMIJO = 1e-4
+CURVATURE = 0.1
+# Relative rounding of a summed objective value.
+FLAT = 1e-13
+MAX_EVALS = 30
+SCAN = 8
+
+
+# -- member kernels: rows W (t, N^2) -> values (t,), gradients G (t, N^2) --
+
+
+@lru_cache(maxsize=None)
+def _minor_index(N: int) -> np.ndarray:
+    """Flat positions (ip, jq, iq, jp) of every 2x2 minor, i < j and p < q, as a (4, K) table."""
+    rows = [
+        (i * N + p, j * N + q, i * N + q, j * N + p)
+        for i in range(N)
+        for j in range(i + 1, N)
+        for p in range(N)
+        for q in range(p + 1, N)
+    ]
+    table = np.array(rows).T
+    table.flags.writeable = False
+    return table
+
+
+def _minors(W: np.ndarray, N: int) -> np.ndarray:
+    """All 2x2 minors of each row's coefficient matrix, (t, K)."""
+    ip, jq, iq, jp = _minor_index(N)
+    return W[:, ip] * W[:, jq] - W[:, iq] * W[:, jp]
+
+
+@lru_cache(maxsize=None)
+def _minor_forms(N: int) -> np.ndarray:
+    """Symmetric S_x with minor_x(w) = w^T S_x w / 2, so d minor_x / dw = S_x w; (K, N^2, N^2)."""
+    ip, jq, iq, jp = _minor_index(N)
+    x = np.arange(ip.size)
+    S = np.zeros((ip.size, N * N, N * N))
+    S[x, ip, jq] = S[x, jq, ip] = 1.0
+    S[x, iq, jp] = S[x, jp, iq] = -1.0
+    S.flags.writeable = False
+    return S
+
+
+def _gram(W: np.ndarray, N: int):
+    A = W.reshape(-1, N, N)
+    return A, A @ A.conj().transpose(0, 2, 1), np.einsum("kij,kij->k", A.conj(), A).real
+
+
+def _e_members(W: np.ndarray, N: int):
+    """Entanglement p S(lambda / p) of each row and its gradient 2 X A."""
+    A, M, p = _gram(W, N)
+    lam, U = np.linalg.eigh(M)
+    live = lam > 0.0
+    logp = np.log(np.where(p > 0.0, p, 1.0))[:, None]
+    x = np.where(live, logp - np.log(np.where(live, lam, 1.0)), 0.0) / math.log(2.0)
+    values = np.sum(lam * x, axis=1)
+    x = np.where(lam > RANGE_TOL * p[:, None], x, 0.0)
+    X = (U * x[:, None, :]) @ U.conj().transpose(0, 2, 1)
+    return values, 2.0 * (X @ A).reshape(W.shape)
+
+
+def _d12_members(W: np.ndarray, N: int):
+    """D(1, 2) of rank-<=2 rows, 2 ||minors||, and its gradient 2 J^H u with u = minors / ||minors||.
+
+    J is the Jacobian of the minors; 2 J^H u equals 2 X A with
+    X = (p I - M) / ||minors|| but stays bounded as a member nears a
+    product state, where the minors are mostly rounding.
+    """
+    y = _minors(W, N)
+    norms = np.linalg.norm(y, axis=1)
+    u = y / np.where(norms > 0.0, norms, 1.0)[:, None]
+    J = np.einsum("xij,kj->kxi", _minor_forms(N), W)
+    return 2.0 * norms, 2.0 * np.einsum("kx,kxi->ki", u, J.conj())
+
+
+def _profile_members(W: np.ndarray, N: int, objective: AverageD):
+    """Profile D of each row, m n p^(1 - n/2) sqrt(prod nu), and its spectral gradient."""
+    m, n, tol = objective.m, objective.n, objective.tol
+    A, M, p = _gram(W, N)
+    lam, U = np.linalg.eigh(M)
+    values = np.zeros(len(W))
+    x = np.zeros(lam.shape)
+    for k in range(len(W)):
+        if p[k] <= 0.0:
+            continue
+        try:
+            matched = _profile_values(np.maximum(lam[k, ::-1] / p[k], 0.0), m, n, tol)
+        except ProfileMismatch:
+            values[k] = math.inf
+            continue
+        values[k] = p[k] * concurrence_of_values(matched, m)
+        nu = np.repeat(matched, m)
+        if values[k] > 0.0:
+            x[k, N - nu.size:] = values[k] * 0.5 / (m * p[k] * nu[::-1])
+            x[k] += values[k] * (1.0 - 0.5 * n) / p[k]
+    X = (U * x[:, None, :]) @ U.conj().transpose(0, 2, 1)
+    return values, 2.0 * (X @ A).reshape(W.shape)
+
+
+def member_kernel(objective, rho: DensityMatrix):
+    """(kernel, exact) for the objective on rho's support; exact marks the minor route."""
+    if isinstance(objective, AverageE):
+        return _e_members, False
+    if isinstance(objective, AverageD):
+        if (objective.m, objective.n) == (1, 2) and (rho.dim == 2 or (rho.dim == 3 and form_a_check(rho))):
+            return _d12_members, True
+        return (lambda W, N: _profile_members(W, N, objective)), False
+    raise OutOfRange(f"unknown objective {objective!r}")
+
+
+# -- the Riemannian conjugate-gradient search --------------------------
+
+
+def _riemannian(E: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Skew-Hermitian Omega = E Q^H - Q E^H for the Euclidean gradient E at Q."""
+    B = E @ Q.conj().T
+    return B - B.conj().T
+
+
+def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray], sweeps: int = 100) -> list[np.ndarray]:
+    """min ||a + sum_g B_g x_g|| subject to ||x_g|| <= 1, by block coordinate descent.
+
+    Each block step is a trust-region subproblem solved exactly through
+    the SVD of B_g and a safeguarded Newton iteration on the secular
+    equation ||z(lam)|| = 1.
+    """
+    svds = [np.linalg.svd(B, full_matrices=False) for B in blocks]
+    xs = [np.zeros(B.shape[1]) for B in blocks]
+    res = a.copy()
+    for _ in range(sweeps):
+        moved = 0.0
+        for g, (U, s, Vt) in enumerate(svds):
+            base = res - blocks[g] @ xs[g]
+            live = s > 1e-12 * s[0]
+            sc = np.where(live, s * (U.T @ base), 0.0)
+            s2 = np.where(live, s * s, 1.0)
+            z = -sc / s2
+            if np.linalg.norm(z) > 1.0:
+                lo, hi, lam = 0.0, float(np.linalg.norm(sc)), 0.0
+                for _ in range(100):
+                    z = -sc / (s2 + lam)
+                    nz = float(np.linalg.norm(z))
+                    if abs(nz - 1.0) <= 1e-14:
+                        break
+                    lo, hi = (lam, hi) if nz > 1.0 else (lo, lam)
+                    lam += (nz - 1.0) * nz * nz / float(np.sum(sc * sc / (s2 + lam) ** 3))
+                    if not lo < lam < hi:
+                        lam = 0.5 * (lo + hi)
+                z /= max(float(np.linalg.norm(z)), 1.0)
+            x = Vt.T @ z
+            moved = max(moved, float(np.max(np.abs(x - xs[g]))))
+            xs[g] = x
+            res = base + blocks[g] @ x
+        if moved <= 1e-13:
+            break
+    return xs
+
+
+class Descent:
+    """Objective, gradient and kink rule of one problem at an isometry Q."""
+
+    def __init__(self, V: np.ndarray, N: int, kernel, exact: bool):
+        self.V, self.N, self.kernel, self.exact = V, N, kernel, exact
+
+    def value(self, Q: np.ndarray):
+        vals, G = self.kernel(Q.conj() @ self.V, self.N)
+        return math.fsum(vals.tolist()), G
+
+    def omega(self, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
+        return _riemannian(G.conj() @ self.V.T, Q)
+
+    def gradient(self, Q: np.ndarray, G: np.ndarray):
+        """Riemannian gradient at Q (min-norm subgradient at kinks), kink and loose members.
+
+        ``loose`` lists the members whose minor norm lies in
+        (SNAP_FLOOR, SNAP_TOL] * p, which a snap could move onto a product
+        state.
+        """
+        W = Q.conj() @ self.V
+        kinks, loose = [], []
+        if self.exact:
+            p = np.sum(np.abs(W) ** 2, axis=1)
+            norms = np.linalg.norm(_minors(W, self.N), axis=1)
+            kinks = np.flatnonzero(norms <= KINK_TOL * p).tolist()
+            loose = np.flatnonzero((norms <= SNAP_TOL * p) & (norms > SNAP_FLOOR * p)).tolist()
+        if not kinks:
+            return self.omega(Q, G), [], loose
+        G = G.copy()
+        G[kinks] = 0.0
+        basis = _skew_basis(Q.shape[0])
+        a = np.tensordot(basis.conj(), self.omega(Q, G), axes=([1, 2], [0, 1])).real
+        # Along exp(-eta B) Q, the kink term 2 Re<u, minors_k> changes at
+        # rate 2 Re<u, dy>, which is -1/2 <B, Omega>: Omega's coordinates
+        # are -4 (Re dy, Im dy) (Re u, Im u).
+        blocks = [-4.0 * np.concatenate([dy.real, dy.imag], axis=1) for dy, _ in self._changes(Q, W, kinks)]
+        xs = _ball_lsq(a, blocks)
+        return np.tensordot(a + sum(B @ x for B, x in zip(blocks, xs)), basis, 1), kinks, loose
+
+    def _changes(self, Q: np.ndarray, W: np.ndarray, members: list[int]):
+        """(d minors_k, d p_k) along dQ = -B Q for every basis element B, per member: (t^2, K), (t^2,)."""
+        basis = _skew_basis(Q.shape[0])
+        for k in members:
+            dw = (-(basis[:, k, :] @ Q)).conj() @ self.V
+            yield dw @ (_minor_forms(self.N) @ W[k]).T, (dw @ W[k].conj()).real
+
+    def snap(self, Q: np.ndarray, members: list[int]) -> np.ndarray:
+        """One Newton step exp(-Omega) Q towards product states for ``members``.
+
+        Omega is the minimum-norm skew-Hermitian solution of the linearized
+        equations minors_k + d minors_k = 0 and d p_k = 0 under dQ = -Omega Q,
+        so each member turns towards a product state instead of shrinking.
+        """
+        W = Q.conj() @ self.V
+        rows = [np.concatenate([dy.real, dy.imag, dp[:, None]], axis=1).T
+                for dy, dp in self._changes(Q, W, members)]
+        rhs = [np.concatenate([-y.real, -y.imag, [0.0]]) for y in _minors(W[members], self.N)]
+        coef = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)[0]
+        theta, U = np.linalg.eigh(1j * np.tensordot(coef, _skew_basis(Q.shape[0]), 1))
+        return (U * np.exp(1j * theta)) @ (U.conj().T @ Q)
+
+
+@lru_cache(maxsize=None)
+def _skew_basis(t: int) -> np.ndarray:
+    """An orthonormal real basis of the t x t skew-Hermitian matrices, (t^2, t, t)."""
+    out = []
+    for j in range(t):
+        for l in range(j, t):
+            B = np.zeros((t, t), dtype=complex)
+            if j == l:
+                B[j, j] = 1j
+                out.append(B)
+                continue
+            B[j, l], B[l, j] = 1.0, -1.0
+            out.append(B / math.sqrt(2.0))
+            B = np.zeros((t, t), dtype=complex)
+            B[j, l] = B[l, j] = 1j
+            out.append(B / math.sqrt(2.0))
+    basis = np.array(out)
+    basis.flags.writeable = False
+    return basis
+
+
+def _inner(X: np.ndarray, Y: np.ndarray) -> float:
+    return float(np.vdot(X, Y).real)
+
+
+def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
+    """Polak-Ribiere+ CG from Q; returns (Q, trace, converged, kinks).
+
+    After each step, members near a product state are snapped onto it when
+    that does not raise the objective.
+    """
+    t, r = Q.shape
+    cycle = 2 * t * r - r * r
+    F, G = problem.value(Q)
+    trace = [F]
+    if not math.isfinite(F):
+        return Q, trace, False, 0
+    grad, kinks, _ = problem.gradient(Q, G)
+    H = grad
+    eta = slope = None
+    for it in range(max_cycles * cycle):
+        gnorm2 = _inner(grad, grad)
+        if math.sqrt(gnorm2) < tol:
+            step = _probe(problem, Q, F)
+            if step is None:
+                return Q, trace, True, len(kinks)
+            Q, F, G = step
+            grad, kinks, _ = problem.gradient(Q, G)
+            H, eta = grad, None
+            trace.append(F)
+            continue
+        if it % cycle == 0:
+            H = grad
+        last = slope
+        slope = 0.5 * _inner(H, grad)
+        if slope <= 0.0:
+            H, slope = grad, 0.5 * gnorm2
+        guess = None if eta is None else eta * last / slope
+        step = _line_search(problem, Q, F, H, slope, guess)
+        if step is None and H is not grad:
+            H, slope = grad, 0.5 * gnorm2
+            step = _line_search(problem, Q, F, H, slope, guess)
+        if step is None:
+            return Q, trace, False, len(kinks)
+        eta, Q, F, G = step
+        if (it + 1) % cycle == 0:
+            U, _, Vh = np.linalg.svd(Q, full_matrices=False)
+            Q = U @ Vh
+        new, kinks, loose = problem.gradient(Q, G)
+        if loose:
+            Qs = problem.snap(Q, loose)
+            Fs, Gs = problem.value(Qs)
+            if Fs <= F + FLAT * abs(F):
+                Q, F, G = Qs, Fs, Gs
+                new, kinks, loose = problem.gradient(Q, G)
+        beta = max(0.0, _inner(new - grad, new) / gnorm2)
+        H = new + beta * H
+        grad = new
+        trace.append(F)
+    return Q, trace, math.sqrt(_inner(grad, grad)) < tol, len(kinks)
+
+
+def _probe(problem: Descent, Q, F0: float):
+    """Scan every two-row rotation of Q; (Q, F, G) of the lowest point if it beats F0 beyond rounding.
+
+    A stationary point of the gradient search can be a saddle, such as
+    the eigendecomposition of a symmetric state; the rotations give it
+    directions of descent that the vanishing gradient does not.
+    """
+    t = Q.shape[0]
+    best = None
+    for B in _skew_basis(t):
+        if not B.diagonal().any():
+            theta, U = np.linalg.eigh(1j * B)
+            UhQ = U.conj().T @ Q
+            for j in range(1, SCAN):
+                Qn = (U * np.exp(1j * (math.pi * math.sqrt(2.0) * j / SCAN) * theta)) @ UhQ
+                Fn, Gn = problem.value(Qn)
+                if best is None or Fn < best[1]:
+                    best = (Qn, Fn, Gn)
+    if best is None or not best[1] < F0 - FLAT * abs(F0):
+        return None
+    return best
+
+
+def _cubic_step(a, fa, da, b, fb, db) -> float:
+    """Minimizer of the cubic through (a, fa, da) and (b, fb, db), kept inside the bracket."""
+    lo, hi = min(a, b), max(a, b)
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    rad = d1 * d1 - da * db
+    x = math.nan
+    if math.isfinite(rad) and rad >= 0.0:
+        d2 = math.copysign(math.sqrt(rad), b - a)
+        den = db - da + 2.0 * d2
+        if den != 0.0:
+            x = b - (b - a) * (db + d2 - d1) / den
+    margin = 0.1 * (hi - lo)
+    if not (lo + margin <= x <= hi - margin):
+        x = 0.5 * (lo + hi)
+    return x
+
+
+def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
+    """Strong-Wolfe line search along exp(-eta H) Q; (eta, Q, F, G) or None.
+
+    phi(eta) = F(exp(-eta H) Q) has phi'(0) = -slope.  A point is
+    accepted when it passes the Armijo test and |phi'| <= CURVATURE *
+    slope.  Where the expected decrease eta * slope is below the rounding
+    of F (FLAT * |F|), values within that rounding count as equal, so the
+    search still finds the root of phi' from the accurate derivatives.
+    Brackets are refined by safeguarded cubic interpolation.  Without a
+    guess (a start's first step), phi is first scanned over
+    SCAN points of one period of the fastest rotation and the search
+    continues from the lowest, so that the first step is not confined to
+    the nearest basin.
+    """
+    theta, U = np.linalg.eigh(1j * H)
+    top = float(np.max(np.abs(theta)))
+    if top == 0.0:
+        return None
+    cap = math.pi / top
+    UhQ = U.conj().T @ Q
+
+    def at(eta):
+        Qn = (U * np.exp(1j * eta * theta)) @ UhQ
+        Fn, Gn = problem.value(Qn)
+        d = -0.5 * _inner(H, problem.omega(Qn, Gn)) if math.isfinite(Fn) else math.nan
+        return eta, Qn, Fn, Gn, d
+
+    noise = FLAT * abs(F0)
+
+    def decreases(pt) -> bool:
+        if pt[0] * slope <= noise:
+            return pt[2] <= F0 + noise
+        return pt[2] <= F0 - ARMIJO * pt[0] * slope
+
+    def zoom(lo, hi, best):
+        for _ in range(MAX_EVALS):
+            if abs(hi[0] - lo[0]) <= 1e-14 * max(lo[0], hi[0]):
+                break
+            if math.isfinite(hi[2]):
+                eta = _cubic_step(lo[0], lo[2], lo[4], hi[0], hi[2], hi[4])
+            else:
+                eta = 0.5 * (lo[0] + hi[0])
+            pt = at(eta)
+            if not decreases(pt) or pt[2] > lo[2] + noise:
+                hi = pt
+                continue
+            best = pt
+            if abs(pt[4]) <= CURVATURE * slope:
+                break
+            if pt[4] * (hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = pt
+        return None if best is None else best[:4]
+
+    prev = (0.0, Q, F0, None, -slope)
+    if guess is None:
+        grid = [prev] + [at(2.0 * cap * j / SCAN) for j in range(1, SCAN)]
+        j = min(range(SCAN), key=lambda i: grid[i][2])
+        pt = grid[j]
+        if j > 0 and decreases(pt):
+            if abs(pt[4]) <= CURVATURE * slope:
+                return pt[:4]
+            if pt[4] > 0.0:
+                return zoom(pt, grid[j - 1], pt)
+            if j + 1 < SCAN:
+                return zoom(pt, grid[j + 1], pt)
+        pt = grid[1]
+    else:
+        pt = at(min(guess, cap))
+    best = None
+    for _ in range(MAX_EVALS):
+        if not decreases(pt) or (prev[0] > 0.0 and pt[2] > prev[2] + noise):
+            return zoom(prev, pt, best)
+        best = pt
+        if abs(pt[4]) <= CURVATURE * slope or pt[0] >= cap:
+            return pt[:4]
+        if pt[4] >= 0.0:
+            return zoom(pt, prev, best)
+        prev, pt = pt, at(min(2.0 * pt[0], cap))
+    return best[:4]

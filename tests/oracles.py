@@ -2,8 +2,9 @@
 
 These deliberately take different computational routes from the package:
 the two-qubit concurrence goes through the spin-flipped product matrix
-rho @ rho_tilde, and the entanglement of formation goes through the
-binary-entropy formula.
+rho @ rho_tilde, the entanglement of formation goes through the
+binary-entropy formula, and roof members are scored one at a time through
+their own Schmidt spectra.
 """
 import math
 
@@ -50,3 +51,26 @@ def entropy_bits(weights):
         if w > 0.0:
             total -= w * math.log2(w)
     return total
+
+
+def roof_member(w, N, objective, tol=1e-6):
+    """p f(psi) of one subnormalized row through its own Schmidt spectrum.
+
+    The per-member route the roof search used before its batched kernels:
+    weight p = <w|w>, normalized coefficient matrix, descending eigenvalues
+    of A A^H.  ``objective`` is "E" for the entropy in bits or an integer n
+    for the (1, n) generalized concurrence n sqrt(lambda_1 ... lambda_n),
+    +inf when an (n+1)-th value reaches ``tol``.
+    """
+    w = np.asarray(w, dtype=complex)
+    p = float(np.vdot(w, w).real)
+    if p <= 1e-14:
+        return 0.0
+    A = w.reshape(N, N) / math.sqrt(p)
+    lam = np.clip(np.linalg.eigvalsh(A @ A.conj().T)[::-1], 0.0, None)
+    if objective == "E":
+        return p * entropy_bits(lam)
+    n = objective
+    if n < N and lam[n] >= tol:
+        return math.inf
+    return p * n * math.sqrt(math.prod(lam[:n]))

@@ -231,6 +231,13 @@ def test_roof_command_converges_without_strict():
     assert abs(report.results["value"] - eof_of_d(0.25, 1)) < 5e-4
 
 
+def test_certify_form_a_converges_with_default_search(capsys):
+    assert main(["certify", FORM_A_FILE, "--m", "1", "--n", "2", "--strict", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["flags"]["converged"] is True
+    assert report["results"]["gap"] < 0.118
+
+
 def test_certify_command_pure_state(tmp_path):
     psi = from_coefficients([[1 / np.sqrt(2), 0, 0], [0, 0.5, 0], [0, 0.5, 0]])
     path = tmp_path / "form_a_pure.json"

@@ -1,8 +1,11 @@
-"""Tests for the convex-roof coordinate-descent optimizer."""
+"""Tests for the convex-roof conjugate-gradient optimizer."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qconc import (
     DensityMatrix,
@@ -12,8 +15,9 @@ from qconc import (
     pure_density,
     random_form_a_mixture,
 )
+from qconc.cli import load_state
 from qconc.errors import NotIsometry, OutOfRange, ProfileMismatch
-from qconc.mixed import d_lower_bound, eigen_vectors_subnormalized, eof_lower_bound
+from qconc.mixed import Decomposition, d_lower_bound, eigen_vectors_subnormalized, eof_lower_bound
 from qconc.roofopt import (
     AverageD,
     AverageE,
@@ -23,8 +27,12 @@ from qconc.roofopt import (
     minimize_roof,
     transform_decomposition,
 )
-from qconc.sampling import generator, haar_unitary, random_form_a_state, random_pure
+from qconc.roofsearch import Descent, member_kernel
+from qconc.sampling import generator, haar_isometry, haar_unitary, random_form_a_state, random_pure
 from qconc.spectra import eof_of_d
+
+from conftest import random_density
+from oracles import roof_member
 
 BELL = from_coefficients(np.eye(2) / np.sqrt(2))
 
@@ -135,7 +143,7 @@ def test_roof_werner_entanglement_of_formation():
             max_sweeps=40,
         )
     )
-    assert abs(result.value - eof_of_d(0.25, 1)) < 2e-4
+    assert abs(result.value - eof_of_d(0.25, 1)) < 1e-12
 
 
 def test_roof_trace_is_monotone_and_result_consistent():
@@ -233,3 +241,111 @@ def test_roof_results_equal_average_objective_bit_for_bit():
                             tol=1e-7, max_sweeps=5)
             )
             assert result.value == average_objective(result.decomposition, objective)
+
+
+def _densities():
+    """The benchmark's roof corpus (criterion 4's mixtures 0..4) and the three fixtures."""
+    out = [random_form_a_mixture(2 + k % 2, 104, k) for k in range(5)]
+    for name in ("bell", "werner_p05", "form_a_mix"):
+        state = load_state(f"fixtures/{name}.json")
+        out.append(state if isinstance(state, DensityMatrix) else pure_density(state))
+    return out
+
+
+def test_batched_member_kernels_match_the_per_member_oracle():
+    """Each batched kernel scores every row as the slow Schmidt-spectrum route does."""
+    for i, rho in enumerate(_densities()):
+        V = eigen_vectors_subnormalized(rho)
+        r = len(V)
+        for t, k in ((r, 0), (r, 1), (r + 1, 2)):
+            iso = np.eye(t, r) if k == 0 else haar_isometry(t, r, generator(105, i, k))
+            W = iso.conj() @ V
+            for objective, kind in ((AverageD(1, 2), 2), (AverageE(), "E")):
+                kernel, _ = member_kernel(objective, rho)
+                values, _ = kernel(W, rho.dim)
+                expect = [roof_member(w, rho.dim, kind) for w in W]
+                np.testing.assert_allclose(values, expect, rtol=0.0, atol=1e-12)
+
+
+def _skew(M):
+    return 0.5 * (M - M.conj().T)
+
+
+_GRADIENT_CASES = [
+    (random_form_a_mixture(3, 104, 1), AverageD(1, 2)),
+    (random_form_a_mixture(3, 104, 1), AverageE()),
+    (load_state("fixtures/werner_p05.json"), AverageD(1, 2)),
+    (random_density(3, 3, 106), AverageD(1, 3)),
+]
+
+
+@given(
+    case=st.integers(0, len(_GRADIENT_CASES) - 1),
+    grow=st.integers(0, 1),
+    iso=arrays(np.float64, (2, 5, 4), elements=st.floats(-1.0, 1.0)),
+    direction=arrays(np.float64, (2, 5, 5), elements=st.floats(-1.0, 1.0)),
+)
+def test_member_gradients_match_central_differences(case, grow, iso, direction):
+    """-1/2 <H, Omega> is the derivative of the roof objective along exp(-eta H) Q."""
+    rho, objective = _GRADIENT_CASES[case]
+    V = eigen_vectors_subnormalized(rho)
+    r = len(V)
+    t = r + grow
+    # Centred on a fixed generic isometry: the eigendecomposition of a
+    # symmetric density can hold product members, where D is not differentiable.
+    base = haar_isometry(t, r, generator(107, t))
+    Q, _ = np.linalg.qr(iso[0, :t, :r] + 1j * iso[1, :t, :r] + base)
+    H = _skew(direction[0, :t, :t] + 1j * direction[1, :t, :t])
+    assume(np.linalg.norm(H) > 0.1)
+    problem = Descent(V, rho.dim, *member_kernel(objective, rho))
+    F, G = problem.value(Q)
+    assume(math.isfinite(F))
+    omega = problem.omega(Q, G)
+    theta, U = np.linalg.eigh(1j * H)
+
+    def along(eta):
+        return problem.value((U * np.exp(1j * eta * theta)) @ U.conj().T @ Q)[0]
+
+    h = 1e-5
+    fd = (along(h) - along(-h)) / (2.0 * h)
+    exact = -0.5 * float(np.vdot(H, omega).real)
+    assert abs(fd - exact) <= 1e-6 * np.linalg.norm(H) * np.linalg.norm(omega), (fd, exact)
+
+
+def test_product_member_scores_zero_in_search_and_recompute():
+    """A product member is not a profile mismatch for (1, n): it scores the limit 0."""
+    for rows, form_a in (([1.0, 0.0, 0.0], True), ([0.0, 0.0, 1.0], False)):
+        psi = from_coefficients(np.outer(rows, [0.0, 1.0, 0.0]))
+        rho = pure_density(psi)
+        for objective in (AverageD(1, 2), AverageD(1, 3)):
+            kernel, minor_route = member_kernel(objective, rho)
+            assert minor_route == (form_a and objective.n == 2)
+            values, _ = kernel(eigen_vectors_subnormalized(rho), 3)
+            assert values.tolist() == [0.0]
+            assert average_objective(Decomposition(((1.0, psi),)), objective) == 0.0
+            result = minimize_roof(RoofProblem(target=rho, objective=objective, t_max=1, restarts=1))
+            assert result.value == 0.0 and result.converged
+
+
+def test_start_records_account_for_the_search():
+    rho = random_form_a_mixture(3, 104, 3)
+    result = minimize_roof(
+        RoofProblem(target=rho, objective=AverageD(1, 2), t_max=4, restarts=2, tol=1e-7, max_sweeps=30)
+    )
+    assert [(s.t, s.start) for s in result.starts] == [(3, 0), (3, 1), (4, 0), (4, 1)]
+    assert sum(s.iterations for s in result.starts) == result.iterations
+    winner = min(result.starts, key=lambda s: s.value)
+    assert winner.value == result.trace[-1]
+    assert winner.converged is result.converged
+    assert all(s.kinks >= 0 for s in result.starts)
+
+
+def test_bench_corpus_roofs_converge_at_the_criterion_settings():
+    for k in range(5):
+        rank = 2 + k % 2
+        rho = random_form_a_mixture(rank, 104, k)
+        for objective in (AverageD(1, 2), AverageE()):
+            result = minimize_roof(
+                RoofProblem(target=rho, objective=objective, t_max=rank, restarts=2, tol=1e-7, max_sweeps=30)
+            )
+            assert result.converged, (k, objective)
