@@ -22,8 +22,10 @@ from .errors import InputError, NumericalError, ParseError, ValidationError
 from .linalg import lapack_errors
 from .mixed import (
     DensityMatrix,
+    bound_from_deficits,
     d_lower_bound,
     form_a_check,
+    index_deficits,
     ppt_check,
     pure_density,
     validate_density,
@@ -204,11 +206,12 @@ def _cmd_bound(ns) -> tuple[dict, dict, int]:
     rho = _as_density(load_state(ns.file))
     m, n = _resolve_mn(ns.m, ns.n, rho.dim)
     clamp = not ns.no_clamp
-    d = d_lower_bound(rho, m, n, clamp=clamp)
+    deficits = index_deficits(rho)
+    d = bound_from_deficits(deficits, m, n, clamp=clamp)
     results = {"D_bound": d, "m": m, "n": n}
     flags = {"clamped": clamp, "warnings": []}
     if ns.eof:
-        results["E_bound"] = eof_of_bound(d if clamp else d_lower_bound(rho, m, n), m, n)
+        results["E_bound"] = eof_of_bound(bound_from_deficits(deficits, m, n), m, n)
         if not clamp:
             flags["warnings"].append("E_bound always uses the clamped D bound")
     return results, flags, 0

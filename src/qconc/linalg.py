@@ -2,9 +2,10 @@
 
 Three primitives used everywhere else in the package: Hermitian
 eigendecomposition with descending eigenvalues, the positive semidefinite
-matrix square root, and the Takagi factorization of complex symmetric
-matrices.  All routines are thin, validated wrappers over LAPACK via
-numpy; matrices here are small (at most ~100 x 100).
+matrix square root (also from an eigendecomposition already at hand), and
+the Takagi factorization of complex symmetric matrices.  All routines are
+thin, validated wrappers over LAPACK via numpy; matrices here are small
+(at most ~100 x 100).
 """
 
 from __future__ import annotations
@@ -77,6 +78,24 @@ def hermitian_eig(M) -> HermitianEig:
     return HermitianEig(w[::-1].copy(), V[:, ::-1].copy())
 
 
+def check_psd(eig: HermitianEig) -> HermitianEig:
+    """Pass a PSD eigendecomposition through; eigenvalues below -1e-10 raise NotPSD."""
+    if eig.eigenvalues[-1] < -PSD_CLAMP:
+        raise NotPSD(f"minimum eigenvalue {eig.eigenvalues[-1]:.3e} below -1e-10")
+    return eig
+
+
+def psd_root(eig: HermitianEig) -> np.ndarray:
+    """Hermitian root V sqrt(w) V^H from a checked eigendecomposition.
+
+    Eigenvalues in [-1e-10, 0] are treated as exact zeros.
+    """
+    w, V = eig
+    root = np.sqrt(np.clip(w, 0.0, None))
+    R = (V * root) @ V.conj().T
+    return 0.5 * (R + R.conj().T)
+
+
 def sqrt_psd(M) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
@@ -84,12 +103,7 @@ def sqrt_psd(M) -> np.ndarray:
     negative raises.  The result R is Hermitian PSD with ``R @ R = M``
     within 1e-9 Frobenius error.
     """
-    w, V = hermitian_eig(M)
-    if w[-1] < -PSD_CLAMP:
-        raise NotPSD(f"minimum eigenvalue {w[-1]:.3e} below -1e-10")
-    root = np.sqrt(np.clip(w, 0.0, None))
-    R = (V * root) @ V.conj().T
-    return 0.5 * (R + R.conj().T)
+    return psd_root(check_psd(hermitian_eig(M)))
 
 
 def takagi(T) -> tuple[np.ndarray, np.ndarray]:

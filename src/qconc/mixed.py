@@ -9,6 +9,13 @@ N^2 x N^2 matrix S whose quadratic form on a state vector extracts twice one
 exceeds four) control how small the decomposition average of that minor can
 be made, and combining all canonical indices yields a closed-form lower
 bound on the decomposition-averaged generalized concurrence D.
+
+Every spectrum comes from one eigendecomposition of rho.  On a
+rank-deficient rho (rank r < N^2) it is the singular values of the r x r
+matrix tau_x = V[J]^H S4 conj(V[J]) over the subnormalized eigenvectors V
+(through its 4 x 4 QR core when r > 4); at full rank it comes from the 4 x 4
+QR core of sqrt(rho)[:, J].  Eigenvalues at or below RANK_EPS = 1e-12 count
+as zero, which moves the bound by about that much.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .errors import (
     OutOfRange,
     UnsupportedFamily,
 )
-from .linalg import hermitian_eig, sqrt_psd
+from .linalg import HermitianEig, check_psd, hermitian_eig, psd_root
 from .linalg import takagi as takagi_factor
 from .purestate import PureState, from_coefficients, generalized_concurrence_D
 from .spectra import eof_of_bound
@@ -193,9 +200,26 @@ def eigen_vectors_subnormalized(rho: DensityMatrix) -> np.ndarray:
     eigenvalues above 1e-12 contribute.  The outer-product sum of the rows
     reconstructs rho within 1e-9.
     """
-    w, V = hermitian_eig(rho.matrix)
+    return _rows(hermitian_eig(rho.matrix))
+
+
+def _rows(eig: HermitianEig) -> np.ndarray:
+    """The rows sqrt(w_k) v_k^T of the eigenvalues w_k above RANK_EPS."""
+    w, V = eig
     keep = w > RANK_EPS
     return np.ascontiguousarray((V[:, keep] * np.sqrt(w[keep])).T)
+
+
+def _factor(eig: HermitianEig) -> np.ndarray:
+    """The smallest factor F with F^H F = rho that rho's eigendecomposition gives.
+
+    Rank r < N^2: F = conj(V), the r x N^2 subnormalized eigenvector rows,
+    so that F S F^T is tau.  Full rank: F = sqrt(rho).  Eigenvalues below
+    -1e-10 raise NotPSD.
+    """
+    if check_psd(eig).eigenvalues[-1] > RANK_EPS:
+        return psd_root(eig)
+    return _rows(eig).conj()
 
 
 def canonical_indices(N: int) -> list[SIndex]:
@@ -225,23 +249,36 @@ def _support_table(N: int) -> np.ndarray:
     return table
 
 
-def _spectra(R: np.ndarray, J: np.ndarray) -> np.ndarray:
+def _tau_cores(X: np.ndarray) -> np.ndarray:
+    """X S4 X^T for one (r, 4) matrix X or a stack of them; tau for X = conj(V[:, J])."""
+    return X @ _S4 @ np.swapaxes(X, -1, -2)
+
+
+def _spectra(F: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Lambda spectra of the indices with rows J (shape (K, 4)); (K, 4), descending.
 
-    S = P S4 P^T with P the N^2 x 4 selection of the rows J, so for the
-    Hermitian root R = sqrt(rho), R S conj(R) = X S4 X^T with X = R[:, J].
-    With the QR factorization X = Q Rx the spectrum is the singular values
-    of the 4 x 4 core Rx S4 Rx^T (Mintert, Kus, Buchleitner, PRL 92, 167902).
+    F is the (r, N^2) factor of ``_factor``.  S = P S4 P^T with P the
+    N^2 x 4 selection of the rows J, so F S F^T = X S4 X^T with X = F[:, J],
+    whose nonzero singular values are the spectrum (Mintert, Kus,
+    Buchleitner, PRL 92, 167902).  For r <= 4 the r x r core X S4 X^T is
+    tau itself (F = conj(V)); for r > 4 the QR factorization X = Q Rx leaves
+    the 4 x 4 core Rx S4 Rx^T.  Fewer than four values are padded with zeros.
     """
-    X = np.swapaxes(R.T[J], 1, 2)  # X[k] = R[:, J[k]]
-    if X.shape[1] > 4:  # at N = 2, X is already 4 x 4
+    X = np.swapaxes(F.T[J], 1, 2)  # X[k] = F[:, J[k]]
+    if X.shape[1] > 4:
         X = np.linalg.qr(X, mode="r")
-    return np.linalg.svd(X @ _S4 @ np.swapaxes(X, 1, 2), compute_uv=False)
+    lam = np.linalg.svd(_tau_cores(X), compute_uv=False)
+    if lam.shape[1] < 4:
+        lam = np.concatenate([lam, np.zeros((len(lam), 4 - lam.shape[1]))], axis=1)
+    return lam
 
 
-def _deficit_norm(lam: np.ndarray, clamp: bool) -> float:
-    """sqrt of the summed squared deficits Lambda1 - Lambda2 - Lambda3 - Lambda4."""
-    d = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+def _deficits(lam: np.ndarray) -> np.ndarray:
+    return lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+
+
+def _deficit_norm(d: np.ndarray, clamp: bool) -> float:
+    """sqrt of the summed squared deficits, each floored at 0 with ``clamp``."""
     if clamp:
         d = np.maximum(d, 0.0)
     return math.sqrt(math.fsum((d * d).tolist()))
@@ -302,30 +339,34 @@ def lambda_spectrum(rho: DensityMatrix, idx: SIndex) -> LambdaSpectrum:
 
     These coincide with the eigenvalues of
     sqrt( sqrt(rho) S rho* S sqrt(rho) ).  The matrix has rank at most four
-    because S has only four nonzero rows; ``_spectra`` works on a 4 x 4 core.
+    because S has only four nonzero rows.  They are taken from tau (see
+    ``tau_matrix``) when rho is rank-deficient and from the 4 x 4 QR core of
+    sqrt(rho)[:, J] at full rank; eigenvalues of rho at or below 1e-12 count
+    as zero.
 
     Raises
     ------
     BadIndex
         If the quadruple does not fit the density's dimension.
     """
-    lam = _spectra(sqrt_psd(rho.matrix), np.array([_support(idx, rho.dim)]))
+    lam = _spectra(_factor(hermitian_eig(rho.matrix)), np.array([_support(idx, rho.dim)]))
     return LambdaSpectrum(tuple(float(x) for x in lam[0]))
 
 
 def _tau(V: np.ndarray, J) -> np.ndarray:
     """tau = V[J]^H S4 conj(V[J]) over the rows V of eigen_vectors_subnormalized."""
-    Y = V[:, J].conj()
-    tau = Y @ _S4 @ Y.T
+    tau = _tau_cores(V[:, J].conj())
     return 0.5 * (tau + tau.T)
 
 
 def tau_matrix(rho: DensityMatrix, idx: SIndex) -> np.ndarray:
     """Complex symmetric matrix tau_kl = <v_k| S |v_l*> over eigenvectors.
 
-    The v_k are the subnormalized eigenvectors of rho; tau's singular
-    values equal the Lambda spectrum (padded with zeros).  Only the rows J
-    of the eigenvectors enter: tau = V[J]^H S4 conj(V[J]).
+    The v_k are the subnormalized eigenvectors of rho with eigenvalues above
+    1e-12; tau's singular values equal the Lambda spectrum (padded with
+    zeros), and on a rank-deficient rho they are how ``lambda_spectrum`` and
+    ``d_lower_bound`` compute it.  Only the rows J of the eigenvectors
+    enter: tau = V[J]^H S4 conj(V[J]).
     """
     return _tau(eigen_vectors_subnormalized(rho), _support(idx, rho.dim))
 
@@ -352,7 +393,10 @@ def d_lower_bound(rho: DensityMatrix, m: int, n: int, clamp: bool = True) -> flo
     weight 4.  With ``clamp`` (the default) each deficit is floored at 0,
     which reproduces the established closed form at N = 2; disabling it
     evaluates the literal signed expression.  The squared deficits are
-    added with compensated summation.
+    added with compensated summation.  The spectra come from
+    ``index_deficits``: from tau on a rank-deficient rho and from sqrt(rho)
+    at full rank, with eigenvalues of rho at or below 1e-12 counted as zero,
+    which moves the bound by about that much.
 
     The bound is unchanged by swapping the two subsystems, and by local
     unitaries U (x) V at N = 2 and on pure states.  For mixed states at
@@ -360,10 +404,22 @@ def d_lower_bound(rho: DensityMatrix, m: int, n: int, clamp: bool = True) -> flo
     ``qconc invariance`` on such a density can report a nonzero
     ``max_dev_D_bound``.
     """
+    return bound_from_deficits(index_deficits(rho), m, n, clamp)
+
+
+def index_deficits(rho: DensityMatrix) -> np.ndarray:
+    """Signed deficits Lambda1 - Lambda2 - Lambda3 - Lambda4, one per canonical index.
+
+    In ``canonical_indices`` order, from one eigendecomposition of rho.
+    """
+    return _deficits(_spectra(_factor(hermitian_eig(rho.matrix)), _support_table(rho.dim)))
+
+
+def bound_from_deficits(deficits: np.ndarray, m: int, n: int, clamp: bool = True) -> float:
+    """The ``d_lower_bound`` of the ``index_deficits`` of a density."""
     if m < 1 or n < 2:
         raise OutOfRange(f"need m >= 1 and n >= 2, got m={m} n={n}")
-    lam = _spectra(sqrt_psd(rho.matrix), _support_table(rho.dim))
-    return float(m * n / 2.0) * _deficit_norm(lam, clamp)
+    return float(m * n / 2.0) * _deficit_norm(deficits, clamp)
 
 
 def eof_lower_bound(rho: DensityMatrix, m: int, n: int) -> float:
@@ -406,7 +462,11 @@ def form_a_check(rho: DensityMatrix, tol: float = 1e-9) -> bool:
     """
     if rho.dim != 3:
         raise DimensionMismatch(f"the rows-2=3 class lives at N = 3, got N = {rho.dim}")
-    for v in eigen_vectors_subnormalized(rho):
+    return _rows_form_a(eigen_vectors_subnormalized(rho), tol)
+
+
+def _rows_form_a(V: np.ndarray, tol: float = 1e-9) -> bool:
+    for v in V:
         A = (v / np.linalg.norm(v)).reshape(3, 3)
         if np.linalg.norm(A[1] - A[2]) > tol:
             return False
@@ -431,7 +491,8 @@ def example_3x3_bound(rho: DensityMatrix, clamp: bool = True) -> float:
     NotFormA
         If the support condition fails.
     """
-    if rho.dim != 3 or not form_a_check(rho):
+    eig = hermitian_eig(rho.matrix)
+    if rho.dim != 3 or not _rows_form_a(_rows(eig)):
         raise NotFormA("density is not supported on the rows-2=3 subspace")
-    lam = _spectra(sqrt_psd(rho.matrix), _FORM_A_SUPPORT)
-    return float(math.sqrt(2.0) * _deficit_norm(lam, clamp))
+    lam = _spectra(_factor(eig), _FORM_A_SUPPORT)
+    return float(math.sqrt(2.0) * _deficit_norm(_deficits(lam), clamp))

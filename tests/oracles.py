@@ -74,3 +74,32 @@ def roof_member(w, N, objective, tol=1e-6):
     if n < N and lam[n] >= tol:
         return math.inf
     return p * n * math.sqrt(math.prod(lam[:n]))
+
+
+def lambda_spectra_dense(rho, N):
+    """Top four singular values of sqrt(rho) S conj(sqrt(rho)) per canonical index.
+
+    Dense N^2 x N^2 products, one per canonical index (i < j, p < q) in
+    the package's canonical order, with S built entry by entry: +1 at
+    ((i,p), (j,q)), -1 at ((i,q), (j,p)) and their transposes.
+    """
+    root = _psd_root(np.asarray(rho, dtype=complex))
+    rows = []
+    for i in range(N):
+        for j in range(i + 1, N):
+            for p in range(N):
+                for q in range(p + 1, N):
+                    S = np.zeros((N * N, N * N))
+                    S[i * N + p, j * N + q] = S[j * N + q, i * N + p] = 1.0
+                    S[i * N + q, j * N + p] = S[j * N + p, i * N + q] = -1.0
+                    rows.append(np.linalg.svd(root @ S @ root.conj(), compute_uv=False)[:4])
+    return np.array(rows)
+
+
+def d_bound_dense(rho, N, m, n, clamp=True):
+    """(mn/2) sqrt(sum of squared deficits) over ``lambda_spectra_dense``."""
+    total = 0.0
+    for lam in lambda_spectra_dense(rho, N):
+        d = lam[0] - lam[1] - lam[2] - lam[3]
+        total += max(d, 0.0) ** 2 if clamp else d * d
+    return m * n / 2.0 * math.sqrt(total)

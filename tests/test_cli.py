@@ -7,7 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from qconc import DensityMatrix, certify_bound, eof_lower_bound, from_coefficients, pure_density
+from qconc import (
+    DensityMatrix,
+    certify_bound,
+    d_lower_bound,
+    eof_lower_bound,
+    from_coefficients,
+    pure_density,
+)
 from qconc.cli import _build_parser, _search_knobs, dispatch, dumps_state, load_state, main
 from qconc.errors import ParseError, BadTrace, ValidationError
 from qconc.purestate import PureState
@@ -89,10 +96,13 @@ def test_bound_eof_computes_the_lambda_spectra_once(monkeypatch):
         return spectra(R, J)
 
     monkeypatch.setattr(mixed, "_spectra", counting)
-    report, code = dispatch(["bound", FORM_A_FILE, "--m", "1", "--n", "2", "--eof"])
-    assert code == 0 and len(calls) == 1
     rho = load_state(FORM_A_FILE)
-    assert report.results["E_bound"] == eof_lower_bound(rho, 1, 2)
+    for extra in ([], ["--no-clamp"]):
+        calls.clear()
+        report, code = dispatch(["bound", FORM_A_FILE, "--m", "1", "--n", "2", "--eof"] + extra)
+        assert code == 0 and len(calls) == 1
+        assert report.results["E_bound"] == eof_lower_bound(rho, 1, 2)
+        assert report.results["D_bound"] == d_lower_bound(rho, 1, 2, clamp=not extra)
 
 
 def test_bound_command_defaults_to_two_qubit_profile():

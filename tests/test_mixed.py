@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qconc import (
     DensityMatrix,
@@ -16,6 +18,7 @@ from qconc import (
     form_a_check,
     from_coefficients,
     generalized_concurrence_D,
+    index_deficits,
     lambda_spectrum,
     mix_pure_states,
     optimal_index_decomposition,
@@ -38,7 +41,16 @@ from qconc.errors import (
     UnsupportedFamily,
 )
 from qconc.linalg import hermitian_eig, sqrt_psd
-from qconc.mixed import _spectra, _support_table, eigen_vectors_subnormalized, s_matrix_raw
+from qconc.mixed import (
+    RANK_EPS,
+    _factor,
+    _spectra,
+    _support,
+    _support_table,
+    _tau_cores,
+    eigen_vectors_subnormalized,
+    s_matrix_raw,
+)
 from qconc.roofopt import transform_decomposition
 from qconc.sampling import (
     generator,
@@ -50,7 +62,7 @@ from qconc.sampling import (
 from qconc.spectra import eof_from_spectrum, eof_of_d
 
 from conftest import random_density, random_separable_density
-from oracles import wootters_concurrence
+from oracles import d_bound_dense, lambda_spectra_dense, wootters_concurrence
 
 BELL = from_coefficients(np.eye(2) / np.sqrt(2))
 IDX2 = SIndex(1, 1, 2, 2)
@@ -213,6 +225,8 @@ def test_tau_matrix_is_symmetric_with_lambda_singular_values():
         idx = SIndex(1, 2, 2, 3)
         tau = tau_matrix(rho, idx)
         np.testing.assert_allclose(tau, tau.T, atol=1e-12)
+        core = _tau_cores(_factor(hermitian_eig(rho.matrix))[:, _support(idx, 3)])
+        np.testing.assert_allclose(core, tau, rtol=0.0, atol=1e-15)
         sv = np.linalg.svd(tau, compute_uv=False)
         lam = np.array(lambda_spectrum(rho, idx).values)
         k = min(sv.size, 4)
@@ -458,10 +472,10 @@ def test_d_lower_bound_repeat_calls_are_identical():
 
 
 def test_batched_spectra_match_dense_oracle():
-    """The rank-4 kernel against the dense N^2 x N^2 product, index by index."""
+    """The factor route against the dense N^2 x N^2 product, index by index."""
     for n in (2, 3, 4, 5, 6):
         indices = canonical_indices(n)
-        for rank in (1, 2, 3, n * n):
+        for rank in sorted({1, 2, 3, 4, 5, n * n - 1, n * n} & set(range(1, n * n + 1))):
             rho = random_density(n, rank, 52, n)
             root = sqrt_psd(rho.matrix)
             dense = np.array(
@@ -470,11 +484,98 @@ def test_batched_spectra_match_dense_oracle():
                     for idx in indices
                 ]
             )
+            factor = _factor(hermitian_eig(rho.matrix))
+            assert factor.shape == (rank, n * n)
             np.testing.assert_allclose(
-                _spectra(root, _support_table(n)), dense, rtol=0.0, atol=1e-12
+                _spectra(factor, _support_table(n)), dense, rtol=0.0, atol=1e-12
             )
             deficit = dense[:, 0] - dense[:, 1] - dense[:, 2] - dense[:, 3]
             for clamp in (True, False):
                 d = np.maximum(deficit, 0.0) if clamp else deficit
                 expect = 0.5 * math.sqrt(math.fsum((4.0 * d * d).tolist()))
                 assert abs(d_lower_bound(rho, 1, 2, clamp=clamp) - expect) <= 1e-12
+
+
+def test_full_rank_spectra_are_bit_identical_to_the_root_route():
+    for n in (2, 3, 4):
+        rho = random_density(n, n * n, 61, n)
+        assert len(eigen_vectors_subnormalized(rho)) == n * n
+        lam = _spectra(sqrt_psd(rho.matrix), _support_table(n))
+        deficit = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+        for clamp in (True, False):
+            d = np.maximum(deficit, 0.0) if clamp else deficit
+            expect = 1.0 * math.sqrt(math.fsum((d * d).tolist()))
+            assert d_lower_bound(rho, 1, 2, clamp=clamp).hex() == expect.hex()
+        for idx, row in zip(canonical_indices(n), lam):
+            assert [x.hex() for x in lambda_spectrum(rho, idx).values] == [
+                float(x).hex() for x in row
+            ]
+
+
+def test_eigenvalues_near_rank_eps_move_the_bound_by_at_most_1e_11():
+    """A planted eigenvalue in (0, 10 RANK_EPS], dropped or kept, against the dense root."""
+    for n in (2, 3, 4):
+        for rank in (1, 2, 3):
+            rng = generator(62, n, rank)
+            U = haar_unitary(n * n, rng)
+            top = rng.dirichlet(np.ones(rank))
+            for planted in (0.1, 0.5, 1.0, 2.0, 10.0):
+                w = np.zeros(n * n)
+                w[rank] = planted * RANK_EPS
+                w[:rank] = (1.0 - w[rank]) * top
+                M = (U * w) @ U.conj().T
+                rho = DensityMatrix(n, 0.5 * (M + M.conj().T))
+                for clamp in (True, False):
+                    expect = d_bound_dense(rho.matrix, n, 1, 2, clamp)
+                    assert abs(d_lower_bound(rho, 1, 2, clamp=clamp) - expect) <= 1e-11
+
+
+def test_bound_and_spectra_eigendecompose_rho_once(monkeypatch):
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return hermitian_eig(M)
+
+    monkeypatch.setattr("qconc.mixed.hermitian_eig", counting)
+    rho = random_form_a_mixture(3, 63)
+    for call in (
+        lambda: example_3x3_bound(rho),
+        lambda: d_lower_bound(rho, 1, 2),
+        lambda: lambda_spectrum(rho, IDX2),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+
+
+def test_bound_and_spectra_reject_negative_eigenvalues():
+    for w in ([0.7, 0.5, -0.1, -0.1], [0.6, 0.6, -0.2, 0.0]):
+        rho = DensityMatrix(2, np.diag(w).astype(complex))
+        for call in (lambda: d_lower_bound(rho, 1, 2), lambda: lambda_spectrum(rho, IDX2)):
+            with pytest.raises(NotPSD):
+                call()
+
+
+def _swap_subsystems(rho: DensityMatrix) -> DensityMatrix:
+    N = rho.dim
+    M = rho.matrix.reshape(N, N, N, N).transpose(1, 0, 3, 2).reshape(N * N, N * N)
+    return DensityMatrix(N, M)
+
+
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n * n), st.integers(0, 2**30))
+    )
+)
+def test_factor_route_matches_the_dense_root_and_the_subsystem_swap(case):
+    n, rank, seed = case
+    rho = random_density(n, rank, seed)
+    dense = lambda_spectra_dense(rho.matrix, n)
+    expect = dense[:, 0] - dense[:, 1] - dense[:, 2] - dense[:, 3]
+    np.testing.assert_allclose(index_deficits(rho), expect, rtol=0.0, atol=1e-12)
+    swapped = _swap_subsystems(rho)
+    for clamp in (True, False):
+        d = d_lower_bound(rho, 1, 2, clamp=clamp)
+        assert abs(d - d_bound_dense(rho.matrix, n, 1, 2, clamp)) <= 1e-12
+        assert abs(d_lower_bound(swapped, 1, 2, clamp=clamp) - d) <= 1e-12
