@@ -289,6 +289,8 @@ def _pure_measures(psi: PureState) -> dict:
 
 
 def _cmd_invariance(ns) -> tuple[dict, dict, int]:
+    if ns.trials < 1:
+        raise ValidationError(f"--trials must be >= 1, got {ns.trials}")
     state = load_state(ns.file)
     N = state.dim
     pure = isinstance(state, PureState)

@@ -32,6 +32,7 @@ from .spectra import concurrence_of_values, entropy_bits
 
 NORM_TOL = 1e-10
 CLUSTER_TOL = 1e-8
+PROFILE_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,6 +219,20 @@ def profile_from_values(
         diag = f"observed clusters of sizes {sizes} with means {means}"
         raise ProfileMismatch(f"profile (m={m}, n={n}) not matched; {diag}")
     return SpectrumProfile(n=n, m=m, values=tuple(values))
+
+
+def _profile_values(lam, m: int, n: int):
+    """The roof objectives' n profile values of a descending normalized spectrum, at PROFILE_TOL.
+
+    Coincident clusters are allowed, and with m = 1 fewer than n values at
+    or above PROFILE_TOL give the top n (the wall rule); other mismatches raise.
+    """
+    try:
+        return profile_from_values(lam, m, n, PROFILE_TOL, allow_coincident=True).values
+    except ProfileMismatch:
+        if m == 1 and n <= len(lam) and np.count_nonzero(lam >= PROFILE_TOL) < n:
+            return lam[:n]
+        raise
 
 
 def spectrum_profile(

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotIsometry, OutOfRange, ProfileMismatch
-from .mixed import DensityMatrix, Decomposition, d_lower_bound, eigen_vectors_subnormalized
-from .purestate import profile_from_values, schmidt_spectrum
+from .mixed import DensityMatrix, Decomposition, _rows_form_a, d_lower_bound, eigen_vectors_subnormalized
+from .purestate import PROFILE_TOL, _profile_values, schmidt_spectrum
 from .sampling import generator, haar_isometry
 from .spectra import concurrence_of_values, entropy_bits
 
 ISOMETRY_TOL = 1e-10
-PROFILE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -36,18 +35,23 @@ class AverageE:
 class AverageD:
     """Decomposition-averaged generalized concurrence with an (m, n) profile.
 
-    Members whose normalized spectrum fails the profile at relative
-    tolerance ``tol`` (coincident-cluster rule applied) are nonconforming:
+    m >= 1 is the multiplicity and n >= 2 the number of distinct values;
+    anything else raises OutOfRange.  Members whose normalized spectrum
+    fails the profile at relative tolerance PROFILE_TOL = 1e-6
+    (coincident-cluster rule applied) are nonconforming:
     ``average_objective`` raises ProfileMismatch and the search scores
     them +inf.  For m = 1, a member with fewer than n Schmidt values at or
-    above ``tol`` is not a mismatch: it scores the continuous limit
+    above PROFILE_TOL is not a mismatch: it scores the continuous limit
     n sqrt(lambda_1 ... lambda_n) of its top n values, which is 0 for a
     product state.
     """
 
     m: int
     n: int
-    tol: float = PROFILE_TOL
+
+    def __post_init__(self):
+        if self.m < 1 or self.n < 2:
+            raise OutOfRange(f"need m >= 1 and n >= 2, got m={self.m} n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,8 @@ class RoofProblem:
     subgradient) below which a start has converged.  max_sweeps caps the
     conjugate-gradient cycles of a start; a cycle is 2tr - r^2 iterations
     (the real dimension of the t x r isometries), after which the
-    direction restarts at steepest descent.
+    direction restarts at steepest descent.  restarts or max_sweeps below
+    1, tol <= 0 and an AverageD profile with m n > N raise OutOfRange.
     """
 
     target: DensityMatrix
@@ -73,8 +78,11 @@ class RoofProblem:
     max_sweeps: int = 100
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise OutOfRange(f"restarts must be >= 1, got {self.restarts}")
+        for name in ("restarts", "max_sweeps"):
+            if getattr(self, name) < 1:
+                raise OutOfRange(f"{name} must be >= 1, got {getattr(self, name)}")
+        if isinstance(self.objective, AverageD) and self.objective.m * self.objective.n > self.target.dim:
+            raise OutOfRange(f"profile {self.objective} needs m*n <= N = {self.target.dim}")
         if not (self.tol > 0.0):
             raise OutOfRange(f"tol must be positive, got {self.tol}")
 
@@ -115,27 +123,31 @@ class RoofResult:
     starts: tuple[RoofStart, ...] = field(repr=False, default=())
 
 
-def _profile_values(lam, m: int, n: int, tol: float):
-    """The n profile values of a descending normalized spectrum, coincident clusters allowed.
-
-    The m = 1 wall rule: fewer than n values at or above tol give the top n
-    values.  Any other mismatch raises ProfileMismatch.
-    """
-    try:
-        return profile_from_values(lam, m, n, tol, allow_coincident=True).values
-    except ProfileMismatch:
-        if m == 1 and n <= len(lam) and np.count_nonzero(lam >= tol) < n:
-            return lam[:n]
-        raise
-
-
 def _pure_measure(objective):
-    """The objective's value of a normalized Schmidt spectrum; the one objective dispatch."""
+    """The objective's value of a normalized Schmidt spectrum; ``member_kernel`` is its batched twin."""
     if isinstance(objective, AverageE):
         return entropy_bits
     if isinstance(objective, AverageD):
-        m, n, tol = objective.m, objective.n, objective.tol
-        return lambda lam: concurrence_of_values(_profile_values(lam, m, n, tol), m)
+        m, n = objective.m, objective.n
+        return lambda lam: concurrence_of_values(_profile_values(lam, m, n), m)
+    raise OutOfRange(f"unknown objective {objective!r}")
+
+
+def member_kernel(objective, V: np.ndarray, N: int):
+    """The search's kernel, rows W (t, N^2) -> member values and gradients, for eigenvector rows V.
+
+    AverageD(1, 2) takes the minor route ``roofsearch.d12_members`` when
+    every member has Schmidt rank <= 2: N = 2, or rows V of the rows-2=3 class.
+    """
+    # Imported on first use, so that processes which never search never compile it.
+    from .roofsearch import d12_members, e_members, profile_members
+
+    if isinstance(objective, AverageE):
+        return e_members
+    if isinstance(objective, AverageD):
+        if (objective.m, objective.n) == (1, 2) and (N == 2 or (N == 3 and _rows_form_a(V))):
+            return d12_members
+        return lambda W, N: profile_members(W, N, objective.m, objective.n)
     raise OutOfRange(f"unknown objective {objective!r}")
 
 
@@ -199,10 +211,9 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
     t_hi = r + 2 if problem.t_max is None else problem.t_max
     if t_hi < r:
         raise OutOfRange(f"t_max {t_hi} below the density's rank {r}")
-    # Imported on first use, so that processes which never search never compile it.
-    from .roofsearch import Descent, member_kernel, search
+    from .roofsearch import Descent, search  # on first use, as in member_kernel
 
-    descent = Descent(V, N, *member_kernel(problem.objective, rho))
+    descent = Descent(V, N, member_kernel(problem.objective, V, N))
 
     best = None
     starts = []
@@ -252,8 +263,9 @@ def certify_bound(rho: DensityMatrix, m: int, n: int, **search) -> CertifyReport
     a gap below -1e-6 is flagged as a violation (the bound is supposed to
     sit below every decomposition average).
     """
+    problem = RoofProblem(target=rho, objective=AverageD(m, n), **search)
     bound = d_lower_bound(rho, m, n, clamp=True)
-    result = minimize_roof(RoofProblem(target=rho, objective=AverageD(m, n), **search))
+    result = minimize_roof(problem)
     gap = result.value - bound
     return CertifyReport(
         bound=float(bound),

@@ -16,14 +16,15 @@ One batched kernel per objective returns every member's value p f(psi)
 and G_k = 2 X A_k with respect to the member's coefficient matrix A_k
 (M = A A^H, p = tr M):
 
-* AverageE: one batched ``eigh``, X = (log p - log M) / ln 2 on the range
-  of M.
-* AverageD(1, 2) where every member has Schmidt rank <= 2 (N = 2 or a
-  form-(a) support): the value 2 ||2x2 minors of A|| = 2 sqrt(e2(M)) by
-  Cauchy-Binet, X = (p I - M) / sqrt(e2(M)), evaluated as 2 J^H u through
-  the minors' Jacobian J and unit minor vector u; no ``eigh``.
-* any other AverageD(m, n): the spectral gradient of the matched profile;
-  a step that leaves the profile scores +inf and is rejected.
+* ``e_members`` (AverageE): one batched ``eigh``, X = (log p - log M) / ln 2
+  on the range of M.
+* ``d12_members`` (AverageD(1, 2) where every member has Schmidt rank <= 2:
+  N = 2 or a form-(a) support): the value 2 ||2x2 minors of A|| =
+  2 sqrt(e2(M)) by Cauchy-Binet, X = (p I - M) / sqrt(e2(M)), evaluated as
+  2 J^H u through the minors' Jacobian J and unit minor vector u; no
+  ``eigh``.  The minors are the bound's, read at ``mixed._support_table``.
+* ``profile_members`` (any other AverageD(m, n)): the spectral gradient of
+  the matched profile; a step that leaves the profile scores +inf.
 
 The D(1, 2) sum of minor norms has kinks at product members.  A member
 within SNAP_TOL of a product state is snapped onto it by a Newton step
@@ -35,9 +36,9 @@ start's first step scans one period of its geodesic, and a converged
 point is probed along every two-row rotation, so that saddles such as
 the eigendecomposition of a symmetric state are left behind.
 
-``roofopt`` imports this module on the first search: every process that
-imports qconc compiles roofopt, and the CLI's other subcommands never
-search.
+Imports run one way: this module imports nothing from ``roofopt``, whose
+``member_kernel`` picks the kernel and imports this module on the first
+search, since the CLI's other subcommands never search.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfRange, ProfileMismatch
-from .mixed import DensityMatrix, form_a_check
-from .roofopt import AverageD, AverageE, _profile_values
+from .errors import ProfileMismatch
+from .mixed import _S4, _support_table
+from .purestate import _profile_values
 from .spectra import concurrence_of_values
 
 # Eigenvalues of M at or below RANGE_TOL * p are outside the range of M.
@@ -66,42 +67,24 @@ CURVATURE = 0.1
 FLAT = 1e-13
 MAX_EVALS = 30
 SCAN = 8
+BALL_SWEEPS = 100
 
 
 # -- member kernels: rows W (t, N^2) -> values (t,), gradients G (t, N^2) --
 
 
-@lru_cache(maxsize=None)
-def _minor_index(N: int) -> np.ndarray:
-    """Flat positions (ip, jq, iq, jp) of every 2x2 minor, i < j and p < q, as a (4, K) table."""
-    rows = [
-        (i * N + p, j * N + q, i * N + q, j * N + p)
-        for i in range(N)
-        for j in range(i + 1, N)
-        for p in range(N)
-        for q in range(p + 1, N)
-    ]
-    table = np.array(rows).T
-    table.flags.writeable = False
-    return table
-
-
 def _minors(W: np.ndarray, N: int) -> np.ndarray:
-    """All 2x2 minors of each row's coefficient matrix, (t, K)."""
-    ip, jq, iq, jp = _minor_index(N)
-    return W[:, ip] * W[:, jq] - W[:, iq] * W[:, jp]
+    """All 2x2 minors of each row's coefficient matrix, (t, K), in canonical index order."""
+    X = W[:, _support_table(N)]
+    return X[..., 0] * X[..., 1] - X[..., 2] * X[..., 3]
 
 
-@lru_cache(maxsize=None)
-def _minor_forms(N: int) -> np.ndarray:
-    """Symmetric S_x with minor_x(w) = w^T S_x w / 2, so d minor_x / dw = S_x w; (K, N^2, N^2)."""
-    ip, jq, iq, jp = _minor_index(N)
-    x = np.arange(ip.size)
-    S = np.zeros((ip.size, N * N, N * N))
-    S[x, ip, jq] = S[x, jq, ip] = 1.0
-    S[x, iq, jp] = S[x, jp, iq] = -1.0
-    S.flags.writeable = False
-    return S
+def _minor_jacobian(W: np.ndarray, N: int) -> np.ndarray:
+    """d minor_x / dw = S_x w of each row, (t, K, N^2); S_x w is nonzero only at the rows J_x."""
+    T = _support_table(N)
+    J = np.zeros((len(W), len(T), N * N), dtype=complex)
+    J[:, np.arange(len(T))[:, None], T] = W[:, T] @ _S4
+    return J
 
 
 def _gram(W: np.ndarray, N: int):
@@ -109,7 +92,7 @@ def _gram(W: np.ndarray, N: int):
     return A, A @ A.conj().transpose(0, 2, 1), np.einsum("kij,kij->k", A.conj(), A).real
 
 
-def _e_members(W: np.ndarray, N: int):
+def e_members(W: np.ndarray, N: int):
     """Entanglement p S(lambda / p) of each row and its gradient 2 X A."""
     A, M, p = _gram(W, N)
     lam, U = np.linalg.eigh(M)
@@ -122,7 +105,7 @@ def _e_members(W: np.ndarray, N: int):
     return values, 2.0 * (X @ A).reshape(W.shape)
 
 
-def _d12_members(W: np.ndarray, N: int):
+def d12_members(W: np.ndarray, N: int):
     """D(1, 2) of rank-<=2 rows, 2 ||minors||, and its gradient 2 J^H u with u = minors / ||minors||.
 
     J is the Jacobian of the minors; 2 J^H u equals 2 X A with
@@ -132,13 +115,11 @@ def _d12_members(W: np.ndarray, N: int):
     y = _minors(W, N)
     norms = np.linalg.norm(y, axis=1)
     u = y / np.where(norms > 0.0, norms, 1.0)[:, None]
-    J = np.einsum("xij,kj->kxi", _minor_forms(N), W)
-    return 2.0 * norms, 2.0 * np.einsum("kx,kxi->ki", u, J.conj())
+    return 2.0 * norms, 2.0 * np.einsum("kx,kxi->ki", u, _minor_jacobian(W, N).conj())
 
 
-def _profile_members(W: np.ndarray, N: int, objective: AverageD):
-    """Profile D of each row, m n p^(1 - n/2) sqrt(prod nu), and its spectral gradient."""
-    m, n, tol = objective.m, objective.n, objective.tol
+def profile_members(W: np.ndarray, N: int, m: int, n: int):
+    """Profile D(m, n) of each row, m n p^(1 - n/2) sqrt(prod nu), and its spectral gradient."""
     A, M, p = _gram(W, N)
     lam, U = np.linalg.eigh(M)
     values = np.zeros(len(W))
@@ -147,7 +128,7 @@ def _profile_members(W: np.ndarray, N: int, objective: AverageD):
         if p[k] <= 0.0:
             continue
         try:
-            matched = _profile_values(np.maximum(lam[k, ::-1] / p[k], 0.0), m, n, tol)
+            matched = _profile_values(np.maximum(lam[k, ::-1] / p[k], 0.0), m, n)
         except ProfileMismatch:
             values[k] = math.inf
             continue
@@ -160,27 +141,10 @@ def _profile_members(W: np.ndarray, N: int, objective: AverageD):
     return values, 2.0 * (X @ A).reshape(W.shape)
 
 
-def member_kernel(objective, rho: DensityMatrix):
-    """(kernel, exact) for the objective on rho's support; exact marks the minor route."""
-    if isinstance(objective, AverageE):
-        return _e_members, False
-    if isinstance(objective, AverageD):
-        if (objective.m, objective.n) == (1, 2) and (rho.dim == 2 or (rho.dim == 3 and form_a_check(rho))):
-            return _d12_members, True
-        return (lambda W, N: _profile_members(W, N, objective)), False
-    raise OutOfRange(f"unknown objective {objective!r}")
-
-
 # -- the Riemannian conjugate-gradient search --------------------------
 
 
-def _riemannian(E: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Skew-Hermitian Omega = E Q^H - Q E^H for the Euclidean gradient E at Q."""
-    B = E @ Q.conj().T
-    return B - B.conj().T
-
-
-def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray], sweeps: int = 100) -> list[np.ndarray]:
+def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
     """min ||a + sum_g B_g x_g|| subject to ||x_g|| <= 1, by block coordinate descent.
 
     Each block step is a trust-region subproblem solved exactly through
@@ -190,7 +154,7 @@ def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray], sweeps: int = 100) -> lis
     svds = [np.linalg.svd(B, full_matrices=False) for B in blocks]
     xs = [np.zeros(B.shape[1]) for B in blocks]
     res = a.copy()
-    for _ in range(sweeps):
+    for _ in range(BALL_SWEEPS):
         moved = 0.0
         for g, (U, s, Vt) in enumerate(svds):
             base = res - blocks[g] @ xs[g]
@@ -220,17 +184,20 @@ def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray], sweeps: int = 100) -> lis
 
 
 class Descent:
-    """Objective, gradient and kink rule of one problem at an isometry Q."""
+    """Objective, gradient and kink rule (for the kernel ``d12_members``) of one problem at an isometry Q."""
 
-    def __init__(self, V: np.ndarray, N: int, kernel, exact: bool):
-        self.V, self.N, self.kernel, self.exact = V, N, kernel, exact
+    def __init__(self, V: np.ndarray, N: int, kernel):
+        self.V, self.N, self.kernel = V, N, kernel
+        self.exact = kernel is d12_members
 
     def value(self, Q: np.ndarray):
         vals, G = self.kernel(Q.conj() @ self.V, self.N)
         return math.fsum(vals.tolist()), G
 
     def omega(self, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
-        return _riemannian(G.conj() @ self.V.T, Q)
+        """Skew-Hermitian Omega = E Q^H - Q E^H for the Euclidean gradient E = conj(G) V^T at Q."""
+        B = (G.conj() @ self.V.T) @ Q.conj().T
+        return B - B.conj().T
 
     def gradient(self, Q: np.ndarray, G: np.ndarray):
         """Riemannian gradient at Q (min-norm subgradient at kinks), kink and loose members.
@@ -262,9 +229,10 @@ class Descent:
     def _changes(self, Q: np.ndarray, W: np.ndarray, members: list[int]):
         """(d minors_k, d p_k) along dQ = -B Q for every basis element B, per member: (t^2, K), (t^2,)."""
         basis = _skew_basis(Q.shape[0])
-        for k in members:
+        J = _minor_jacobian(W[members], self.N)
+        for k, Jk in zip(members, J):
             dw = (-(basis[:, k, :] @ Q)).conj() @ self.V
-            yield dw @ (_minor_forms(self.N) @ W[k]).T, (dw @ W[k].conj()).real
+            yield dw @ Jk.T, (dw @ W[k].conj()).real
 
     def snap(self, Q: np.ndarray, members: list[int]) -> np.ndarray:
         """One Newton step exp(-Omega) Q towards product states for ``members``.

@@ -204,6 +204,25 @@ def test_main_degenerate_lemma_point_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roof", FORM_A_FILE, "--objective", "D", "--m", "0", "--n", "2"],
+        ["roof", FORM_A_FILE, "--objective", "D", "--m", "1", "--n", "1"],
+        ["roof", FORM_A_FILE, "--objective", "D", "--m", "1", "--n", "5"],
+        ["certify", FORM_A_FILE, "--m", "2", "--n", "2"],
+        ["roof", FORM_A_FILE, "--objective", "D", "--m", "1", "--n", "2", "--max-sweeps", "-1"],
+        ["certify", WERNER_FILE, "--max-sweeps", "0"],
+        ["invariance", BELL_FILE, "--trials", "-3"],
+    ],
+)
+def test_main_impossible_profiles_and_counts_exit_one(argv, capsys):
+    """Profiles no N x N pure state has, and search or trial counts below 1."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_main_strict_roof_nonconvergence_exits_two(tmp_path, capsys):
     code = main(
         [
@@ -318,5 +337,6 @@ def test_main_lapack_failure_exits_two(monkeypatch, capsys):
 
 
 def test_cli_import_does_not_load_scipy():
-    code = "import qconc.cli, sys; assert 'scipy' not in sys.modules"
+    """Neither scipy nor the roof search is loaded until a search runs."""
+    code = "import qconc.cli, sys; assert 'scipy' not in sys.modules; assert 'qconc.roofsearch' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

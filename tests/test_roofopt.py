@@ -17,17 +17,25 @@ from qconc import (
 )
 from qconc.cli import load_state
 from qconc.errors import NotIsometry, OutOfRange, ProfileMismatch
-from qconc.mixed import Decomposition, d_lower_bound, eigen_vectors_subnormalized, eof_lower_bound
+from qconc.linalg import hermitian_eig
+from qconc.mixed import (
+    Decomposition,
+    d_lower_bound,
+    eigen_vectors_subnormalized,
+    eof_lower_bound,
+    index_deficits,
+)
 from qconc.roofopt import (
     AverageD,
     AverageE,
     RoofProblem,
     average_objective,
     certify_bound,
+    member_kernel,
     minimize_roof,
     transform_decomposition,
 )
-from qconc.roofsearch import Descent, member_kernel
+from qconc.roofsearch import Descent, _minors, d12_members
 from qconc.sampling import generator, haar_isometry, haar_unitary, random_form_a_state, random_pure
 from qconc.spectra import eof_of_d
 
@@ -119,6 +127,54 @@ def test_roof_problem_validation():
         RoofProblem(target=rho, objective=AverageE(), tol=0.0)
     with pytest.raises(OutOfRange):
         minimize_roof(RoofProblem(target=rho, objective=AverageE(), t_max=2))
+    for sweeps in (0, -1):
+        with pytest.raises(OutOfRange):
+            RoofProblem(target=rho, objective=AverageE(), max_sweeps=sweeps)
+    for m, n in ((0, 2), (1, 1), (-1, 3)):
+        with pytest.raises(OutOfRange):
+            AverageD(m, n)
+    for m, n in ((1, 3), (2, 2)):
+        with pytest.raises(OutOfRange):
+            RoofProblem(target=rho, objective=AverageD(m, n))
+    RoofProblem(target=random_form_a_mixture(2, 94), objective=AverageD(1, 3), max_sweeps=1)
+
+
+def test_minimize_roof_eigendecomposes_rho_once(monkeypatch):
+    """The D(1, 2) route is chosen from the rows the search already has."""
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return hermitian_eig(M)
+
+    monkeypatch.setattr("qconc.mixed.hermitian_eig", counting)
+    rho = random_form_a_mixture(3, 95)
+    minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=3, restarts=1, max_sweeps=1))
+    assert len(calls) == 1
+
+
+@given(rank=st.integers(1, 6), grow=st.integers(0, 2), seed=st.integers(0, 2**16))
+def test_roof_objective_dominates_the_bound_through_minkowski_and_each_index(rank, grow, seed):
+    """R = sum_k ||y_k|| >= M = sqrt(sum_x (sum_k |y_xk|)^2) >= bound, y = 2 minors of the rows.
+
+    R is the D(1, 2) average of a decomposition of a form-(a) mixture;
+    each index's sum_k |y_xk| is at least its signed Lambda deficit.
+    """
+    rho = random_form_a_mixture(rank, 96, seed)
+    V = eigen_vectors_subnormalized(rho)
+    r = len(V)
+    iso = haar_isometry(r + grow, r, generator(97, seed, grow))
+    W = iso.conj() @ V
+    y = 2.0 * _minors(W, 3)
+    R = math.fsum(np.linalg.norm(y, axis=1).tolist())
+    values, _ = d12_members(W, 3)
+    assert abs(R - math.fsum(values.tolist())) <= 1e-12
+    assert abs(R - average_objective(transform_decomposition(V, iso), AverageD(1, 2))) <= 1e-12
+    per_index = np.sum(np.abs(y), axis=0)
+    M = math.sqrt(math.fsum((per_index**2).tolist()))
+    assert R >= M - 1e-12
+    assert np.all(per_index >= index_deficits(rho) - 1e-12)
+    assert M >= d_lower_bound(rho, 1, 2) - 1e-12
 
 
 def test_roof_on_pure_state_returns_its_entropy():
@@ -261,7 +317,7 @@ def test_batched_member_kernels_match_the_per_member_oracle():
             iso = np.eye(t, r) if k == 0 else haar_isometry(t, r, generator(105, i, k))
             W = iso.conj() @ V
             for objective, kind in ((AverageD(1, 2), 2), (AverageE(), "E")):
-                kernel, _ = member_kernel(objective, rho)
+                kernel = member_kernel(objective, V, rho.dim)
                 values, _ = kernel(W, rho.dim)
                 expect = [roof_member(w, rho.dim, kind) for w in W]
                 np.testing.assert_allclose(values, expect, rtol=0.0, atol=1e-12)
@@ -297,7 +353,7 @@ def test_member_gradients_match_central_differences(case, grow, iso, direction):
     Q, _ = np.linalg.qr(iso[0, :t, :r] + 1j * iso[1, :t, :r] + base)
     H = _skew(direction[0, :t, :t] + 1j * direction[1, :t, :t])
     assume(np.linalg.norm(H) > 0.1)
-    problem = Descent(V, rho.dim, *member_kernel(objective, rho))
+    problem = Descent(V, rho.dim, member_kernel(objective, V, rho.dim))
     F, G = problem.value(Q)
     assume(math.isfinite(F))
     omega = problem.omega(Q, G)
@@ -318,9 +374,10 @@ def test_product_member_scores_zero_in_search_and_recompute():
         psi = from_coefficients(np.outer(rows, [0.0, 1.0, 0.0]))
         rho = pure_density(psi)
         for objective in (AverageD(1, 2), AverageD(1, 3)):
-            kernel, minor_route = member_kernel(objective, rho)
-            assert minor_route == (form_a and objective.n == 2)
-            values, _ = kernel(eigen_vectors_subnormalized(rho), 3)
+            V = eigen_vectors_subnormalized(rho)
+            kernel = member_kernel(objective, V, 3)
+            assert (kernel is d12_members) == (form_a and objective.n == 2)
+            values, _ = kernel(V, 3)
             assert values.tolist() == [0.0]
             assert average_objective(Decomposition(((1.0, psi),)), objective) == 0.0
             result = minimize_roof(RoofProblem(target=rho, objective=objective, t_max=1, restarts=1))
