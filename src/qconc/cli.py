@@ -23,6 +23,7 @@ from .linalg import lapack_errors
 from .mixed import (
     DensityMatrix,
     bound_from_deficits,
+    check_profile,
     d_lower_bound,
     form_a_check,
     index_deficits,
@@ -205,6 +206,7 @@ def _cmd_concurrence(ns) -> tuple[dict, dict, int]:
 def _cmd_bound(ns) -> tuple[dict, dict, int]:
     rho = _as_density(load_state(ns.file))
     m, n = _resolve_mn(ns.m, ns.n, rho.dim)
+    check_profile(m, n, rho.dim)
     clamp = not ns.no_clamp
     deficits = index_deficits(rho)
     d = bound_from_deficits(deficits, m, n, clamp=clamp)

@@ -403,8 +403,20 @@ def d_lower_bound(rho: DensityMatrix, m: int, n: int, clamp: bool = True) -> flo
     N >= 3 the clamped per-index sum depends on the local basis, so
     ``qconc invariance`` on such a density can report a nonzero
     ``max_dev_D_bound``.
+
+    Raises
+    ------
+    OutOfRange
+        For a profile that no N x N pure state has (``check_profile``).
     """
+    check_profile(m, n, rho.dim)
     return bound_from_deficits(index_deficits(rho), m, n, clamp)
+
+
+def check_profile(m: int, n: int, N: int) -> None:
+    """Raise OutOfRange unless an N x N pure state can have the (m, n) profile: m >= 1, n >= 2, m n <= N."""
+    if m < 1 or n < 2 or m * n > N:
+        raise OutOfRange(f"need m >= 1, n >= 2 and m*n <= N = {N}, got m={m} n={n}")
 
 
 def index_deficits(rho: DensityMatrix) -> np.ndarray:

@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotIsometry, OutOfRange, ProfileMismatch
-from .mixed import DensityMatrix, Decomposition, _rows_form_a, d_lower_bound, eigen_vectors_subnormalized
+from .mixed import (
+    DensityMatrix,
+    Decomposition,
+    _rows_form_a,
+    check_profile,
+    d_lower_bound,
+    eigen_vectors_subnormalized,
+)
 from .purestate import PROFILE_TOL, _profile_values, schmidt_spectrum
 from .sampling import generator, haar_isometry
 from .spectra import concurrence_of_values, entropy_bits
@@ -81,8 +88,8 @@ class RoofProblem:
         for name in ("restarts", "max_sweeps"):
             if getattr(self, name) < 1:
                 raise OutOfRange(f"{name} must be >= 1, got {getattr(self, name)}")
-        if isinstance(self.objective, AverageD) and self.objective.m * self.objective.n > self.target.dim:
-            raise OutOfRange(f"profile {self.objective} needs m*n <= N = {self.target.dim}")
+        if isinstance(self.objective, AverageD):
+            check_profile(self.objective.m, self.objective.n, self.target.dim)
         if not (self.tol > 0.0):
             raise OutOfRange(f"tol must be positive, got {self.tol}")
 
@@ -91,7 +98,9 @@ class RoofProblem:
 class RoofStart:
     """One start of the search: its cardinality t, start index and outcome.
 
-    ``kinks`` counts the members at a D(1, 2) kink at the end of the start.
+    ``kinks`` counts the members at a D(1, 2) kink at the end of the start;
+    ``evaluations`` counts the decompositions the start scored, each point
+    of a batched scan or probe once.
     """
 
     t: int
@@ -100,6 +109,7 @@ class RoofStart:
     iterations: int
     converged: bool
     kinks: int
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -223,8 +233,10 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
                 iso = np.eye(t, r, dtype=complex)
             else:
                 iso = haar_isometry(t, r, generator(problem.seed, t, k))
+            scored = descent.evaluations
             Q, trace, converged, kinks = search(descent, iso, problem.tol, problem.max_sweeps)
-            starts.append(RoofStart(t, k, trace[-1], len(trace) - 1, converged, kinks))
+            starts.append(RoofStart(t, k, trace[-1], len(trace) - 1, converged, kinks,
+                                    descent.evaluations - scored))
             if best is None or trace[-1] < best[0]:
                 best = (trace[-1], Q, tuple(trace), converged)
 

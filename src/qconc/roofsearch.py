@@ -27,14 +27,17 @@ and G_k = 2 X A_k with respect to the member's coefficient matrix A_k
   the matched profile; a step that leaves the profile scores +inf.
 
 The D(1, 2) sum of minor norms has kinks at product members.  A member
-within SNAP_TOL of a product state is snapped onto it by a Newton step
+within SNAP_TOL of a product state is snapped onto it by a rank-truncated
+Newton step (singular values below SNAP_RCOND of the largest dropped)
 when that does not raise the objective; at a kink (minor norm at most
 KINK_TOL * p) the search uses the minimum-norm subgradient, found by
 relaxing the member's unit minor vector to the unit ball (the group-lasso
 test), as both the stationarity test and the descent direction.  A
 start's first step scans one period of its geodesic, and a converged
 point is probed along every two-row rotation, so that saddles such as
-the eigendecomposition of a symmetric state are left behind.
+the eigendecomposition of a symmetric state are left behind.  The points
+of a scan or a probe are fixed in advance and scored in one kernel call
+(``Descent.values``); gradients are computed only at the points kept.
 
 Imports run one way: this module imports nothing from ``roofopt``, whose
 ``member_kernel`` picks the kernel and imports this module on the first
@@ -61,6 +64,10 @@ RANGE_TOL = 1e-12
 SNAP_TOL = 1e-4
 KINK_TOL = 1e-10
 SNAP_FLOOR = 1e-13
+# The snap's linearized system drops singular values below SNAP_RCOND times
+# the largest: near a product state the small ones are rounding, and
+# inverting them turns the member by up to a radian, away from the state.
+SNAP_RCOND = 1e-4
 ARMIJO = 1e-4
 CURVATURE = 0.1
 # Relative rounding of a summed objective value.
@@ -184,15 +191,28 @@ def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
 
 
 class Descent:
-    """Objective, gradient and kink rule (for the kernel ``d12_members``) of one problem at an isometry Q."""
+    """Objective, gradient and kink rule (for the kernel ``d12_members``) of one problem at an isometry Q.
+
+    ``evaluations`` counts the decompositions scored so far, one per
+    ``value`` call and one per isometry of a ``values`` stack.
+    """
 
     def __init__(self, V: np.ndarray, N: int, kernel):
         self.V, self.N, self.kernel = V, N, kernel
         self.exact = kernel is d12_members
+        self.evaluations = 0
 
     def value(self, Q: np.ndarray):
+        self.evaluations += 1
         vals, G = self.kernel(Q.conj() @ self.V, self.N)
         return math.fsum(vals.tolist()), G
+
+    def values(self, Qs: np.ndarray) -> list[float]:
+        """The objective ``value`` of each isometry of a stack (c, t, r), from one kernel call."""
+        c, t, _ = Qs.shape
+        self.evaluations += c
+        vals, _ = self.kernel((Qs.conj() @ self.V).reshape(c * t, -1), self.N)
+        return [math.fsum(row) for row in vals.reshape(c, t).tolist()]
 
     def omega(self, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
         """Skew-Hermitian Omega = E Q^H - Q E^H for the Euclidean gradient E = conj(G) V^T at Q."""
@@ -240,12 +260,13 @@ class Descent:
         Omega is the minimum-norm skew-Hermitian solution of the linearized
         equations minors_k + d minors_k = 0 and d p_k = 0 under dQ = -Omega Q,
         so each member turns towards a product state instead of shrinking.
+        The solve drops singular values below SNAP_RCOND times the largest.
         """
         W = Q.conj() @ self.V
         rows = [np.concatenate([dy.real, dy.imag, dp[:, None]], axis=1).T
                 for dy, dp in self._changes(Q, W, members)]
         rhs = [np.concatenate([-y.real, -y.imag, [0.0]]) for y in _minors(W[members], self.N)]
-        coef = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)[0]
+        coef = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=SNAP_RCOND)[0]
         theta, U = np.linalg.eigh(1j * np.tensordot(coef, _skew_basis(Q.shape[0]), 1))
         return (U * np.exp(1j * theta)) @ (U.conj().T @ Q)
 
@@ -337,22 +358,37 @@ def _probe(problem: Descent, Q, F0: float):
 
     A stationary point of the gradient search can be a saddle, such as
     the eigendecomposition of a symmetric state; the rotations give it
-    directions of descent that the vanishing gradient does not.
+    directions of descent that the vanishing gradient does not.  All
+    t (t - 1) (SCAN - 1) points are scored in one kernel call.
     """
-    t = Q.shape[0]
-    best = None
-    for B in _skew_basis(t):
-        if not B.diagonal().any():
-            theta, U = np.linalg.eigh(1j * B)
-            UhQ = U.conj().T @ Q
-            for j in range(1, SCAN):
-                Qn = (U * np.exp(1j * (math.pi * math.sqrt(2.0) * j / SCAN) * theta)) @ UhQ
-                Fn, Gn = problem.value(Qn)
-                if best is None or Fn < best[1]:
-                    best = (Qn, Fn, Gn)
-    if best is None or not best[1] < F0 - FLAT * abs(F0):
+    etas = math.pi * math.sqrt(2.0) * np.arange(1, SCAN) / SCAN
+    stacks = [_rotate(theta, U, U.conj().T @ Q, etas) for theta, U in _pair_rotations(Q.shape[0])]
+    if not stacks:
         return None
-    return best
+    Qs = np.concatenate(stacks)
+    scores = problem.values(Qs)
+    j = min(range(len(scores)), key=scores.__getitem__)  # ties go to the first
+    if not scores[j] < F0 - FLAT * abs(F0):
+        return None
+    F, G = problem.value(Qs[j])
+    return Qs[j], F, G
+
+
+@lru_cache(maxsize=None)
+def _pair_rotations(t: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """eigh of i B for each two-row element B of ``_skew_basis(t)``: the probe's rotation axes."""
+    return [np.linalg.eigh(1j * B) for B in _skew_basis(t) if not B.diagonal().any()]
+
+
+def _rotate(theta: np.ndarray, U: np.ndarray, UhQ: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """The stack exp(-eta H) Q over etas, (c, t, r), for eigh(i H) = (theta, U) and UhQ = U^H Q."""
+    return (U * np.exp(1j * np.multiply.outer(etas, theta))[:, None, :]) @ UhQ
+
+
+def _scan(problem: Descent, theta, U, UhQ, etas: np.ndarray, F0: float) -> int:
+    """Index j of the lowest of F0 = F(Q) and F(exp(-etas[j] H) Q), j >= 1, scored in one kernel call."""
+    scores = [F0] + problem.values(_rotate(theta, U, UhQ, etas[1:]))
+    return min(range(len(scores)), key=scores.__getitem__)
 
 
 def _cubic_step(a, fa, da, b, fb, db) -> float:
@@ -428,17 +464,24 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
 
     prev = (0.0, Q, F0, None, -slope)
     if guess is None:
-        grid = [prev] + [at(2.0 * cap * j / SCAN) for j in range(1, SCAN)]
-        j = min(range(SCAN), key=lambda i: grid[i][2])
-        pt = grid[j]
+        etas = 2.0 * cap * np.arange(SCAN) / SCAN
+        j = _scan(problem, theta, U, UhQ, etas, F0)
+        grid = {0: prev}
+
+        def node(i):
+            if i not in grid:
+                grid[i] = at(etas[i])
+            return grid[i]
+
+        pt = node(j)
         if j > 0 and decreases(pt):
             if abs(pt[4]) <= CURVATURE * slope:
                 return pt[:4]
             if pt[4] > 0.0:
-                return zoom(pt, grid[j - 1], pt)
+                return zoom(pt, node(j - 1), pt)
             if j + 1 < SCAN:
-                return zoom(pt, grid[j + 1], pt)
-        pt = grid[1]
+                return zoom(pt, node(j + 1), pt)
+        pt = node(1)
     else:
         pt = at(min(guess, cap))
     best = None

@@ -103,3 +103,43 @@ def d_bound_dense(rho, N, m, n, clamp=True):
         d = lam[0] - lam[1] - lam[2] - lam[3]
         total += max(d, 0.0) ** 2 if clamp else d * d
     return m * n / 2.0 * math.sqrt(total)
+
+
+def _two_row_generators(t):
+    """(E_jl - E_lj) / sqrt(2) and i (E_jl + E_lj) / sqrt(2) for j < l, in row-major order."""
+    for j in range(t):
+        for l in range(j + 1, t):
+            B = np.zeros((t, t), dtype=complex)
+            B[j, l], B[l, j] = 1.0, -1.0
+            yield B / math.sqrt(2.0)
+            B = np.zeros((t, t), dtype=complex)
+            B[j, l] = B[l, j] = 1j
+            yield B / math.sqrt(2.0)
+
+
+def probe_loop(value, Q, scan):
+    """(F, Q') of the lowest two-row rotation exp(-eta B) Q, scored one at a time.
+
+    The roof search's probe as it was before batching: eta = pi sqrt(2) j / scan
+    for j = 1 .. scan - 1 along each generator, ``value`` called once per
+    point, and the first strict minimum kept.  None when t = 1.
+    """
+    best = None
+    for B in _two_row_generators(Q.shape[0]):
+        theta, U = np.linalg.eigh(1j * B)
+        UhQ = U.conj().T @ Q
+        for j in range(1, scan):
+            Qn = (U * np.exp(1j * (math.pi * math.sqrt(2.0) * j / scan) * theta)) @ UhQ
+            Fn = value(Qn)
+            if best is None or Fn < best[0]:
+                best = (Fn, Qn)
+    return best
+
+
+def scan_loop(value, Q, H, scan):
+    """Index of the lowest of F(Q) and F(exp(-eta_j H) Q), eta_j = 2 pi j / (scan max|eig H|), one call each."""
+    theta, U = np.linalg.eigh(1j * H)
+    cap = math.pi / float(np.max(np.abs(theta)))
+    UhQ = U.conj().T @ Q
+    grid = [value(Q)] + [value((U * np.exp(1j * (2.0 * cap * j / scan) * theta)) @ UhQ) for j in range(1, scan)]
+    return min(range(scan), key=grid.__getitem__)

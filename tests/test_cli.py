@@ -214,6 +214,9 @@ def test_main_degenerate_lemma_point_exits_one(capsys):
         ["roof", FORM_A_FILE, "--objective", "D", "--m", "1", "--n", "2", "--max-sweeps", "-1"],
         ["certify", WERNER_FILE, "--max-sweeps", "0"],
         ["invariance", BELL_FILE, "--trials", "-3"],
+        ["bound", FORM_A_FILE, "--m", "2", "--n", "2"],
+        ["bound", WERNER_FILE, "--m", "1", "--n", "3", "--eof"],
+        ["invariance", FORM_A_FILE, "--m", "2", "--n", "2"],
     ],
 )
 def test_main_impossible_profiles_and_counts_exit_one(argv, capsys):

@@ -327,6 +327,10 @@ def test_d_lower_bound_rejects_bad_profile():
         d_lower_bound(werner(0.5), 0, 2)
     with pytest.raises(OutOfRange):
         d_lower_bound(werner(0.5), 1, 1)
+    with pytest.raises(OutOfRange):
+        d_lower_bound(werner(0.5), 1, 3)
+    with pytest.raises(OutOfRange):
+        d_lower_bound(random_form_a_mixture(2, 39), 2, 2)
 
 
 def test_eof_lower_bound_werner():

@@ -35,12 +35,13 @@ from qconc.roofopt import (
     minimize_roof,
     transform_decomposition,
 )
-from qconc.roofsearch import Descent, _minors, d12_members
+from qconc import roofsearch
+from qconc.roofsearch import SCAN, Descent, _minors, _pair_rotations, _probe, _rotate, _scan, d12_members, search
 from qconc.sampling import generator, haar_isometry, haar_unitary, random_form_a_state, random_pure
 from qconc.spectra import eof_of_d
 
 from conftest import random_density
-from oracles import roof_member
+from oracles import probe_loop, roof_member, scan_loop
 
 BELL = from_coefficients(np.eye(2) / np.sqrt(2))
 
@@ -384,7 +385,15 @@ def test_product_member_scores_zero_in_search_and_recompute():
             assert result.value == 0.0 and result.converged
 
 
-def test_start_records_account_for_the_search():
+def test_start_records_account_for_the_search(monkeypatch):
+    """Each start's evaluations times its t add up to the rows the kernel scored."""
+    rows = []
+
+    def counted(W, N):
+        rows.append(len(W))
+        return d12_members(W, N)
+
+    monkeypatch.setattr(roofsearch, "d12_members", counted)
     rho = random_form_a_mixture(3, 104, 3)
     result = minimize_roof(
         RoofProblem(target=rho, objective=AverageD(1, 2), t_max=4, restarts=2, tol=1e-7, max_sweeps=30)
@@ -395,6 +404,102 @@ def test_start_records_account_for_the_search():
     assert winner.value == result.trace[-1]
     assert winner.converged is result.converged
     assert all(s.kinks >= 0 for s in result.starts)
+    assert all(s.evaluations > 0 for s in result.starts)
+    assert sum(s.evaluations * s.t for s in result.starts) == sum(rows)
+
+
+def test_every_snap_lowers_the_minor_norm_of_each_snapped_member(monkeypatch):
+    """The snap turns members towards their product states, never away.
+
+    Near a product state the snap's linearized system has singular values
+    that are rounding; solved to full rank, it turned members by up to a
+    radian and raised their minor norms on this search.
+    """
+    snap = Descent.snap
+    outcomes = []
+
+    def checked(self, Q, members):
+        Qs = snap(self, Q, members)
+        before = np.linalg.norm(_minors(Q.conj() @ self.V, self.N)[members], axis=1)
+        after = np.linalg.norm(_minors(Qs.conj() @ self.V, self.N)[members], axis=1)
+        outcomes.append(bool(np.all(after < before)))
+        return Qs
+
+    monkeypatch.setattr(Descent, "snap", checked)
+    rho = random_form_a_mixture(3, 104, 3)
+    minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=3, restarts=2, tol=1e-7, max_sweeps=30))
+    assert outcomes and all(outcomes), (len(outcomes), outcomes.count(False))
+
+
+def _mixed_profile_density():
+    """A rank-2 N = 3 density whose eigenvectors have Schmidt rank 2 but whose rotations have rank 3.
+
+    Its eigendecomposition scores finite under AverageD(1, 2) and the
+    rotations of it score +inf; it is not of form (a), so the profile route runs.
+    """
+    psi = np.zeros((3, 3), dtype=complex)
+    psi[0, 0], psi[1, 1] = 0.8, 0.6
+    prod = np.zeros((3, 3), dtype=complex)
+    prod[2, 2] = 1.0
+    a, b = psi.reshape(-1), prod.reshape(-1)
+    return DensityMatrix(3, 0.7 * np.outer(a, a.conj()) + 0.3 * np.outer(b, b.conj()))
+
+
+_KERNEL_CASES = [
+    (random_form_a_mixture(3, 104, 1), AverageD(1, 2)),
+    (random_form_a_mixture(3, 104, 1), AverageE()),
+    (random_density(3, 3, 106), AverageD(1, 3)),
+    (_mixed_profile_density(), AverageD(1, 2)),
+]
+
+
+def test_batched_scores_match_one_value_call_per_candidate():
+    """``Descent.values`` on a stack equals ``Descent.value`` per isometry, +inf mismatches included."""
+    kernels, infinite = set(), 0
+    for i, (rho, objective) in enumerate(_KERNEL_CASES):
+        V = eigen_vectors_subnormalized(rho)
+        r = len(V)
+        kernel = member_kernel(objective, V, rho.dim)
+        kernels.add(kernel.__name__)
+        problem = Descent(V, rho.dim, kernel)
+        for t in (r, r + 1):
+            isos = [np.eye(t, r, dtype=complex), haar_isometry(t, r, generator(108, i, t))]
+            stack = np.concatenate([Q[None] for Q in isos] + [
+                _rotate(theta, U, U.conj().T @ Q, np.linspace(0.1, 4.0, 5))
+                for Q in isos for theta, U in _pair_rotations(t)])
+            batched = problem.values(stack)
+            single = [problem.value(q)[0] for q in stack]
+            infinite += sum(math.isinf(x) for x in single)
+            for got, want in zip(batched, single):
+                assert got == want if math.isinf(want) else abs(got - want) <= 1e-13 * abs(want), (i, got, want)
+    assert kernels == {"d12_members", "e_members", "<lambda>"}
+    assert infinite > 0
+
+
+def test_batched_scan_and_probe_pick_the_loop_winner():
+    """On the benchmark's corpus, at each search's start and end, the batched scan and probe keep the loop's point."""
+    for k in range(5):
+        rank = 2 + k % 2
+        rho = random_form_a_mixture(rank, 104, k)
+        V = eigen_vectors_subnormalized(rho)
+        for objective in (AverageD(1, 2), AverageE()):
+            problem = Descent(V, 3, member_kernel(objective, V, 3))
+
+            def value(Q):
+                return problem.value(Q)[0]
+
+            starts = [np.eye(rank, dtype=complex), haar_isometry(rank, rank, generator(0, rank, 1))]
+            ends = [search(problem, Q, 1e-7, 30)[0] for Q in starts]
+            for Q in starts + ends:
+                F, G = problem.value(Q)
+                H = problem.gradient(Q, G)[0]
+                theta, U = np.linalg.eigh(1j * H)
+                etas = 2.0 * (math.pi / float(np.max(np.abs(theta)))) * np.arange(SCAN) / SCAN
+                assert _scan(problem, theta, U, U.conj().T @ Q, etas, F) == scan_loop(value, Q, H, SCAN)
+                want_F, want_Q = probe_loop(value, Q, SCAN)
+                got_Q, got_F, _ = _probe(problem, Q, np.finfo(float).max)
+                assert got_F == want_F, (k, objective)
+                np.testing.assert_array_equal(got_Q, want_Q)
 
 
 def test_bench_corpus_roofs_converge_at_the_criterion_settings():
