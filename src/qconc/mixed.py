@@ -33,8 +33,6 @@ from .errors import (
     DimensionMismatch,
     NonFinite,
     NotFormA,
-    NotHermitian,
-    NotPSD,
     NumericalInconsistency,
     OutOfRange,
     UnsupportedFamily,
@@ -45,6 +43,7 @@ from .purestate import PureState, from_coefficients, generalized_concurrence_D
 from .spectra import eof_of_bound
 
 DENSITY_TOL = 1e-10
+FORM_A_TOL = 1e-9
 RANK_EPS = 1e-12
 MEMBER_DROP = 1e-14
 
@@ -139,14 +138,17 @@ class Decomposition:
         return cls(tuple((p / total, psi) for p, psi in members))
 
 
-def validate_density(M, N: int, tol: float = DENSITY_TOL) -> DensityMatrix:
+def validate_density(M, N: int) -> DensityMatrix:
     """Validate an N^2 x N^2 array as a density matrix.
+
+    Hermiticity and positivity follow ``hermitian_eig`` and ``check_psd``
+    (1e-10), on the matrix divided by its largest real or imaginary part
+    where that exceeds 1, as in no density, so that no check overflows.
 
     Raises
     ------
     BadShape, NonFinite, NotHermitian, NotPSD, BadTrace
-        For the respective violated property (PSD allows eigenvalues down
-        to ``-tol``; Hermiticity is relative to the Frobenius norm).
+        For the respective violated property.
     """
     A = np.asarray(M, dtype=complex)
     if N < 2:
@@ -155,17 +157,12 @@ def validate_density(M, N: int, tol: float = DENSITY_TOL) -> DensityMatrix:
         raise BadShape(f"expected shape {(N * N, N * N)}, got {A.shape}")
     if not np.isfinite(A).all():
         raise NonFinite("density matrix has NaN or infinite entries")
-    scale = max(np.linalg.norm(A), 1.0)
-    if np.linalg.norm(A - A.conj().T) > tol * scale:
-        raise NotHermitian("density matrix is not Hermitian within tolerance")
-    H = 0.5 * (A + A.conj().T)
-    w = np.linalg.eigvalsh(H)
-    if w[0] < -tol:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below {-tol}")
-    tr = float(np.trace(H).real)
-    if abs(tr - 1.0) > tol:
-        raise BadTrace(f"trace {tr!r} differs from 1 by more than {tol}")
-    return DensityMatrix(N, H)
+    big = max(float(np.abs(A.real).max()), float(np.abs(A.imag).max()), 1.0)
+    check_psd(hermitian_eig(A / big))
+    tr = sum(A.diagonal().real.tolist())
+    if abs(tr - 1.0) > DENSITY_TOL:
+        raise BadTrace(f"trace {tr!r} differs from 1 by more than {DENSITY_TOL}")
+    return DensityMatrix(N, 0.5 * (A + A.conj().T))
 
 
 def _projector(psi: PureState) -> np.ndarray:
@@ -233,12 +230,16 @@ def canonical_indices(N: int) -> list[SIndex]:
     ]
 
 
-def _support(idx: SIndex, N: int) -> list[int]:
-    """0-based rows J = (r1, c1, r2, c2) of S's nonzero entries, in S4's order."""
-    i, p, j, q = idx.astuple()
-    if max(j, q) > N:
-        raise BadIndex(f"index {idx} outside 1..{N}")
+def _quadruple_rows(i: int, p: int, j: int, q: int, N: int) -> list[int]:
+    """0-based rows J = (r1, c1, r2, c2) of an ordered 1-based quadruple, where S places S4."""
     return [N * (i - 1) + p - 1, N * (j - 1) + q - 1, N * (i - 1) + q - 1, N * (j - 1) + p - 1]
+
+
+def _support(idx: SIndex, N: int) -> list[int]:
+    """The ``_quadruple_rows`` of a canonical index: S's nonzero rows and columns."""
+    if max(idx.j, idx.q) > N:
+        raise BadIndex(f"index {idx} outside 1..{N}")
+    return _quadruple_rows(*idx.astuple(), N)
 
 
 @lru_cache(maxsize=16)
@@ -295,12 +296,8 @@ def s_matrix_raw(i: int, p: int, j: int, q: int, N: int) -> np.ndarray:
         if not (1 <= idx <= N):
             raise BadIndex(f"index {idx} outside 1..{N}")
     S = np.zeros((N * N, N * N))
-    r1, c1 = N * (i - 1) + p - 1, N * (j - 1) + q - 1
-    r2, c2 = N * (i - 1) + q - 1, N * (j - 1) + p - 1
-    S[r1, c1] += 1.0
-    S[c1, r1] += 1.0
-    S[r2, c2] -= 1.0
-    S[c2, r2] -= 1.0
+    J = _quadruple_rows(i, p, j, q, N)
+    np.add.at(S, np.ix_(J, J), _S4)  # coinciding rows (i = j or p = q) cancel
     return S
 
 
@@ -464,23 +461,23 @@ def ppt_check(rho: DensityMatrix) -> tuple[bool, float]:
     return min_eig >= -1e-10, min_eig
 
 
-def form_a_check(rho: DensityMatrix, tol: float = 1e-9) -> bool:
+def form_a_check(rho: DensityMatrix) -> bool:
     """Whether rho is supported on N = 3 states with equal rows 2 and 3.
 
     Every eigenvector with eigenvalue above 1e-12, read as a 3 x 3
     coefficient matrix, must have identical second and third rows within
-    ``tol``; equivalently the support lies in the corresponding
+    FORM_A_TOL = 1e-9; equivalently the support lies in the corresponding
     6-dimensional subspace.
     """
     if rho.dim != 3:
         raise DimensionMismatch(f"the rows-2=3 class lives at N = 3, got N = {rho.dim}")
-    return _rows_form_a(eigen_vectors_subnormalized(rho), tol)
+    return _rows_form_a(eigen_vectors_subnormalized(rho))
 
 
-def _rows_form_a(V: np.ndarray, tol: float = 1e-9) -> bool:
+def _rows_form_a(V: np.ndarray) -> bool:
     for v in V:
         A = (v / np.linalg.norm(v)).reshape(3, 3)
-        if np.linalg.norm(A[1] - A[2]) > tol:
+        if np.linalg.norm(A[1] - A[2]) > FORM_A_TOL:
             return False
     return True
 

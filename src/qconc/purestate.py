@@ -68,10 +68,6 @@ class SpectrumProfile:
             raise ProfileMismatch(f"expected {self.n} values, got {len(self.values)}")
         if any(v <= 0 or v > 1.0 / self.m + 1e-8 for v in self.values):
             raise ProfileMismatch(f"values outside (0, 1/m]: {self.values}")
-        if abs(self.m * sum(self.values) - 1.0) > 1e-8:
-            raise ProfileMismatch(
-                f"m * sum(values) = {self.m * sum(self.values)!r}, expected 1"
-            )
 
 
 def from_coefficients(A, tol: float = NORM_TOL, renormalize: bool = False) -> PureState:
@@ -95,14 +91,17 @@ def from_coefficients(A, tol: float = NORM_TOL, renormalize: bool = False) -> Pu
     DimensionMismatch
         Not a square matrix with N >= 2.
     NonFinite
-        NaN or infinite entries.
+        NaN or infinite entries, or entries so large that the norm overflows.
     """
     M = np.asarray(A, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 2:
         raise DimensionMismatch(f"need a square N x N matrix with N >= 2, got {M.shape}")
     if not np.isfinite(M).all():
         raise NonFinite("coefficient matrix has NaN or infinite entries")
-    norm = float(np.linalg.norm(M))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
+    if norm == np.inf:
+        raise NonFinite("the norm of the coefficient matrix overflows")
     if norm < 1e-12:
         raise ZeroState("coefficient matrix has vanishing norm")
     if abs(norm - 1.0) > tol and not renormalize:
@@ -188,8 +187,9 @@ def profile_from_values(
     """Match a descending nonnegative spectrum against an (m, n) profile.
 
     The values are split into clusters whenever the relative gap exceeds
-    ``tol``; values below ``tol`` count as zero.  The profile matches when
-    there are exactly n clusters of size m.
+    ``tol``; values below ``tol`` count as zero, and only the whole
+    spectrum must sum to 1 (within 1e-8).  The profile matches when there
+    are exactly n clusters of size m.
 
     With ``allow_coincident`` set, clusters whose size is a multiple of m
     may stand in for several coincident distinct values (a cluster of size
@@ -204,6 +204,8 @@ def profile_from_values(
     if m < 1 or n < 1:
         raise ProfileMismatch(f"need m, n >= 1, got m={m} n={n}")
     lam = np.asarray(spectrum, dtype=float)
+    if abs(lam.sum() - 1.0) > 1e-8:
+        raise ProfileMismatch(f"spectrum sums to {float(lam.sum())!r}, expected 1")
     nonzero = lam[lam >= tol]
     clusters = _cluster(nonzero, tol)
     sizes = [len(c) for c in clusters]
@@ -235,25 +237,17 @@ def _profile_values(lam, m: int, n: int):
         raise
 
 
-def spectrum_profile(
-    psi: PureState,
-    m: int,
-    n: int,
-    tol: float = CLUSTER_TOL,
-    allow_coincident: bool = False,
-) -> SpectrumProfile:
+def spectrum_profile(psi: PureState, m: int, n: int, allow_coincident: bool = False) -> SpectrumProfile:
     """Match the reduced-density spectrum of a state against an (m, n) profile.
 
-    See ``profile_from_values`` for the clustering and coincidence rules.
+    See ``profile_from_values`` for the rules; clusters split at CLUSTER_TOL.
     """
     if m < 1 or n < 1 or m * n > psi.dim:
         raise ProfileMismatch(f"need m, n >= 1 and m*n <= N, got m={m} n={n} N={psi.dim}")
-    return profile_from_values(schmidt_spectrum(psi), m, n, tol, allow_coincident)
+    return profile_from_values(schmidt_spectrum(psi), m, n, CLUSTER_TOL, allow_coincident)
 
 
-def generalized_concurrence_D(
-    psi: PureState, m: int, n: int, tol: float = CLUSTER_TOL
-) -> float:
+def generalized_concurrence_D(psi: PureState, m: int, n: int) -> float:
     """Generalized concurrence D = m*n*sqrt(product of the n distinct values).
 
     The (m, n) profile is matched with the coincident-cluster override so
@@ -261,13 +255,11 @@ def generalized_concurrence_D(
     family, for instance) are still accepted.  The value is returned raw;
     callers that care can flag D outside [0, 1].
     """
-    return concurrence_of_values(spectrum_profile(psi, m, n, tol, allow_coincident=True).values, m)
+    return concurrence_of_values(spectrum_profile(psi, m, n, allow_coincident=True).values, m)
 
 
-def psi_condition_iii(
-    psi: PureState, m: int, n: int, tol: float = 1e-8
-) -> bool:
-    """Check D = (mn/sqrt 2) * sqrt(I0^2 - I1) within ``tol``.
+def psi_condition_iii(psi: PureState, m: int, n: int) -> bool:
+    """Check D = (mn/sqrt 2) * sqrt(I0^2 - I1) within 1e-8.
 
     This ties the spectral product definition of D to the quadratic
     invariants; it holds automatically for any state with exactly two
@@ -276,4 +268,4 @@ def psi_condition_iii(
     d = generalized_concurrence_D(psi, m, n)
     i0, i1 = local_invariants(psi)
     rhs = (m * n / np.sqrt(2.0)) * np.sqrt(max(i0 * i0 - i1, 0.0))
-    return bool(abs(d - rhs) <= tol)
+    return bool(abs(d - rhs) <= 1e-8)

@@ -47,7 +47,8 @@ class AverageD:
     fails the profile at relative tolerance PROFILE_TOL = 1e-6
     (coincident-cluster rule applied) are nonconforming:
     ``average_objective`` raises ProfileMismatch and the search scores
-    them +inf.  For m = 1, a member with fewer than n Schmidt values at or
+    them +inf.  Schmidt values below PROFILE_TOL are left out of the
+    match.  For m = 1, a member with fewer than n Schmidt values at or
     above PROFILE_TOL is not a mismatch: it scores the continuous limit
     n sqrt(lambda_1 ... lambda_n) of its top n values, which is 0 for a
     product state.

@@ -37,7 +37,8 @@ start's first step scans one period of its geodesic, and a converged
 point is probed along every two-row rotation, so that saddles such as
 the eigendecomposition of a symmetric state are left behind.  The points
 of a scan or a probe are fixed in advance and scored in one kernel call
-(``Descent.values``); gradients are computed only at the points kept.
+(``Descent.values``); each scored point keeps its gradient, so no
+decomposition is scored twice.  ``_rotate`` forms every exp(-eta H) Q.
 
 Imports run one way: this module imports nothing from ``roofopt``, whose
 ``member_kernel`` picks the kernel and imports this module on the first
@@ -82,16 +83,24 @@ BALL_SWEEPS = 100
 
 def _minors(W: np.ndarray, N: int) -> np.ndarray:
     """All 2x2 minors of each row's coefficient matrix, (t, K), in canonical index order."""
-    X = W[:, _support_table(N)]
+    return _minors_of(W[:, _support_table(N)])
+
+
+def _minors_of(X: np.ndarray) -> np.ndarray:
+    """The minors X0 X1 - X2 X3 of rows gathered at the indices' rows J, (t, K, 4) -> (t, K)."""
     return X[..., 0] * X[..., 1] - X[..., 2] * X[..., 3]
 
 
-def _minor_jacobian(W: np.ndarray, N: int) -> np.ndarray:
-    """d minor_x / dw = S_x w of each row, (t, K, N^2); S_x w is nonzero only at the rows J_x."""
+def _minor_jacobian(W: np.ndarray, N: int):
+    """The minors (t, K) of each row and their Jacobian d minor_x / dw = S_x w, (t, K, N^2), from one gather.
+
+    S_x w is nonzero only at the rows J_x.
+    """
     T = _support_table(N)
+    X = W[:, T]
     J = np.zeros((len(W), len(T), N * N), dtype=complex)
-    J[:, np.arange(len(T))[:, None], T] = W[:, T] @ _S4
-    return J
+    J[:, np.arange(len(T))[:, None], T] = X @ _S4
+    return _minors_of(X), J
 
 
 def _gram(W: np.ndarray, N: int):
@@ -119,10 +128,10 @@ def d12_members(W: np.ndarray, N: int):
     X = (p I - M) / ||minors|| but stays bounded as a member nears a
     product state, where the minors are mostly rounding.
     """
-    y = _minors(W, N)
+    y, J = _minor_jacobian(W, N)
     norms = np.linalg.norm(y, axis=1)
     u = y / np.where(norms > 0.0, norms, 1.0)[:, None]
-    return 2.0 * norms, 2.0 * np.einsum("kx,kxi->ki", u, _minor_jacobian(W, N).conj())
+    return 2.0 * norms, 2.0 * np.einsum("kx,kxi->ki", u, J.conj())
 
 
 def profile_members(W: np.ndarray, N: int, m: int, n: int):
@@ -194,7 +203,7 @@ class Descent:
     """Objective, gradient and kink rule (for the kernel ``d12_members``) of one problem at an isometry Q.
 
     ``evaluations`` counts the decompositions scored so far, one per
-    ``value`` call and one per isometry of a ``values`` stack.
+    isometry that reaches the kernel.
     """
 
     def __init__(self, V: np.ndarray, N: int, kernel):
@@ -202,17 +211,17 @@ class Descent:
         self.exact = kernel is d12_members
         self.evaluations = 0
 
-    def value(self, Q: np.ndarray):
-        self.evaluations += 1
-        vals, G = self.kernel(Q.conj() @ self.V, self.N)
-        return math.fsum(vals.tolist()), G
-
-    def values(self, Qs: np.ndarray) -> list[float]:
-        """The objective ``value`` of each isometry of a stack (c, t, r), from one kernel call."""
+    def values(self, Qs: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """Objective values and member gradients (c, t, N^2) of a stack of isometries (c, t, r), from one kernel call."""
         c, t, _ = Qs.shape
         self.evaluations += c
-        vals, _ = self.kernel((Qs.conj() @ self.V).reshape(c * t, -1), self.N)
-        return [math.fsum(row) for row in vals.reshape(c, t).tolist()]
+        vals, G = self.kernel(Qs.reshape(c * t, -1).conj() @ self.V, self.N)
+        return list(map(math.fsum, vals.reshape(c, t).tolist())), G.reshape(c, t, -1)
+
+    def value(self, Q: np.ndarray) -> tuple[float, np.ndarray]:
+        """``values`` of the one isometry Q: its objective value and member gradients (t, N^2)."""
+        F, G = self.values(Q[None])
+        return F[0], G[0]
 
     def omega(self, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
         """Skew-Hermitian Omega = E Q^H - Q E^H for the Euclidean gradient E = conj(G) V^T at Q."""
@@ -249,7 +258,7 @@ class Descent:
     def _changes(self, Q: np.ndarray, W: np.ndarray, members: list[int]):
         """(d minors_k, d p_k) along dQ = -B Q for every basis element B, per member: (t^2, K), (t^2,)."""
         basis = _skew_basis(Q.shape[0])
-        J = _minor_jacobian(W[members], self.N)
+        J = _minor_jacobian(W[members], self.N)[1]
         for k, Jk in zip(members, J):
             dw = (-(basis[:, k, :] @ Q)).conj() @ self.V
             yield dw @ Jk.T, (dw @ W[k].conj()).real
@@ -268,7 +277,7 @@ class Descent:
         rhs = [np.concatenate([-y.real, -y.imag, [0.0]]) for y in _minors(W[members], self.N)]
         coef = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=SNAP_RCOND)[0]
         theta, U = np.linalg.eigh(1j * np.tensordot(coef, _skew_basis(Q.shape[0]), 1))
-        return (U * np.exp(1j * theta)) @ (U.conj().T @ Q)
+        return _rotate(theta, U, U.conj().T @ Q, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -366,12 +375,11 @@ def _probe(problem: Descent, Q, F0: float):
     if not stacks:
         return None
     Qs = np.concatenate(stacks)
-    scores = problem.values(Qs)
+    scores, G = problem.values(Qs)
     j = min(range(len(scores)), key=scores.__getitem__)  # ties go to the first
     if not scores[j] < F0 - FLAT * abs(F0):
         return None
-    F, G = problem.value(Qs[j])
-    return Qs[j], F, G
+    return Qs[j], scores[j], G[j]
 
 
 @lru_cache(maxsize=None)
@@ -380,15 +388,19 @@ def _pair_rotations(t: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return [np.linalg.eigh(1j * B) for B in _skew_basis(t) if not B.diagonal().any()]
 
 
-def _rotate(theta: np.ndarray, U: np.ndarray, UhQ: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """The stack exp(-eta H) Q over etas, (c, t, r), for eigh(i H) = (theta, U) and UhQ = U^H Q."""
-    return (U * np.exp(1j * np.multiply.outer(etas, theta))[:, None, :]) @ UhQ
+def _rotate(theta: np.ndarray, U: np.ndarray, UhQ: np.ndarray, eta) -> np.ndarray:
+    """exp(-eta H) Q for eigh(i H) = (theta, U) and UhQ = U^H Q: (t, r) for a float eta, (c, t, r) for a 1-D array."""
+    if isinstance(eta, np.ndarray):
+        eta = eta[:, None, None]
+    return (U * np.exp(1j * eta * theta)) @ UhQ
 
 
-def _scan(problem: Descent, theta, U, UhQ, etas: np.ndarray, F0: float) -> int:
-    """Index j of the lowest of F0 = F(Q) and F(exp(-etas[j] H) Q), j >= 1, scored in one kernel call."""
-    scores = [F0] + problem.values(_rotate(theta, U, UhQ, etas[1:]))
-    return min(range(len(scores)), key=scores.__getitem__)
+def _scan(problem: Descent, theta, U, UhQ, etas: np.ndarray, F0: float):
+    """(j, Qs, scores, G): the lowest j of scores = [F(Q) = F0] + F(Qs), Qs = exp(-etas[1:] H) Q, and Qs's gradients."""
+    Qs = _rotate(theta, U, UhQ, etas[1:])
+    scores, G = problem.values(Qs)
+    scores = [F0] + scores
+    return min(range(len(scores)), key=scores.__getitem__), Qs, scores, G
 
 
 def _cubic_step(a, fa, da, b, fb, db) -> float:
@@ -429,11 +441,13 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     cap = math.pi / top
     UhQ = U.conj().T @ Q
 
-    def at(eta):
-        Qn = (U * np.exp(1j * eta * theta)) @ UhQ
-        Fn, Gn = problem.value(Qn)
+    def point(eta, Qn, Fn, Gn):
         d = -0.5 * _inner(H, problem.omega(Qn, Gn)) if math.isfinite(Fn) else math.nan
         return eta, Qn, Fn, Gn, d
+
+    def at(eta):
+        Qn = _rotate(theta, U, UhQ, eta)
+        return point(eta, Qn, *problem.value(Qn))
 
     noise = FLAT * abs(F0)
 
@@ -465,12 +479,12 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     prev = (0.0, Q, F0, None, -slope)
     if guess is None:
         etas = 2.0 * cap * np.arange(SCAN) / SCAN
-        j = _scan(problem, theta, U, UhQ, etas, F0)
+        j, Qs, scores, G = _scan(problem, theta, U, UhQ, etas, F0)
         grid = {0: prev}
 
         def node(i):
             if i not in grid:
-                grid[i] = at(etas[i])
+                grid[i] = point(etas[i], Qs[i - 1], scores[i], G[i - 1])
             return grid[i]
 
         pt = node(j)

@@ -25,51 +25,42 @@ def generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return generator(int(rng))
-
-
-def haar_isometry(t: int, r: int, rng) -> np.ndarray:
+def haar_isometry(t: int, r: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed t x r isometry (orthonormal columns), t >= r >= 1.
 
-    Complex standard-normal matrix, QR orthonormalization, then the R
-    diagonal's phases are absorbed into Q to remove the QR gauge.  ``rng``
-    is a Generator or an integer seed.
+    Complex standard-normal matrix drawn from the Generator ``rng``, QR
+    orthonormalization, then the R diagonal's phases are absorbed into Q
+    to remove the QR gauge.
     """
     if not (1 <= r <= t):
         raise OutOfRange(f"need t >= r >= 1, got t={t} r={r}")
-    g = _as_generator(rng)
-    A = g.standard_normal((t, r)) + 1j * g.standard_normal((t, r))
+    A = rng.standard_normal((t, r)) + 1j * rng.standard_normal((t, r))
     Q, R = np.linalg.qr(A)
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
 
 
-def haar_unitary(N: int, rng) -> np.ndarray:
-    """Haar-distributed N x N unitary: the square case of ``haar_isometry``."""
+def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed N x N unitary drawn from ``rng``: the square case of ``haar_isometry``."""
     return haar_isometry(N, N, rng)
 
 
-def random_pure(N: int, rng) -> PureState:
-    """Random pure state on the N x N space, uniform under the Haar measure."""
+def random_pure(N: int, rng: np.random.Generator) -> PureState:
+    """Random pure state on the N x N space drawn from ``rng``, uniform under the Haar measure."""
     if N < 2:
         raise OutOfRange(f"need N >= 2, got {N}")
-    g = _as_generator(rng)
-    A = g.standard_normal((N, N)) + 1j * g.standard_normal((N, N))
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     return from_coefficients(A, renormalize=True)
 
 
-def random_form_a_state(rng) -> PureState:
-    """Random N = 3 pure state whose coefficient rows 2 and 3 coincide.
+def random_form_a_state(rng: np.random.Generator) -> PureState:
+    """Random N = 3 pure state drawn from ``rng`` whose coefficient rows 2 and 3 coincide.
 
     The reduced density then has a kernel along (0, 1, -1)/sqrt(2) and two
     nonzero eigenvalues almost surely, so the state sits in the worked
     family with profile (m=1, n=2).
     """
-    g = _as_generator(rng)
-    rows = g.standard_normal((2, 3)) + 1j * g.standard_normal((2, 3))
+    rows = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     A = np.vstack([rows[0], rows[1], rows[1]])
     return from_coefficients(A, renormalize=True)
 

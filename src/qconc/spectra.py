@@ -171,18 +171,17 @@ def _central2(f, t: float, h: float) -> float:
     return (4.0 * d(h / 2.0) - d(h)) / 3.0
 
 
-def _derivatives(family: EigFamily, point, step: float | None):
+def _derivatives(family: EigFamily, point):
     """First and second derivatives of lambda_i with respect to D at a point.
 
     Returns (lam, dlam_dD, d2lam_dD2, dD_dt).  All t-derivatives use
-    Richardson-extrapolated central differences with step h, chained into
-    D-derivatives via dD/dt; |dD/dt| below 1e-12 is a degenerate point
-    (an extremum of D along the curve).
+    Richardson-extrapolated central differences with step BASE_STEP times
+    the domain width (at most half the way to its ends), chained into
+    D-derivatives via dD/dt; |dD/dt| below 1e-12 is a degenerate point.
     """
     t = family.parameter(point)
     lo, hi = family.domain()
-    h = step if step is not None else BASE_STEP * (hi - lo)
-    h = min(h, 0.5 * (t - lo), 0.5 * (hi - t))
+    h = min(BASE_STEP * (hi - lo), 0.5 * (t - lo), 0.5 * (hi - t))
     if h <= 0.0:
         raise OutOfRange(f"no room for a finite-difference stencil at {point}")
 
@@ -192,43 +191,42 @@ def _derivatives(family: EigFamily, point, step: float | None):
         raise DegeneratePoint(f"dD/dt = {dD:.2e} at {point}; D is stationary here")
     d2D = _central2(family.concurrence, t, h)
 
-    idx = range(lam.size)
-    dlam_dt = np.array([_central1(lambda s, i=i: family.values(s)[i], t, h) for i in idx])
-    d2lam_dt = np.array([_central2(lambda s, i=i: family.values(s)[i], t, h) for i in idx])
+    dlam_dt = _central1(family.values, t, h)
+    d2lam_dt = _central2(family.values, t, h)
 
     dlam_dD = dlam_dt / dD
     d2lam_dD2 = d2lam_dt / dD**2 - dlam_dt * d2D / dD**3
     return lam, dlam_dD, d2lam_dD2, dD
 
 
-def lemma_value(family: EigFamily, point: tuple[float, float], step: float | None = None) -> float:
+def lemma_value(family: EigFamily, point: tuple[float, float]) -> float:
     """Monotonicity indicator sum_i (dlambda_i/dD) log2(lambda_i).
 
     A strictly negative value (margin 1e-9) certifies that entanglement is
     increasing in D along the family; values in (-1e-9, 0) are inconclusive.
     """
-    lam, dlam_dD, _, _ = _derivatives(family, point, step)
+    lam, dlam_dD, _, _ = _derivatives(family, point)
     return float(np.sum(dlam_dD * np.log2(lam)))
 
 
-def dE_dD(family: EigFamily, point: tuple[float, float], step: float | None = None) -> float:
+def dE_dD(family: EigFamily, point: tuple[float, float]) -> float:
     """Derivative of entanglement with respect to D along the family.
 
     Equals -m * sum_i log2(lambda_i) dlambda_i/dD, which is positive exactly
     when lemma_value is negative.
     """
-    lam, dlam_dD, _, _ = _derivatives(family, point, step)
+    lam, dlam_dD, _, _ = _derivatives(family, point)
     return float(-family.m * np.sum(np.log2(lam) * dlam_dD))
 
 
-def convexity_value(family: EigFamily, point: tuple[float, float], step: float | None = None) -> float:
+def convexity_value(family: EigFamily, point: tuple[float, float]) -> float:
     """Convexity indicator for entanglement as a function of D.
 
     Evaluates sum_i [ (1/lambda_i)(dlambda_i/dD)^2 + (d^2lambda_i/dD^2) ln lambda_i ],
     which is -(ln 2 / m) times the second derivative of entanglement in D;
     E is convex in D exactly when this is negative.
     """
-    lam, dlam_dD, d2lam_dD2, _ = _derivatives(family, point, step)
+    lam, dlam_dD, d2lam_dD2, _ = _derivatives(family, point)
     return float(np.sum(dlam_dD**2 / lam + d2lam_dD2 * np.log(lam)))
 
 

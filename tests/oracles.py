@@ -143,3 +143,21 @@ def scan_loop(value, Q, H, scan):
     UhQ = U.conj().T @ Q
     grid = [value(Q)] + [value((U * np.exp(1j * (2.0 * cap * j / scan) * theta)) @ UhQ) for j in range(1, scan)]
     return min(range(scan), key=grid.__getitem__)
+
+
+def ball_lsq_projected(a, blocks, iterations=5000):
+    """argmin ||a + sum_g B_g x_g|| subject to ||x_g|| <= 1, by projected gradient descent.
+
+    All blocks move at once with step 1 / ||[B_1 ... B_g]||_2^2, and each
+    block is then scaled back onto its unit ball; no SVD of a block and no
+    secular equation.  Converges linearly when the stacked blocks have full
+    column rank.
+    """
+    B = np.hstack(blocks)
+    cuts = np.cumsum([b.shape[1] for b in blocks])[:-1]
+    step = 1.0 / np.linalg.norm(B, 2) ** 2
+    x = np.zeros(B.shape[1])
+    for _ in range(iterations):
+        x = x - step * (B.T @ (a + B @ x))
+        x = np.concatenate([part / max(1.0, np.linalg.norm(part)) for part in np.split(x, cuts)])
+    return np.split(x, cuts)

@@ -1,11 +1,18 @@
 """End-to-end tests for the qconc command line."""
+import io
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qconc import (
     DensityMatrix,
@@ -20,6 +27,8 @@ from qconc.errors import ParseError, BadTrace, ValidationError
 from qconc.purestate import PureState
 from qconc.report import report_from_json, report_to_json
 from qconc.spectra import eof_of_d
+
+from conftest import random_density
 
 BELL_FILE = "fixtures/bell.json"
 WERNER_FILE = "fixtures/werner_p05.json"
@@ -164,6 +173,35 @@ def test_invariance_command_pure():
     report, _ = dispatch(["invariance", BELL_FILE, "--trials", "5"])
     assert report.results["max_dev_eof"] < 1e-9
     assert report.results["max_dev_cn"] < 1e-9
+
+
+def test_invariance_command_density_at_two_qubits():
+    """At N = 2 the bound is invariant under local unitaries: the drift is rounding."""
+    report, code = dispatch(["invariance", WERNER_FILE, "--trials", "5"])
+    assert code == 0 and report.flags["kind"] == "density"
+    assert (report.results["m"], report.results["n"], report.results["trials"]) == (1, 2, 5)
+    assert report.results["max_dev_D_bound"] < 1e-8
+
+
+def test_concurrence_command_cn():
+    report, code = dispatch(["concurrence", BELL_FILE, "--which", "cn"])
+    assert code == 0
+    assert abs(report.results["cn"] - 1.0) < 1e-12
+
+
+def test_roof_whose_every_start_scores_infinity(tmp_path, capsys):
+    """A generic N = 3 rank-2 mixture: every decomposition has a Schmidt-rank-3 member.
+
+    No start can take a step, so the search reports +inf after 0
+    iterations, unconverged, and the report carries Infinity.
+    """
+    path = tmp_path / "generic.json"
+    path.write_text(dumps_state(random_density(3, 2, 109)))
+    assert main(["roof", str(path), "--objective", "D", "--m", "1", "--n", "2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["value"] == math.inf
+    assert report["results"]["iterations"] == 0
+    assert report["flags"]["converged"] is False
 
 
 def test_report_json_is_byte_stable():
@@ -343,3 +381,93 @@ def test_cli_import_does_not_load_scipy():
     """Neither scipy nor the roof search is loaded until a search runs."""
     code = "import qconc.cli, sys; assert 'scipy' not in sys.modules; assert 'qconc.roofsearch' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "source,entries,message",
+    [
+        (WERNER_FILE, {(0, 0): 1e308}, "trace"),
+        (WERNER_FILE, {(0, 1): 1e300, (1, 0): 1e300}, "minimum eigenvalue"),
+        (WERNER_FILE, {(0, 1): 1e300}, "not Hermitian"),
+        (BELL_FILE, {(0, 0): 7e299, (1, 1): 7e299}, "overflows"),
+    ],
+)
+def test_main_rejects_huge_entries_without_overflow(tmp_path, capsys, source, entries, message):
+    """Entries near the float range exit 1 with the violated property, and raise no overflow warning."""
+    with open(source, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    for (i, j), value in entries.items():
+        obj["data"][i][j][0] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
+
+
+def test_bench_modules_still_import():
+    """The benchmark's modules import against this tree: every name they take from qconc exists."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = "import sys; sys.path[:0] = sys.argv[1:]; import workloads, probe"
+    subprocess.run([sys.executable, "-c", code, os.path.join(root, "src"), os.path.join(root, "bench")],
+                   check=True, timeout=120, cwd=root)
+
+
+_FIXTURES = (BELL_FILE, WERNER_FILE, FORM_A_FILE)
+_BAD_ENTRIES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, 1e-320, "0.5", None, [], [1.0, 2.0, 3.0])
+
+
+@st.composite
+def _mutated_state_files(draw):
+    """(state-file object, argv after the file) for a fixture with one mutation."""
+    with open(draw(st.sampled_from(_FIXTURES)), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    data = obj["data"]
+    size = len(data)
+    i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+    mutation = draw(st.sampled_from(("entry", "ragged", "dim", "kind", "hermitian", "psd", "scale")))
+    if mutation == "entry":
+        data[i][j][draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD_ENTRIES))
+    elif mutation == "ragged":
+        if draw(st.booleans()):
+            data[i].pop()
+        else:
+            data[i].append([0.0, 0.0])
+    elif mutation == "dim":
+        obj["dim"] = draw(st.sampled_from((0, 1, -2, 3, 4, 2.0, "2", None, True, 10**6)))
+    elif mutation == "kind":
+        obj["kind"] = draw(st.sampled_from(("density", "pure", "mixed", "", 3, None)))
+    elif mutation == "hermitian":
+        data[i][j][draw(st.integers(0, 1))] += draw(st.floats(1e-14, 1.0))
+    elif mutation == "psd":
+        eps = draw(st.floats(1e-14, 1.0))
+        data[i][i][0] -= eps
+        data[j][j][0] += eps
+    else:
+        factor = draw(st.sampled_from((0.0, -1.0, 1e-300, 1e300, 2.0, 1.0 + 1e-9)))
+        obj["data"] = [[[factor * x for x in z] for z in row] for row in data]
+    command = draw(st.sampled_from(("check", "bound", "concurrence", "eof-pure")))
+    extra = {
+        "bound": ["--m", "1", "--n", "2", "--eof"],
+        "concurrence": ["--which", draw(st.sampled_from(("c2", "cn", "D"))), "--m", "1", "--n", "2"],
+    }.get(command, [])
+    return obj, [command] + extra + (["--json"] if draw(st.booleans()) else [])
+
+
+@given(case=_mutated_state_files())
+def test_cli_exit_contract_on_mutated_state_files(case):
+    """Exit 0, 1 or 2; a failure prints one "error:" line; never a traceback or a warning."""
+    obj, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv[:1] + [path] + argv[1:])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error:"), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]

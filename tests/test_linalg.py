@@ -1,6 +1,9 @@
 """Tests for the dense linear-algebra helpers."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qconc import hermitian_eig, sqrt_psd, takagi
 from qconc.errors import NotHermitian, NotPSD, NotSymmetric
@@ -129,3 +132,30 @@ def test_takagi_factorization_fuzz():
         np.testing.assert_allclose(u @ t @ u.T, np.diag(vals), atol=1e-9)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(n), atol=1e-10)
         np.testing.assert_allclose(vals, np.linalg.svd(t, compute_uv=False), atol=1e-10)
+
+
+@given(
+    n=st.integers(1, 6),
+    entries=arrays(np.float64, (2, 6, 6), elements=st.floats(-1.0, 1.0)),
+    planted=st.lists(st.sampled_from([0.0, 1e-14, 1e-12, 1e-9, 1e-6]), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_takagi_contract(n, entries, planted, seed):
+    """s descending and equal to the singular values, U unitary, U T U^T = diag(s).
+
+    T is either drawn entry by entry and symmetrized, or W diag(s) W^T for
+    a Haar unitary W with some values planted small (down to exact zeros).
+    """
+    if planted:
+        s = np.concatenate([planted, generator(seed).random(n) + 0.1])[:n]
+        W = haar_unitary(n, generator(seed, 1))
+        T = W @ np.diag(s) @ W.T
+        T = 0.5 * (T + T.T)
+    else:
+        G = entries[0, :n, :n] + 1j * entries[1, :n, :n]
+        T = G + G.T
+    U, s = takagi(T)
+    assert np.all(np.diff(s) <= 0.0)
+    np.testing.assert_allclose(s, np.linalg.svd(T, compute_uv=False), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(U @ U.conj().T, np.eye(n), rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(U @ T @ U.T, np.diag(s), rtol=0.0, atol=1e-10)

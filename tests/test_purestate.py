@@ -23,7 +23,9 @@ from qconc.errors import (
     ProfileMismatch,
     ZeroState,
 )
-from qconc.purestate import profile_from_values
+from qconc.mixed import Decomposition
+from qconc.purestate import _profile_values, profile_from_values
+from qconc.roofopt import AverageD, average_objective
 from qconc.sampling import generator, haar_unitary, random_form_a_state, random_pure
 
 BELL = from_coefficients(np.eye(2) / np.sqrt(2))
@@ -180,6 +182,22 @@ def test_spectrum_profile_rejects_wrong_multiplicity():
 def test_profile_from_values_reports_cluster_sizes():
     with pytest.raises(ProfileMismatch, match="cluster"):
         profile_from_values(np.array([0.5, 0.3, 0.2]), 3, 1)
+
+
+def test_values_below_the_profile_tolerance_do_not_break_the_match():
+    """A Schmidt value below PROFILE_TOL is left out of the match without counting against it.
+
+    Only more than n values at or above the tolerance, or a spectrum that
+    does not sum to 1, is a mismatch.
+    """
+    for t in (5e-8, 5e-7):
+        assert _profile_values(np.array([0.6, 0.4 - t, t]), 1, 2) == (0.6, 0.4 - t)
+        psi = from_coefficients(np.diag(np.sqrt([0.6, 0.4 - t, t])))
+        value = average_objective(Decomposition(((1.0, psi),)), AverageD(1, 2))
+        assert value == pytest.approx(2.0 * math.sqrt(0.6 * (0.4 - t)), abs=1e-12)
+    for spectrum in ([0.6, 0.4 - 2e-6, 2e-6], [0.5, 0.3]):
+        with pytest.raises(ProfileMismatch):
+            _profile_values(np.array(spectrum), 1, 2)
 
 
 def test_generalized_concurrence_form_a_endpoint():

@@ -37,11 +37,12 @@ from qconc.roofopt import (
 )
 from qconc import roofsearch
 from qconc.roofsearch import SCAN, Descent, _minors, _pair_rotations, _probe, _rotate, _scan, d12_members, search
+from qconc.roofsearch import _ball_lsq, e_members
 from qconc.sampling import generator, haar_isometry, haar_unitary, random_form_a_state, random_pure
 from qconc.spectra import eof_of_d
 
 from conftest import random_density
-from oracles import probe_loop, roof_member, scan_loop
+from oracles import ball_lsq_projected, probe_loop, roof_member, scan_loop
 
 BELL = from_coefficients(np.eye(2) / np.sqrt(2))
 
@@ -467,7 +468,7 @@ def test_batched_scores_match_one_value_call_per_candidate():
             stack = np.concatenate([Q[None] for Q in isos] + [
                 _rotate(theta, U, U.conj().T @ Q, np.linspace(0.1, 4.0, 5))
                 for Q in isos for theta, U in _pair_rotations(t)])
-            batched = problem.values(stack)
+            batched, _ = problem.values(stack)
             single = [problem.value(q)[0] for q in stack]
             infinite += sum(math.isinf(x) for x in single)
             for got, want in zip(batched, single):
@@ -495,7 +496,7 @@ def test_batched_scan_and_probe_pick_the_loop_winner():
                 H = problem.gradient(Q, G)[0]
                 theta, U = np.linalg.eigh(1j * H)
                 etas = 2.0 * (math.pi / float(np.max(np.abs(theta)))) * np.arange(SCAN) / SCAN
-                assert _scan(problem, theta, U, U.conj().T @ Q, etas, F) == scan_loop(value, Q, H, SCAN)
+                assert _scan(problem, theta, U, U.conj().T @ Q, etas, F)[0] == scan_loop(value, Q, H, SCAN)
                 want_F, want_Q = probe_loop(value, Q, SCAN)
                 got_Q, got_F, _ = _probe(problem, Q, np.finfo(float).max)
                 assert got_F == want_F, (k, objective)
@@ -511,3 +512,52 @@ def test_bench_corpus_roofs_converge_at_the_criterion_settings():
                 RoofProblem(target=rho, objective=objective, t_max=rank, restarts=2, tol=1e-7, max_sweeps=30)
             )
             assert result.converged, (k, objective)
+
+
+def test_no_isometry_reaches_the_kernel_twice(monkeypatch):
+    """Over the benchmark corpus's D and E roofs, each scored decomposition is scored once.
+
+    A scanned point that the line search brackets on, and the probe's
+    winner, carry the gradients of the batch that scored them.
+    """
+    seen, repeats = set(), []
+
+    def once(kernel, t):
+        def wrapped(W, N):
+            for rows in np.split(W, len(W) // t):
+                key = rows.tobytes()
+                (repeats.append if key in seen else seen.add)(key)
+            return kernel(W, N)
+        return wrapped
+
+    for k in range(5):
+        rank = 2 + k % 2
+        rho = random_form_a_mixture(rank, 104, k)
+        for objective in (AverageD(1, 2), AverageE()):
+            seen.clear()
+            monkeypatch.setattr(roofsearch, "d12_members", once(d12_members, rank))
+            monkeypatch.setattr(roofsearch, "e_members", once(e_members, rank))
+            minimize_roof(RoofProblem(target=rho, objective=objective, t_max=rank, restarts=2, tol=1e-7, max_sweeps=30))
+            monkeypatch.undo()
+            assert seen, (k, objective)
+    assert not repeats, f"{len(repeats)} isometries scored twice"
+
+
+def test_ball_lsq_with_an_active_ball_matches_projected_gradient():
+    """The kink rule's block solve where the unconstrained minimizer leaves the unit ball.
+
+    One block and three blocks, tall so that the minimizer is unique; the
+    secular-equation Newton step runs in every block solve that hits the ball.
+    """
+    rng = generator(110)
+    for count in (1, 3):
+        for _ in range(5):
+            blocks = [rng.standard_normal((16, 4)) for _ in range(count)]
+            a = 10.0 * rng.standard_normal(16)
+            assert np.linalg.norm(np.linalg.lstsq(np.hstack(blocks), -a, rcond=None)[0]) > 1.0
+            got = _ball_lsq(a, blocks)
+            want = ball_lsq_projected(a, blocks)
+            assert all(np.linalg.norm(x) <= 1.0 + 1e-12 for x in got)
+            assert any(abs(np.linalg.norm(x) - 1.0) <= 1e-12 for x in got)
+            for x, y in zip(got, want):
+                np.testing.assert_allclose(x, y, rtol=0.0, atol=1e-9)
