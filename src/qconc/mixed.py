@@ -165,16 +165,9 @@ def validate_density(M, N: int) -> DensityMatrix:
     return DensityMatrix(N, 0.5 * (A + A.conj().T))
 
 
-def _projector(psi: PureState) -> np.ndarray:
-    """|z><z| for the normalized vector z of psi."""
-    z = psi.vector()
-    z = z / np.linalg.norm(z)
-    return np.outer(z, z.conj())
-
-
 def pure_density(psi: PureState) -> DensityMatrix:
-    """Rank-one density matrix of a pure state."""
-    return DensityMatrix(psi.dim, _projector(psi))
+    """Rank-one density matrix of a pure state, ``mix_pure_states([1.0], [psi])`` bit for bit."""
+    return mix_pure_states([1.0], [psi])
 
 
 def mix_pure_states(weights, states) -> DensityMatrix:
@@ -186,7 +179,9 @@ def mix_pure_states(weights, states) -> DensityMatrix:
     dim = states[0].dim
     rho = np.zeros((dim * dim, dim * dim), dtype=complex)
     for wk, psi in zip(w, states):
-        rho += wk * _projector(psi)
+        z = psi.vector()
+        z = z / np.linalg.norm(z)
+        rho += wk * np.outer(z, z.conj())
     return DensityMatrix(dim, 0.5 * (rho + rho.conj().T))
 
 

@@ -145,10 +145,14 @@ def _pure_measure(objective):
 
 
 def member_kernel(objective, V: np.ndarray, N: int):
-    """The search's kernel, rows W (t, N^2) -> member values and gradients, for eigenvector rows V.
+    """The search's member kernel for eigenvector rows V; ``roofsearch.Descent(V, N, kernel)`` runs it.
 
-    AverageD(1, 2) takes the minor route ``roofsearch.d12_members`` when
-    every member has Schmidt rank <= 2: N = 2, or rows V of the rows-2=3 class.
+    Through ``Descent.members`` every kernel maps conjugated isometry rows
+    conj(Q) (n, r) to the member values and their r-space gradients
+    E = conj(G) V^T (n, r).  AverageD(1, 2) takes the minor route
+    ``roofsearch.d12_members``, which reads the bound's r x r tau cores,
+    when every member has Schmidt rank <= 2: N = 2, or rows V of the
+    rows-2=3 class.  The E and profile kernels act on the rows conj(Q) V.
     """
     # Imported on first use, so that processes which never search never compile it.
     from .roofsearch import d12_members, e_members, profile_members

@@ -9,22 +9,28 @@ Rothlisberger et al. (PRA 79, 042301, 2009).  Steps are
 Q <- exp(-eta H) Q along a skew-Hermitian direction H, the exponential
 taken through ``eigh`` of iH; the step length comes from a strong-Wolfe
 line search (Armijo decrease, curvature test, cubic interpolation).  The
-Riemannian gradient is Omega = E Q^H - Q E^H with E = conj(G) V^T
-assembled from the members' Euclidean gradients G_k.
+Riemannian gradient is Omega = B - B^H with B = E Q^H, where row k of
+E = conj(G) V^T is member k's Euclidean gradient with respect to conj(Q_k).
 
-One batched kernel per objective returns every member's value p f(psi)
-and G_k = 2 X A_k with respect to the member's coefficient matrix A_k
-(M = A A^H, p = tr M):
+The kernel contract (``Descent.members``): conjugated isometry rows
+conj(Q) (n, r) in; every member's value p f(psi) and its r-space gradient
+E (n, r) out.  One batched kernel per objective:
 
-* ``e_members`` (AverageE): one batched ``eigh``, X = (log p - log M) / ln 2
-  on the range of M.
 * ``d12_members`` (AverageD(1, 2) where every member has Schmidt rank <= 2:
   N = 2 or a form-(a) support): the value 2 ||2x2 minors of A|| =
-  2 sqrt(e2(M)) by Cauchy-Binet, X = (p I - M) / sqrt(e2(M)), evaluated as
-  2 J^H u through the minors' Jacobian J and unit minor vector u; no
-  ``eigh``.  The minors are the bound's, read at ``mixed._support_table``.
+  2 sqrt(e2(M)) by Cauchy-Binet (A the member's coefficient matrix,
+  M = A A^H).  It reads the bound's r x r tau cores: with
+  C_x = conj(tau_x), the minors of the row q V are y_x = q C_x q^T / 2, so
+  one (n, r) x (r, K r) product with the ``d12_cores`` gives Z_x = q C_x,
+  y = Z q / 2 and E = 2 conj(u)^T Z for the unit minor vector u; no
+  ``eigh`` and nothing N^2 wide.
+* ``e_members`` (AverageE): one batched ``eigh``, G_k = 2 X A_k with
+  X = (log p - log M) / ln 2 on the range of M.
 * ``profile_members`` (any other AverageD(m, n)): the spectral gradient of
   the matched profile; a step that leaves the profile scores +inf.
+
+The last two act on the rows W = conj(Q) V (n, N^2) and return G_k; the
+one adapter in ``Descent.members`` maps their G to E.
 
 The D(1, 2) sum of minor norms has kinks at product members.  A member
 within SNAP_TOL of a product state is snapped onto it by a rank-truncated
@@ -53,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ProfileMismatch
-from .mixed import _S4, _support_table
+from .mixed import _support_table, _tau_cores
 from .purestate import _profile_values
 from .spectra import concurrence_of_values
 
@@ -78,29 +84,35 @@ SCAN = 8
 BALL_SWEEPS = 100
 
 
-# -- member kernels: rows W (t, N^2) -> values (t,), gradients G (t, N^2) --
+# -- member kernels (the contract is ``Descent.members``) ---------------
 
 
-def _minors(W: np.ndarray, N: int) -> np.ndarray:
-    """All 2x2 minors of each row's coefficient matrix, (t, K), in canonical index order."""
-    return _minors_of(W[:, _support_table(N)])
+def d12_cores(V: np.ndarray, N: int) -> np.ndarray:
+    """The bound's cores C_x = V[:, J_x] S4 V[:, J_x]^T = conj(tau_x) as one (r, K r) matrix [C_1 ... C_K].
 
-
-def _minors_of(X: np.ndarray) -> np.ndarray:
-    """The minors X0 X1 - X2 X3 of rows gathered at the indices' rows J, (t, K, 4) -> (t, K)."""
-    return X[..., 0] * X[..., 1] - X[..., 2] * X[..., 3]
-
-
-def _minor_jacobian(W: np.ndarray, N: int):
-    """The minors (t, K) of each row and their Jacobian d minor_x / dw = S_x w, (t, K, N^2), from one gather.
-
-    S_x w is nonzero only at the rows J_x.
+    The 2x2 minor x of the row w = q V is y_x = q C_x q^T / 2.
     """
-    T = _support_table(N)
-    X = W[:, T]
-    J = np.zeros((len(W), len(T), N * N), dtype=complex)
-    J[:, np.arange(len(T))[:, None], T] = X @ _S4
-    return _minors_of(X), J
+    C = _tau_cores(np.swapaxes(V.T[_support_table(N)], 1, 2))
+    return np.ascontiguousarray(np.swapaxes(C, 0, 1).reshape(len(V), -1))
+
+
+def _core_minors(Qbar: np.ndarray, cores: np.ndarray):
+    """The minors y (n, K) of the rows W = Qbar V and Z (n, K, r) with Z_kx = Qbar_k C_x = d y_kx / d Qbar_k."""
+    n, r = Qbar.shape
+    Z = (Qbar @ cores).reshape(n, -1, r)
+    return 0.5 * (Z @ Qbar[:, :, None])[..., 0], Z
+
+
+def d12_members(Qbar: np.ndarray, cores: np.ndarray):
+    """D(1, 2) of rank-<=2 rows, 2 ||y||, and its r-space gradient E = 2 conj(u)^T Z with u = y / ||y||.
+
+    y and Z come from ``_core_minors`` on the ``d12_cores``; E stays
+    bounded as a member nears a product state, where y is mostly rounding.
+    """
+    y, Z = _core_minors(Qbar, cores)
+    norms = np.linalg.norm(y, axis=1)
+    u = y / np.where(norms > 0.0, norms, 1.0)[:, None]
+    return 2.0 * norms, 2.0 * (u.conj()[:, None, :] @ Z)[:, 0]
 
 
 def _gram(W: np.ndarray, N: int):
@@ -119,19 +131,6 @@ def e_members(W: np.ndarray, N: int):
     x = np.where(lam > RANGE_TOL * p[:, None], x, 0.0)
     X = (U * x[:, None, :]) @ U.conj().transpose(0, 2, 1)
     return values, 2.0 * (X @ A).reshape(W.shape)
-
-
-def d12_members(W: np.ndarray, N: int):
-    """D(1, 2) of rank-<=2 rows, 2 ||minors||, and its gradient 2 J^H u with u = minors / ||minors||.
-
-    J is the Jacobian of the minors; 2 J^H u equals 2 X A with
-    X = (p I - M) / ||minors|| but stays bounded as a member nears a
-    product state, where the minors are mostly rounding.
-    """
-    y, J = _minor_jacobian(W, N)
-    norms = np.linalg.norm(y, axis=1)
-    u = y / np.where(norms > 0.0, norms, 1.0)[:, None]
-    return 2.0 * norms, 2.0 * np.einsum("kx,kxi->ki", u, J.conj())
 
 
 def profile_members(W: np.ndarray, N: int, m: int, n: int):
@@ -202,66 +201,82 @@ def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
 class Descent:
     """Objective, gradient and kink rule (for the kernel ``d12_members``) of one problem at an isometry Q.
 
-    ``evaluations`` counts the decompositions scored so far, one per
-    isometry that reaches the kernel.
+    ``members`` is the kernel contract: conjugated isometry rows conj(Q)
+    in, member values and r-space gradients E = conj(G) V^T out.  The
+    D(1, 2) kernel reads the ``d12_cores``, built once here from the
+    bound's tau cores; the other kernels see the rows conj(Q) V and their
+    G is mapped to E.  ``evaluations`` counts the decompositions scored
+    so far, one per isometry that reaches the kernel.
     """
 
     def __init__(self, V: np.ndarray, N: int, kernel):
         self.V, self.N, self.kernel = V, N, kernel
         self.exact = kernel is d12_members
+        if self.exact:
+            self.cores, self.gram = d12_cores(V, N), V @ V.conj().T
         self.evaluations = 0
 
+    def members(self, Qbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values (n,) and r-space gradients E (n, r) of the members whose isometry rows are conj(Qbar)."""
+        if self.exact:
+            return self.kernel(Qbar, self.cores)
+        values, G = self.kernel(Qbar @ self.V, self.N)
+        return values, G.conj() @ self.V.T
+
     def values(self, Qs: np.ndarray) -> tuple[list[float], np.ndarray]:
-        """Objective values and member gradients (c, t, N^2) of a stack of isometries (c, t, r), from one kernel call."""
-        c, t, _ = Qs.shape
+        """Objective values and member gradients E (c, t, r) of a stack of isometries (c, t, r), from one kernel call."""
+        c, t, r = Qs.shape
         self.evaluations += c
-        vals, G = self.kernel(Qs.reshape(c * t, -1).conj() @ self.V, self.N)
-        return list(map(math.fsum, vals.reshape(c, t).tolist())), G.reshape(c, t, -1)
+        vals, E = self.members(Qs.reshape(c * t, r).conj())
+        return list(map(math.fsum, vals.reshape(c, t).tolist())), E.reshape(c, t, r)
 
     def value(self, Q: np.ndarray) -> tuple[float, np.ndarray]:
-        """``values`` of the one isometry Q: its objective value and member gradients (t, N^2)."""
-        F, G = self.values(Q[None])
-        return F[0], G[0]
+        """``values`` of the one isometry Q: its objective value and member gradients E (t, r)."""
+        F, E = self.values(Q[None])
+        return F[0], E[0]
 
-    def omega(self, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Skew-Hermitian Omega = E Q^H - Q E^H for the Euclidean gradient E = conj(G) V^T at Q."""
-        B = (G.conj() @ self.V.T) @ Q.conj().T
+    def omega(self, Q: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """Skew-Hermitian Omega = B - B^H with B = E Q^H, for the member gradients E at Q."""
+        B = E @ Q.conj().T
         return B - B.conj().T
 
-    def gradient(self, Q: np.ndarray, G: np.ndarray):
+    def gradient(self, Q: np.ndarray, E: np.ndarray):
         """Riemannian gradient at Q (min-norm subgradient at kinks), kink and loose members.
 
         ``loose`` lists the members whose minor norm lies in
         (SNAP_FLOOR, SNAP_TOL] * p, which a snap could move onto a product
         state.
         """
-        W = Q.conj() @ self.V
         kinks, loose = [], []
         if self.exact:
-            p = np.sum(np.abs(W) ** 2, axis=1)
-            norms = np.linalg.norm(_minors(W, self.N), axis=1)
+            Qbar = Q.conj()
+            y, Z = _core_minors(Qbar, self.cores)
+            p = np.sum((Qbar @ self.gram) * Q, axis=1).real
+            norms = np.linalg.norm(y, axis=1)
             kinks = np.flatnonzero(norms <= KINK_TOL * p).tolist()
             loose = np.flatnonzero((norms <= SNAP_TOL * p) & (norms > SNAP_FLOOR * p)).tolist()
         if not kinks:
-            return self.omega(Q, G), [], loose
-        G = G.copy()
-        G[kinks] = 0.0
+            return self.omega(Q, E), [], loose
+        E = E.copy()
+        E[kinks] = 0.0
         basis = _skew_basis(Q.shape[0])
-        a = np.tensordot(basis.conj(), self.omega(Q, G), axes=([1, 2], [0, 1])).real
+        a = np.tensordot(basis.conj(), self.omega(Q, E), axes=([1, 2], [0, 1])).real
         # Along exp(-eta B) Q, the kink term 2 Re<u, minors_k> changes at
         # rate 2 Re<u, dy>, which is -1/2 <B, Omega>: Omega's coordinates
         # are -4 (Re dy, Im dy) (Re u, Im u).
-        blocks = [-4.0 * np.concatenate([dy.real, dy.imag], axis=1) for dy, _ in self._changes(Q, W, kinks)]
+        blocks = [-4.0 * np.concatenate([dy.real, dy.imag], axis=1) for dy, _ in self._changes(Q, Z, kinks)]
         xs = _ball_lsq(a, blocks)
         return np.tensordot(a + sum(B @ x for B, x in zip(blocks, xs)), basis, 1), kinks, loose
 
-    def _changes(self, Q: np.ndarray, W: np.ndarray, members: list[int]):
-        """(d minors_k, d p_k) along dQ = -B Q for every basis element B, per member: (t^2, K), (t^2,)."""
+    def _changes(self, Q: np.ndarray, Z: np.ndarray, members: list[int]):
+        """(d minors_k, d p_k) along dQ = -B Q for every basis element B, per member: (t^2, K), (t^2,).
+
+        With dq = conj(dQ_k): d minors_k = dq Z_k^T and d p_k = Re(dq V V^H Q_k^T).
+        """
         basis = _skew_basis(Q.shape[0])
-        J = _minor_jacobian(W[members], self.N)[1]
-        for k, Jk in zip(members, J):
-            dw = (-(basis[:, k, :] @ Q)).conj() @ self.V
-            yield dw @ Jk.T, (dw @ W[k].conj()).real
+        for k in members:
+            dq = (-(basis[:, k, :] @ Q)).conj()
+            yield dq @ Z[k].T, (dq @ (self.gram @ Q[k])).real
 
     def snap(self, Q: np.ndarray, members: list[int]) -> np.ndarray:
         """One Newton step exp(-Omega) Q towards product states for ``members``.
@@ -271,10 +286,10 @@ class Descent:
         so each member turns towards a product state instead of shrinking.
         The solve drops singular values below SNAP_RCOND times the largest.
         """
-        W = Q.conj() @ self.V
+        y, Z = _core_minors(Q.conj(), self.cores)
         rows = [np.concatenate([dy.real, dy.imag, dp[:, None]], axis=1).T
-                for dy, dp in self._changes(Q, W, members)]
-        rhs = [np.concatenate([-y.real, -y.imag, [0.0]]) for y in _minors(W[members], self.N)]
+                for dy, dp in self._changes(Q, Z, members)]
+        rhs = [np.concatenate([-yk.real, -yk.imag, [0.0]]) for yk in y[members]]
         coef = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=SNAP_RCOND)[0]
         theta, U = np.linalg.eigh(1j * np.tensordot(coef, _skew_basis(Q.shape[0]), 1))
         return _rotate(theta, U, U.conj().T @ Q, 1.0)
@@ -313,11 +328,11 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
     """
     t, r = Q.shape
     cycle = 2 * t * r - r * r
-    F, G = problem.value(Q)
+    F, E = problem.value(Q)
     trace = [F]
     if not math.isfinite(F):
         return Q, trace, False, 0
-    grad, kinks, _ = problem.gradient(Q, G)
+    grad, kinks, _ = problem.gradient(Q, E)
     H = grad
     eta = slope = None
     for it in range(max_cycles * cycle):
@@ -326,8 +341,8 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
             step = _probe(problem, Q, F)
             if step is None:
                 return Q, trace, True, len(kinks)
-            Q, F, G = step
-            grad, kinks, _ = problem.gradient(Q, G)
+            Q, F, E = step
+            grad, kinks, _ = problem.gradient(Q, E)
             H, eta = grad, None
             trace.append(F)
             continue
@@ -344,17 +359,17 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
             step = _line_search(problem, Q, F, H, slope, guess)
         if step is None:
             return Q, trace, False, len(kinks)
-        eta, Q, F, G = step
+        eta, Q, F, E = step
         if (it + 1) % cycle == 0:
             U, _, Vh = np.linalg.svd(Q, full_matrices=False)
             Q = U @ Vh
-        new, kinks, loose = problem.gradient(Q, G)
+        new, kinks, loose = problem.gradient(Q, E)
         if loose:
             Qs = problem.snap(Q, loose)
-            Fs, Gs = problem.value(Qs)
+            Fs, Es = problem.value(Qs)
             if Fs <= F + FLAT * abs(F):
-                Q, F, G = Qs, Fs, Gs
-                new, kinks, loose = problem.gradient(Q, G)
+                Q, F, E = Qs, Fs, Es
+                new, kinks, loose = problem.gradient(Q, E)
         beta = max(0.0, _inner(new - grad, new) / gnorm2)
         H = new + beta * H
         grad = new
@@ -363,7 +378,7 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
 
 
 def _probe(problem: Descent, Q, F0: float):
-    """Scan every two-row rotation of Q; (Q, F, G) of the lowest point if it beats F0 beyond rounding.
+    """Scan every two-row rotation of Q; (Q, F, E) of the lowest point if it beats F0 beyond rounding.
 
     A stationary point of the gradient search can be a saddle, such as
     the eigendecomposition of a symmetric state; the rotations give it
@@ -375,11 +390,11 @@ def _probe(problem: Descent, Q, F0: float):
     if not stacks:
         return None
     Qs = np.concatenate(stacks)
-    scores, G = problem.values(Qs)
+    scores, E = problem.values(Qs)
     j = min(range(len(scores)), key=scores.__getitem__)  # ties go to the first
     if not scores[j] < F0 - FLAT * abs(F0):
         return None
-    return Qs[j], scores[j], G[j]
+    return Qs[j], scores[j], E[j]
 
 
 @lru_cache(maxsize=None)
@@ -396,11 +411,11 @@ def _rotate(theta: np.ndarray, U: np.ndarray, UhQ: np.ndarray, eta) -> np.ndarra
 
 
 def _scan(problem: Descent, theta, U, UhQ, etas: np.ndarray, F0: float):
-    """(j, Qs, scores, G): the lowest j of scores = [F(Q) = F0] + F(Qs), Qs = exp(-etas[1:] H) Q, and Qs's gradients."""
+    """(j, Qs, scores, E): the lowest j of scores = [F(Q) = F0] + F(Qs), Qs = exp(-etas[1:] H) Q, and Qs's gradients."""
     Qs = _rotate(theta, U, UhQ, etas[1:])
-    scores, G = problem.values(Qs)
+    scores, E = problem.values(Qs)
     scores = [F0] + scores
-    return min(range(len(scores)), key=scores.__getitem__), Qs, scores, G
+    return min(range(len(scores)), key=scores.__getitem__), Qs, scores, E
 
 
 def _cubic_step(a, fa, da, b, fb, db) -> float:
@@ -421,7 +436,7 @@ def _cubic_step(a, fa, da, b, fb, db) -> float:
 
 
 def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
-    """Strong-Wolfe line search along exp(-eta H) Q; (eta, Q, F, G) or None.
+    """Strong-Wolfe line search along exp(-eta H) Q; (eta, Q, F, E) or None.
 
     phi(eta) = F(exp(-eta H) Q) has phi'(0) = -slope.  A point is
     accepted when it passes the Armijo test and |phi'| <= CURVATURE *
@@ -441,9 +456,9 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     cap = math.pi / top
     UhQ = U.conj().T @ Q
 
-    def point(eta, Qn, Fn, Gn):
-        d = -0.5 * _inner(H, problem.omega(Qn, Gn)) if math.isfinite(Fn) else math.nan
-        return eta, Qn, Fn, Gn, d
+    def point(eta, Qn, Fn, En):
+        d = -0.5 * _inner(H, problem.omega(Qn, En)) if math.isfinite(Fn) else math.nan
+        return eta, Qn, Fn, En, d
 
     def at(eta):
         Qn = _rotate(theta, U, UhQ, eta)
@@ -479,12 +494,12 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     prev = (0.0, Q, F0, None, -slope)
     if guess is None:
         etas = 2.0 * cap * np.arange(SCAN) / SCAN
-        j, Qs, scores, G = _scan(problem, theta, U, UhQ, etas, F0)
+        j, Qs, scores, E = _scan(problem, theta, U, UhQ, etas, F0)
         grid = {0: prev}
 
         def node(i):
             if i not in grid:
-                grid[i] = point(etas[i], Qs[i - 1], scores[i], G[i - 1])
+                grid[i] = point(etas[i], Qs[i - 1], scores[i], E[i - 1])
             return grid[i]
 
         pt = node(j)

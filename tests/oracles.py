@@ -3,8 +3,9 @@
 These deliberately take different computational routes from the package:
 the two-qubit concurrence goes through the spin-flipped product matrix
 rho @ rho_tilde, the entanglement of formation goes through the
-binary-entropy formula, and roof members are scored one at a time through
-their own Schmidt spectra.
+binary-entropy formula, roof members are scored one at a time through
+their own Schmidt spectra, and the D(1, 2) roof kernel is rebuilt on the
+members' N^2-wide rows instead of the r x r cores.
 """
 import math
 
@@ -74,6 +75,43 @@ def roof_member(w, N, objective, tol=1e-6):
     if n < N and lam[n] >= tol:
         return math.inf
     return p * n * math.sqrt(math.prod(lam[:n]))
+
+
+S4 = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]], dtype=float)
+
+
+def minor_rows(N):
+    """0-based rows (ip, jq, iq, jp) of every canonical index (i < j, p < q), in canonical order, (K, 4)."""
+    return np.array([
+        [i * N + p, j * N + q, i * N + q, j * N + p]
+        for i in range(N) for j in range(i + 1, N) for p in range(N) for q in range(p + 1, N)
+    ])
+
+
+def minors(W, N):
+    """All 2x2 minors a_ip a_jq - a_iq a_jp of each row's coefficient matrix, (t, K)."""
+    X = W[:, minor_rows(N)]
+    return X[..., 0] * X[..., 1] - X[..., 2] * X[..., 3]
+
+
+def minor_jacobian(W, N):
+    """The minors (t, K) of each row and their Jacobian d minor_x / dw, (t, K, N^2), zero off the rows J_x."""
+    T = minor_rows(N)
+    J = np.zeros((len(W), len(T), N * N), dtype=complex)
+    J[:, np.arange(len(T))[:, None], T] = W[:, T] @ S4
+    return minors(W, N), J
+
+
+def d12_members(W, N):
+    """D(1, 2) of rank-<=2 rows W (t, N^2), 2 ||minors||, and its row gradient G = 2 J^H u, u = minors / ||minors||.
+
+    The roof search's kernel as it was before it moved onto the cores:
+    a gather of every row at the minors' rows and a zero-filled Jacobian.
+    """
+    y, J = minor_jacobian(W, N)
+    norms = np.linalg.norm(y, axis=1)
+    u = y / np.where(norms > 0.0, norms, 1.0)[:, None]
+    return 2.0 * norms, 2.0 * np.einsum("kx,kxi->ki", u, J.conj())
 
 
 def lambda_spectra_dense(rho, N):

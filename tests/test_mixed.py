@@ -102,6 +102,16 @@ def test_mix_pure_states_normalizes_weights():
         mix_pure_states([1.0, -1.0], [BELL, BELL])
 
 
+def test_pure_density_is_the_one_state_mixture_bit_for_bit():
+    """pure_density is exactly Hermitian, as every mixture is, so both routes give one matrix."""
+    for N in range(2, 6):
+        for k in range(10):
+            psi = random_pure(N, generator(112, N, k))
+            rho = pure_density(psi).matrix
+            assert rho.tobytes() == mix_pure_states([1.0], [psi]).matrix.tobytes(), (N, k)
+            assert np.array_equal(rho, rho.conj().T), (N, k)
+
+
 def test_sindex_validation_and_canonicalization():
     with pytest.raises(BadIndex):
         SIndex(2, 1, 1, 2)  # i > j

@@ -35,14 +35,15 @@ from qconc.roofopt import (
     minimize_roof,
     transform_decomposition,
 )
-from qconc import roofsearch
-from qconc.roofsearch import SCAN, Descent, _minors, _pair_rotations, _probe, _rotate, _scan, d12_members, search
+from qconc import mixed, roofsearch
+from qconc.roofsearch import SCAN, Descent, _pair_rotations, _probe, _rotate, _scan, d12_cores, d12_members, search
 from qconc.roofsearch import _ball_lsq, e_members
 from qconc.sampling import generator, haar_isometry, haar_unitary, random_form_a_state, random_pure
 from qconc.spectra import eof_of_d
 
 from conftest import random_density
-from oracles import ball_lsq_projected, probe_loop, roof_member, scan_loop
+from oracles import ball_lsq_projected, minors, probe_loop, roof_member, scan_loop
+from oracles import d12_members as oracle_d12_members
 
 BELL = from_coefficients(np.eye(2) / np.sqrt(2))
 
@@ -155,6 +156,67 @@ def test_minimize_roof_eigendecomposes_rho_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_minimize_roof_builds_the_d12_cores_once(monkeypatch):
+    """The D(1, 2) search builds its core stack once and reads no index table inside its loop."""
+    calls = {"_tau_cores": 0, "_support_table": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    for name in calls:
+        counted = counting(name, getattr(mixed, name))
+        for module in (mixed, roofsearch):
+            monkeypatch.setattr(module, name, counted)
+    rho = random_form_a_mixture(3, 104, 3)
+    result = minimize_roof(
+        RoofProblem(target=rho, objective=AverageD(1, 2), t_max=4, restarts=2, tol=1e-7, max_sweeps=30)
+    )
+    assert sum(s.evaluations for s in result.starts) > 100
+    assert calls == {"_tau_cores": 1, "_support_table": 1}
+
+
+@given(
+    N=st.sampled_from([2, 3]),
+    rank=st.integers(1, 6),
+    grow=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_core_kernel_matches_the_row_oracle(N, rank, grow, seed):
+    """d12_members on the cores gives the N^2-wide row kernel's values and conj(G) V^T.
+
+    Form-(a) mixtures of rank 1..6 and two-qubit states of rank 1..4, with
+    t = r .. r + 2.  One member is planted on a product state: row l of V
+    becomes a|1>|b> of the same norm and row k of the isometry is e_l, the
+    rest a Haar isometry on the other rows and columns, so both kernels
+    see minors that are exactly zero.
+    """
+    rank = min(rank, 4) if N == 2 else rank
+    rho = random_form_a_mixture(rank, 111, seed) if N == 3 else random_density(2, rank, 111, seed)
+    V = eigen_vectors_subnormalized(rho).copy()
+    r = len(V)
+    t = r + grow
+    k, l = seed % t, seed % r
+    b = random_pure(N, generator(112, seed)).coeffs[0]
+    product = np.zeros((N, N), dtype=complex)
+    product[0] = b * (np.linalg.norm(V[l]) / np.linalg.norm(b))
+    V[l] = product.reshape(-1)
+    Q = np.zeros((t, r), dtype=complex)
+    Q[k, l] = 1.0
+    if r > 1:
+        others = np.ix_([i for i in range(t) if i != k], [j for j in range(r) if j != l])
+        Q[others] = haar_isometry(t - 1, r - 1, generator(113, seed, t))
+    values, E = d12_members(Q.conj(), d12_cores(V, N))
+    want, G = oracle_d12_members(Q.conj() @ V, N)
+    want_E = G.conj() @ V.T
+    assert values[k] == 0.0 and want[k] == 0.0
+    assert not E[k].any() and not want_E[k].any()
+    np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+    np.testing.assert_allclose(E, want_E, rtol=0.0, atol=1e-13 * np.max(np.abs(want_E)))
+
+
 @given(rank=st.integers(1, 6), grow=st.integers(0, 2), seed=st.integers(0, 2**16))
 def test_roof_objective_dominates_the_bound_through_minkowski_and_each_index(rank, grow, seed):
     """R = sum_k ||y_k|| >= M = sqrt(sum_x (sum_k |y_xk|)^2) >= bound, y = 2 minors of the rows.
@@ -167,9 +229,9 @@ def test_roof_objective_dominates_the_bound_through_minkowski_and_each_index(ran
     r = len(V)
     iso = haar_isometry(r + grow, r, generator(97, seed, grow))
     W = iso.conj() @ V
-    y = 2.0 * _minors(W, 3)
+    y = 2.0 * minors(W, 3)
     R = math.fsum(np.linalg.norm(y, axis=1).tolist())
-    values, _ = d12_members(W, 3)
+    values, _ = d12_members(iso.conj(), d12_cores(V, 3))
     assert abs(R - math.fsum(values.tolist())) <= 1e-12
     assert abs(R - average_objective(transform_decomposition(V, iso), AverageD(1, 2))) <= 1e-12
     per_index = np.sum(np.abs(y), axis=0)
@@ -320,7 +382,7 @@ def test_batched_member_kernels_match_the_per_member_oracle():
             W = iso.conj() @ V
             for objective, kind in ((AverageD(1, 2), 2), (AverageE(), "E")):
                 kernel = member_kernel(objective, V, rho.dim)
-                values, _ = kernel(W, rho.dim)
+                values, _ = Descent(V, rho.dim, kernel).members(iso.conj())
                 expect = [roof_member(w, rho.dim, kind) for w in W]
                 np.testing.assert_allclose(values, expect, rtol=0.0, atol=1e-12)
 
@@ -379,7 +441,7 @@ def test_product_member_scores_zero_in_search_and_recompute():
             V = eigen_vectors_subnormalized(rho)
             kernel = member_kernel(objective, V, 3)
             assert (kernel is d12_members) == (form_a and objective.n == 2)
-            values, _ = kernel(V, 3)
+            values, _ = Descent(V, 3, kernel).members(np.eye(1))
             assert values.tolist() == [0.0]
             assert average_objective(Decomposition(((1.0, psi),)), objective) == 0.0
             result = minimize_roof(RoofProblem(target=rho, objective=objective, t_max=1, restarts=1))
@@ -390,9 +452,9 @@ def test_start_records_account_for_the_search(monkeypatch):
     """Each start's evaluations times its t add up to the rows the kernel scored."""
     rows = []
 
-    def counted(W, N):
-        rows.append(len(W))
-        return d12_members(W, N)
+    def counted(Qbar, cores):
+        rows.append(len(Qbar))
+        return d12_members(Qbar, cores)
 
     monkeypatch.setattr(roofsearch, "d12_members", counted)
     rho = random_form_a_mixture(3, 104, 3)
@@ -421,8 +483,8 @@ def test_every_snap_lowers_the_minor_norm_of_each_snapped_member(monkeypatch):
 
     def checked(self, Q, members):
         Qs = snap(self, Q, members)
-        before = np.linalg.norm(_minors(Q.conj() @ self.V, self.N)[members], axis=1)
-        after = np.linalg.norm(_minors(Qs.conj() @ self.V, self.N)[members], axis=1)
+        before = np.linalg.norm(minors(Q.conj() @ self.V, self.N)[members], axis=1)
+        after = np.linalg.norm(minors(Qs.conj() @ self.V, self.N)[members], axis=1)
         outcomes.append(bool(np.all(after < before)))
         return Qs
 
