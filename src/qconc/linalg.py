@@ -39,10 +39,14 @@ class HermitianEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _as_square_array(M) -> np.ndarray:
+def check_hermitian(M) -> np.ndarray:
+    """M as a complex square array; NotHermitian unless Hermitian within 1e-10 relative."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {A.shape}")
+    scale = max(np.linalg.norm(A), 1.0)
+    if np.linalg.norm(A - A.conj().T) > HERMITIAN_TOL * scale:
+        raise NotHermitian("matrix is not Hermitian within 1e-10 relative tolerance")
     return A
 
 
@@ -68,10 +72,7 @@ def hermitian_eig(M) -> HermitianEig:
     ConvergenceFailure
         If the underlying iterative solver does not converge.
     """
-    A = _as_square_array(M)
-    scale = max(np.linalg.norm(A), 1.0)
-    if np.linalg.norm(A - A.conj().T) > HERMITIAN_TOL * scale:
-        raise NotHermitian("matrix is not Hermitian within 1e-10 relative tolerance")
+    A = check_hermitian(M)
     with lapack_errors():
         w, V = np.linalg.eigh(A)
     # eigh returns ascending order

@@ -10,19 +10,20 @@ exceeds four) control how small the decomposition average of that minor can
 be made, and combining all canonical indices yields a closed-form lower
 bound on the decomposition-averaged generalized concurrence D.
 
-Every spectrum comes from one eigendecomposition of rho.  On a
-rank-deficient rho (rank r < N^2) it is the singular values of the r x r
-matrix tau_x = V[J]^H S4 conj(V[J]) over the subnormalized eigenvectors V
-(through its 4 x 4 QR core when r > 4); at full rank it comes from the 4 x 4
-QR core of sqrt(rho)[:, J].  Eigenvalues at or below RANK_EPS = 1e-12 count
-as zero, which moves the bound by about that much.
+Every spectrum comes from ``DensityMatrix.eig``, one eigendecomposition per
+density taken on first use (validation's, for a density read from a file).
+On a rank-deficient rho (rank r < N^2) it is the singular values of the
+r x r matrix tau_x = V[J]^H S4 conj(V[J]) over the subnormalized
+eigenvectors V (through its 4 x 4 QR core when r > 4); at full rank it comes
+from the 4 x 4 QR core of sqrt(rho)[:, J].  Eigenvalues at or below
+RANK_EPS = 1e-12 count as zero, which moves the bound by about that much.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import (
     OutOfRange,
     UnsupportedFamily,
 )
-from .linalg import HermitianEig, check_psd, hermitian_eig, psd_root
+from .linalg import HermitianEig, check_hermitian, check_psd, hermitian_eig, psd_root
 from .linalg import takagi as takagi_factor
 from .purestate import PureState, from_coefficients, generalized_concurrence_D
 from .spectra import eof_of_bound
@@ -57,11 +58,16 @@ class DensityMatrix:
 
     ``matrix`` is N^2 x N^2, Hermitian, positive semidefinite and unit
     trace; basis ordering follows the PureState vectorization (row-major
-    over coefficient-matrix indices).
+    over coefficient-matrix indices).  ``eig``, its eigendecomposition, is
+    taken on first use and kept.
     """
 
     dim: int
     matrix: np.ndarray
+
+    @cached_property
+    def eig(self) -> HermitianEig:
+        return hermitian_eig(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -141,9 +147,9 @@ class Decomposition:
 def validate_density(M, N: int) -> DensityMatrix:
     """Validate an N^2 x N^2 array as a density matrix.
 
-    Hermiticity and positivity follow ``hermitian_eig`` and ``check_psd``
-    (1e-10), on the matrix divided by its largest real or imaginary part
-    where that exceeds 1, as in no density, so that no check overflows.
+    Hermiticity follows ``check_hermitian`` and positivity ``check_psd`` on the
+    ``eig`` of the returned (A + A^H) / 2, both on A over its largest real or
+    imaginary part where that exceeds 1 (as in no density), so none overflows.
 
     Raises
     ------
@@ -158,11 +164,14 @@ def validate_density(M, N: int) -> DensityMatrix:
     if not np.isfinite(A).all():
         raise NonFinite("density matrix has NaN or infinite entries")
     big = max(float(np.abs(A.real).max()), float(np.abs(A.imag).max()), 1.0)
-    check_psd(hermitian_eig(A / big))
+    B = check_hermitian(A / big)
+    rho = DensityMatrix(N, 0.5 * (B + B.conj().T))
+    check_psd(rho.eig)
     tr = sum(A.diagonal().real.tolist())
     if abs(tr - 1.0) > DENSITY_TOL:
         raise BadTrace(f"trace {tr!r} differs from 1 by more than {DENSITY_TOL}")
-    return DensityMatrix(N, 0.5 * (A + A.conj().T))
+    # A / 1.0 is A bit for bit; a scaled density can pass only at the trace tolerance's edge.
+    return rho if big == 1.0 else DensityMatrix(N, 0.5 * (A + A.conj().T))
 
 
 def pure_density(psi: PureState) -> DensityMatrix:
@@ -171,12 +180,14 @@ def pure_density(psi: PureState) -> DensityMatrix:
 
 
 def mix_pure_states(weights, states) -> DensityMatrix:
-    """Convex mixture of pure states; weights are normalized to sum 1."""
+    """Mixture of pure states of one N; finite weights >= 0, not all zero, normalized to sum 1."""
     w = np.asarray(weights, dtype=float)
-    if w.size != len(states) or np.any(w < 0.0):
-        raise OutOfRange("weights must be nonnegative and match the state count")
-    w = w / math.fsum(w.tolist())
+    if w.size != len(states) or not (np.isfinite(w).all() and (w >= 0.0).all() and w.any()):
+        raise OutOfRange("weights must be finite, nonnegative and not all zero, one per state")
     dim = states[0].dim
+    if any(psi.dim != dim for psi in states):
+        raise DimensionMismatch("all mixed states need the same N")
+    w = w / math.fsum(w.tolist())
     rho = np.zeros((dim * dim, dim * dim), dtype=complex)
     for wk, psi in zip(w, states):
         z = psi.vector()
@@ -192,7 +203,7 @@ def eigen_vectors_subnormalized(rho: DensityMatrix) -> np.ndarray:
     eigenvalues above 1e-12 contribute.  The outer-product sum of the rows
     reconstructs rho within 1e-9.
     """
-    return _rows(hermitian_eig(rho.matrix))
+    return _rows(rho.eig)
 
 
 def _rows(eig: HermitianEig) -> np.ndarray:
@@ -341,7 +352,7 @@ def lambda_spectrum(rho: DensityMatrix, idx: SIndex) -> LambdaSpectrum:
     BadIndex
         If the quadruple does not fit the density's dimension.
     """
-    lam = _spectra(_factor(hermitian_eig(rho.matrix)), np.array([_support(idx, rho.dim)]))
+    lam = _spectra(_factor(rho.eig), np.array([_support(idx, rho.dim)]))
     return LambdaSpectrum(tuple(float(x) for x in lam[0]))
 
 
@@ -414,9 +425,9 @@ def check_profile(m: int, n: int, N: int) -> None:
 def index_deficits(rho: DensityMatrix) -> np.ndarray:
     """Signed deficits Lambda1 - Lambda2 - Lambda3 - Lambda4, one per canonical index.
 
-    In ``canonical_indices`` order, from one eigendecomposition of rho.
+    In ``canonical_indices`` order, from rho's ``eig``.
     """
-    return _deficits(_spectra(_factor(hermitian_eig(rho.matrix)), _support_table(rho.dim)))
+    return _deficits(_spectra(_factor(rho.eig), _support_table(rho.dim)))
 
 
 def bound_from_deficits(deficits: np.ndarray, m: int, n: int, clamp: bool = True) -> float:
@@ -495,8 +506,7 @@ def example_3x3_bound(rho: DensityMatrix, clamp: bool = True) -> float:
     NotFormA
         If the support condition fails.
     """
-    eig = hermitian_eig(rho.matrix)
-    if rho.dim != 3 or not _rows_form_a(_rows(eig)):
+    if rho.dim != 3 or not _rows_form_a(_rows(rho.eig)):
         raise NotFormA("density is not supported on the rows-2=3 subspace")
-    lam = _spectra(_factor(eig), _FORM_A_SUPPORT)
+    lam = _spectra(_factor(rho.eig), _FORM_A_SUPPORT)
     return float(math.sqrt(2.0) * _deficit_norm(_deficits(lam), clamp))

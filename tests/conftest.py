@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from qconc import DensityMatrix, generator, mix_pure_states, random_pure
@@ -23,6 +24,28 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+class EighCalls(list):
+    """Copies of the arguments of every ``np.linalg.eigh`` call, in call order."""
+
+    def of(self, matrix) -> int:
+        """How many calls decomposed a matrix equal to ``matrix``."""
+        return sum(np.array_equal(a, matrix) for a in self)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Record each ``np.linalg.eigh`` argument while the test runs."""
+    calls = EighCalls()
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
 
 
 def random_density(dim, rank, seed, *key):

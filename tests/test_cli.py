@@ -20,7 +20,10 @@ from qconc import (
     d_lower_bound,
     eof_lower_bound,
     from_coefficients,
+    generator,
+    haar_unitary,
     pure_density,
+    validate_density,
 )
 from qconc.cli import _build_parser, _search_knobs, dispatch, dumps_state, load_state, main
 from qconc.errors import ParseError, BadTrace, ValidationError
@@ -181,6 +184,40 @@ def test_invariance_command_density_at_two_qubits():
     assert code == 0 and report.flags["kind"] == "density"
     assert (report.results["m"], report.results["n"], report.results["trials"]) == (1, 2, 5)
     assert report.results["max_dev_D_bound"] < 1e-8
+
+
+_QUICK_SEARCH = ["--restarts", "1", "--max-sweeps", "1", "--t-max", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["bound", "--m", "1", "--n", "2", "--eof"],
+        ["roof", "--objective", "D", "--m", "1", "--n", "2", *_QUICK_SEARCH],
+        ["certify", "--m", "1", "--n", "2", *_QUICK_SEARCH],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_eigendecompose_the_density_once(eigh_calls, argv):
+    """Validation's eigendecomposition is the one every later step reads."""
+    rho = load_state(FORM_A_FILE)
+    eigh_calls.clear()
+    assert dispatch(argv[:1] + [FORM_A_FILE] + argv[1:])[1] == 0
+    assert eigh_calls.of(rho.matrix) == 1
+
+
+def test_invariance_eigendecomposes_each_density_once(eigh_calls):
+    """The file's density and each of the T moved ones, decomposed once each."""
+    rho = load_state(WERNER_FILE)
+    densities = [rho.matrix]
+    for t in range(5):
+        L = np.kron(haar_unitary(2, generator(0, t, 0)), haar_unitary(2, generator(0, t, 1)))
+        densities.append(validate_density(L @ rho.matrix @ L.conj().T, 2).matrix)
+    eigh_calls.clear()
+    assert dispatch(["invariance", WERNER_FILE, "--trials", "5"])[1] == 0
+    assert [eigh_calls.of(M) for M in densities] == [1] * 6
+    assert len(eigh_calls) == 6
 
 
 def test_concurrence_command_cn():

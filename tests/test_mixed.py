@@ -33,6 +33,7 @@ from qconc.errors import (
     BadShape,
     BadTrace,
     DimensionMismatch,
+    InputError,
     NonFinite,
     NotFormA,
     NotHermitian,
@@ -100,6 +101,64 @@ def test_mix_pure_states_normalizes_weights():
     np.testing.assert_allclose(rho.matrix, pure_density(BELL).matrix, atol=1e-12)
     with pytest.raises(OutOfRange):
         mix_pure_states([1.0, -1.0], [BELL, BELL])
+
+
+@pytest.mark.parametrize(
+    "weights,states,error",
+    [
+        ([math.nan, 1.0], [BELL, BELL], OutOfRange),
+        ([math.inf, 1.0], [BELL, BELL], OutOfRange),
+        ([0.0, 0.0], [BELL, BELL], OutOfRange),
+        ([], [], OutOfRange),
+        ([0.5, 0.5], [BELL, random_pure(3, generator(113))], DimensionMismatch),
+    ],
+    ids=["nan", "inf", "all-zero", "empty", "mixed-dimensions"],
+)
+def test_mix_pure_states_rejects_what_is_no_mixture(weights, states, error):
+    with pytest.raises(error):
+        mix_pure_states(weights, states)
+
+
+def test_validate_density_checks_positivity_on_the_symmetrized_matrix():
+    """Hermitian within 1e-10 and of trace 1; (A + A^H) / 2 has minimum eigenvalue -0.9e-10.
+
+    LAPACK reads one triangle, where the -1.2e-10 of A alone would fail.
+    """
+    A = np.zeros((4, 4), dtype=complex)
+    A[0, 0] = A[3, 3] = 0.5
+    A[3, 0] = 0.5 + 1.2e-10
+    A[0, 3] = 0.5 + 0.6e-10
+    rho, adjoint = validate_density(A, 2), validate_density(A.conj().T, 2)
+    assert rho.matrix.tobytes() == adjoint.matrix.tobytes()
+    assert abs(rho.eig.eigenvalues[-1] + 0.9e-10) < 1e-15
+
+
+def test_validate_density_keeps_an_entry_just_above_one_unscaled():
+    """Checked divided by 1 + 5e-11, the density is stored as given; its eig is its own."""
+    A = np.diag([1.0 + 5e-11, 0.0, 0.0, -5e-11]).astype(complex)
+    rho = validate_density(A, 2)
+    assert rho.matrix.tobytes() == A.tobytes()
+    assert rho.eig.eigenvalues.tolist() == [1.0 + 5e-11, 0.0, 0.0, -5e-11]
+
+
+@given(st.integers(1, 3), st.integers(0, 2**30), st.floats(0.0, 2e-10), st.floats(0.0, 2e-10))
+def test_validate_density_gives_a_matrix_and_its_adjoint_one_verdict(rank, seed, shift, skew):
+    """A rank-deficient two-qubit density pushed to about -shift and given a lower-triangle skew.
+
+    Both tolerances (1e-10) lie inside the drawn ranges.
+    """
+    rho = random_density(2, rank, seed)
+    null = hermitian_eig(rho.matrix).eigenvectors[:, -1]
+    g = generator(seed, 1)
+    E = np.tril(g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4)), -1)
+    A = (1.0 + shift) * rho.matrix - shift * np.outer(null, null.conj()) + skew * E / np.linalg.norm(E)
+    verdicts = []
+    for M in (A, A.conj().T):
+        try:
+            verdicts.append(validate_density(M, 2).matrix.tobytes())
+        except InputError as exc:
+            verdicts.append(type(exc))
+    assert verdicts[0] == verdicts[1]
 
 
 def test_pure_density_is_the_one_state_mixture_bit_for_bit():
@@ -275,16 +334,10 @@ def test_optimal_index_decomposition_diagonalizes():
             assert abs(got - want) < 1e-8
 
 
-def test_optimal_index_decomposition_eigendecomposes_rho_once(monkeypatch):
-    calls = []
-
-    def counting(M):
-        calls.append(M)
-        return hermitian_eig(M)
-
-    monkeypatch.setattr("qconc.mixed.hermitian_eig", counting)
-    optimal_index_decomposition(random_density(3, 3, 36), SIndex(1, 1, 2, 2))
-    assert len(calls) == 1
+def test_optimal_index_decomposition_eigendecomposes_rho_once(eigh_calls):
+    rho = random_density(3, 3, 36)
+    optimal_index_decomposition(rho, SIndex(1, 1, 2, 2))
+    assert eigh_calls.of(rho.matrix) == 1
 
 
 def test_optimal_index_decomposition_maximally_mixed():
@@ -544,23 +597,13 @@ def test_eigenvalues_near_rank_eps_move_the_bound_by_at_most_1e_11():
                     assert abs(d_lower_bound(rho, 1, 2, clamp=clamp) - expect) <= 1e-11
 
 
-def test_bound_and_spectra_eigendecompose_rho_once(monkeypatch):
-    calls = []
-
-    def counting(M):
-        calls.append(M)
-        return hermitian_eig(M)
-
-    monkeypatch.setattr("qconc.mixed.hermitian_eig", counting)
+def test_bound_and_spectra_eigendecompose_rho_once(eigh_calls):
+    """The three spectra of one density share its one eigendecomposition."""
     rho = random_form_a_mixture(3, 63)
-    for call in (
-        lambda: example_3x3_bound(rho),
-        lambda: d_lower_bound(rho, 1, 2),
-        lambda: lambda_spectrum(rho, IDX2),
-    ):
-        calls.clear()
-        call()
-        assert len(calls) == 1
+    example_3x3_bound(rho)
+    d_lower_bound(rho, 1, 2)
+    lambda_spectrum(rho, IDX2)
+    assert eigh_calls.of(rho.matrix) == 1
 
 
 def test_bound_and_spectra_reject_negative_eigenvalues():

@@ -17,7 +17,6 @@ from qconc import (
 )
 from qconc.cli import load_state
 from qconc.errors import NotIsometry, OutOfRange, ProfileMismatch
-from qconc.linalg import hermitian_eig
 from qconc.mixed import (
     Decomposition,
     d_lower_bound,
@@ -142,18 +141,11 @@ def test_roof_problem_validation():
     RoofProblem(target=random_form_a_mixture(2, 94), objective=AverageD(1, 3), max_sweeps=1)
 
 
-def test_minimize_roof_eigendecomposes_rho_once(monkeypatch):
+def test_minimize_roof_eigendecomposes_rho_once(eigh_calls):
     """The D(1, 2) route is chosen from the rows the search already has."""
-    calls = []
-
-    def counting(M):
-        calls.append(M)
-        return hermitian_eig(M)
-
-    monkeypatch.setattr("qconc.mixed.hermitian_eig", counting)
     rho = random_form_a_mixture(3, 95)
     minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=3, restarts=1, max_sweeps=1))
-    assert len(calls) == 1
+    assert eigh_calls.of(rho.matrix) == 1
 
 
 def test_minimize_roof_builds_the_d12_cores_once(monkeypatch):
