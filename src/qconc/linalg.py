@@ -72,7 +72,11 @@ def hermitian_eig(M) -> HermitianEig:
     ConvergenceFailure
         If the underlying iterative solver does not converge.
     """
-    A = check_hermitian(M)
+    return eigh_descending(check_hermitian(M))
+
+
+def eigh_descending(A: np.ndarray) -> HermitianEig:
+    """``hermitian_eig`` of a complex square array already known to be Hermitian, without the check."""
     with lapack_errors():
         w, V = np.linalg.eigh(A)
     # eigh returns ascending order

@@ -22,7 +22,7 @@ RANK_EPS = 1e-12 count as zero, which moves the bound by about that much.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -38,7 +38,7 @@ from .errors import (
     OutOfRange,
     UnsupportedFamily,
 )
-from .linalg import HermitianEig, check_hermitian, check_psd, hermitian_eig, psd_root
+from .linalg import HermitianEig, check_hermitian, check_psd, eigh_descending, hermitian_eig, psd_root
 from .linalg import takagi as takagi_factor
 from .purestate import PureState, from_coefficients, generalized_concurrence_D
 from .spectra import eof_of_bound
@@ -59,15 +59,25 @@ class DensityMatrix:
     ``matrix`` is N^2 x N^2, Hermitian, positive semidefinite and unit
     trace; basis ordering follows the PureState vectorization (row-major
     over coefficient-matrix indices).  ``eig``, its eigendecomposition, is
-    taken on first use and kept.
+    taken on first use and kept; it tests Hermiticity first (NotHermitian)
+    unless ``hermitian`` is set.  Only ``hermitian_part`` sets it: it is no
+    constructor parameter, so ``DensityMatrix(dim, matrix)`` always tests.
     """
 
     dim: int
     matrix: np.ndarray
+    hermitian: bool = field(default=False, init=False, repr=False)
+
+    @classmethod
+    def hermitian_part(cls, dim: int, M: np.ndarray) -> "DensityMatrix":
+        """The density (M + M^H) / 2, Hermitian bit for bit, so its ``eig`` needs no Hermiticity test."""
+        rho = cls(dim, 0.5 * (M + M.conj().T))
+        object.__setattr__(rho, "hermitian", True)  # the dataclass is frozen
+        return rho
 
     @cached_property
     def eig(self) -> HermitianEig:
-        return hermitian_eig(self.matrix)
+        return (eigh_descending if self.hermitian else hermitian_eig)(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -147,9 +157,10 @@ class Decomposition:
 def validate_density(M, N: int) -> DensityMatrix:
     """Validate an N^2 x N^2 array as a density matrix.
 
-    Hermiticity follows ``check_hermitian`` and positivity ``check_psd`` on the
-    ``eig`` of the returned (A + A^H) / 2, both on A over its largest real or
-    imaginary part where that exceeds 1 (as in no density), so none overflows.
+    Hermiticity is tested once, by ``check_hermitian``, and positivity by
+    ``check_psd`` on the ``eig`` of the returned (A + A^H) / 2, both on A over
+    its largest real or imaginary part where that exceeds 1 (as in no
+    density), so none overflows.
 
     Raises
     ------
@@ -165,13 +176,13 @@ def validate_density(M, N: int) -> DensityMatrix:
         raise NonFinite("density matrix has NaN or infinite entries")
     big = max(float(np.abs(A.real).max()), float(np.abs(A.imag).max()), 1.0)
     B = check_hermitian(A / big)
-    rho = DensityMatrix(N, 0.5 * (B + B.conj().T))
+    rho = DensityMatrix.hermitian_part(N, B)
     check_psd(rho.eig)
     tr = sum(A.diagonal().real.tolist())
     if abs(tr - 1.0) > DENSITY_TOL:
         raise BadTrace(f"trace {tr!r} differs from 1 by more than {DENSITY_TOL}")
     # A / 1.0 is A bit for bit; a scaled density can pass only at the trace tolerance's edge.
-    return rho if big == 1.0 else DensityMatrix(N, 0.5 * (A + A.conj().T))
+    return rho if big == 1.0 else DensityMatrix.hermitian_part(N, A)
 
 
 def pure_density(psi: PureState) -> DensityMatrix:
@@ -180,20 +191,27 @@ def pure_density(psi: PureState) -> DensityMatrix:
 
 
 def mix_pure_states(weights, states) -> DensityMatrix:
-    """Mixture of pure states of one N; finite weights >= 0, not all zero, normalized to sum 1."""
+    """Mixture of pure states of one N; finite weights >= 0, not all zero, normalized to sum 1.
+
+    Weights whose sum overflows raise OutOfRange.
+    """
     w = np.asarray(weights, dtype=float)
     if w.size != len(states) or not (np.isfinite(w).all() and (w >= 0.0).all() and w.any()):
         raise OutOfRange("weights must be finite, nonnegative and not all zero, one per state")
     dim = states[0].dim
     if any(psi.dim != dim for psi in states):
         raise DimensionMismatch("all mixed states need the same N")
-    w = w / math.fsum(w.tolist())
+    try:
+        total = math.fsum(w.tolist())
+    except OverflowError:
+        raise OutOfRange("weights sum past the float range") from None
+    w = w / total
     rho = np.zeros((dim * dim, dim * dim), dtype=complex)
     for wk, psi in zip(w, states):
         z = psi.vector()
         z = z / np.linalg.norm(z)
         rho += wk * np.outer(z, z.conj())
-    return DensityMatrix(dim, 0.5 * (rho + rho.conj().T))
+    return DensityMatrix.hermitian_part(dim, rho)
 
 
 def eigen_vectors_subnormalized(rho: DensityMatrix) -> np.ndarray:

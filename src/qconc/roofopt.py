@@ -149,18 +149,22 @@ def member_kernel(objective, V: np.ndarray, N: int):
 
     Through ``Descent.members`` every kernel maps conjugated isometry rows
     conj(Q) (n, r) to the member values and their r-space gradients
-    E = conj(G) V^T (n, r).  AverageD(1, 2) takes the minor route
-    ``roofsearch.d12_members``, which reads the bound's r x r tau cores,
-    when every member has Schmidt rank <= 2: N = 2, or rows V of the
-    rows-2=3 class.  The E and profile kernels act on the rows conj(Q) V.
+    E = conj(G) V^T (n, r).  When every member has Schmidt rank <= 2
+    (N = 2, or rows V of the rows-2=3 class), AverageD(1, 2) takes the
+    minor route ``roofsearch.d12_members``, which reads the bound's r x r
+    tau cores, and AverageE takes ``roofsearch.e12_members``, Wootters'
+    map of that D.  On any other support AverageE takes
+    ``roofsearch.e_members``; it and the profile kernel act on the rows
+    conj(Q) V.
     """
     # Imported on first use, so that processes which never search never compile it.
-    from .roofsearch import d12_members, e_members, profile_members
+    from .roofsearch import d12_members, e12_members, e_members, profile_members
 
+    rank_two = N == 2 or (N == 3 and _rows_form_a(V))
     if isinstance(objective, AverageE):
-        return e_members
+        return e12_members if rank_two else e_members
     if isinstance(objective, AverageD):
-        if (objective.m, objective.n) == (1, 2) and (N == 2 or (N == 3 and _rows_form_a(V))):
+        if (objective.m, objective.n) == (1, 2) and rank_two:
             return d12_members
         return lambda W, N: profile_members(W, N, objective.m, objective.n)
     raise OutOfRange(f"unknown objective {objective!r}")

@@ -14,7 +14,7 @@ E = conj(G) V^T is member k's Euclidean gradient with respect to conj(Q_k).
 
 The kernel contract (``Descent.members``): conjugated isometry rows
 conj(Q) (n, r) in; every member's value p f(psi) and its r-space gradient
-E (n, r) out.  One batched kernel per objective:
+E (n, r) out.  One batched kernel per objective and support:
 
 * ``d12_members`` (AverageD(1, 2) where every member has Schmidt rank <= 2:
   N = 2 or a form-(a) support): the value 2 ||2x2 minors of A|| =
@@ -24,27 +24,37 @@ E (n, r) out.  One batched kernel per objective:
   one (n, r) x (r, K r) product with the ``d12_cores`` gives Z_x = q C_x,
   y = Z q / 2 and E = 2 conj(u)^T Z for the unit minor vector u; no
   ``eigh`` and nothing N^2 wide.
-* ``e_members`` (AverageE): one batched ``eigh``, G_k = 2 X A_k with
-  X = (log p - log M) / ln 2 on the range of M.
+* ``e12_members`` (AverageE on the same supports): Wootters' two-level
+  map of the concurrence c = d / p, p H(c) with H(c) = ``eof_of_d(c, 1)``,
+  built on ``d12_members``'s d and gradient and the weight p = q G q^H
+  (G = V V^H); no ``eigh``.
+* ``e_members`` (AverageE on any other support): one batched ``eigh``,
+  G_k = 2 X A_k with X = (log p - log M) / ln 2 on the range of M.
 * ``profile_members`` (any other AverageD(m, n)): the spectral gradient of
   the matched profile; a step that leaves the profile scores +inf.
 
 The last two act on the rows W = conj(Q) V (n, N^2) and return G_k; the
-one adapter in ``Descent.members`` maps their G to E.
+one adapter in ``Descent.members`` maps their G to E.  ``Descent.values``
+keeps each kernel call's member values and E (``Scored``).
 
-The D(1, 2) sum of minor norms has kinks at product members.  A member
-within SNAP_TOL of a product state is snapped onto it by a rank-truncated
-Newton step (singular values below SNAP_RCOND of the largest dropped)
-when that does not raise the objective; at a kink (minor norm at most
+The D(1, 2) sum of minor norms has kinks at product members, where the
+entanglement is smooth (its gradient vanishes there), so the kink rule
+and the snap serve ``d12_members`` alone.  A member within SNAP_TOL of a
+product state is snapped onto it by a rank-truncated Newton step
+(singular values below SNAP_RCOND of the largest dropped) when that does
+not raise the objective; at a kink (minor norm at most
 KINK_TOL * p) the search uses the minimum-norm subgradient, found by
 relaxing the member's unit minor vector to the unit ball (the group-lasso
-test), as both the stationarity test and the descent direction.  A
+test), as both the stationarity test and the descent direction; both
+tests read the minor norms f / 2 of the values f the kernel returned,
+scored again after the periodic SVD re-orthonormalisation
+(``Descent.reorthonormalized``) so that f and p come from one point.  A
 start's first step scans one period of its geodesic, and a converged
 point is probed along every two-row rotation, so that saddles such as
 the eigendecomposition of a symmetric state are left behind.  The points
 of a scan or a probe are fixed in advance and scored in one kernel call
-(``Descent.values``); each scored point keeps its gradient, so no
-decomposition is scored twice.  ``_rotate`` forms every exp(-eta H) Q.
+(``Descent.values``); each scored point keeps its ``Scored`` members, so
+no decomposition is scored twice.  ``_rotate`` forms every exp(-eta H) Q.
 
 Imports run one way: this module imports nothing from ``roofopt``, whose
 ``member_kernel`` picks the kernel and imports this module on the first
@@ -55,13 +65,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ProfileMismatch
 from .mixed import _support_table, _tau_cores
 from .purestate import _profile_values
-from .spectra import concurrence_of_values
+from .spectra import concurrence_of_values, eof_of_d
 
 # Eigenvalues of M at or below RANGE_TOL * p are outside the range of M.
 RANGE_TOL = 1e-12
@@ -82,6 +93,7 @@ FLAT = 1e-13
 MAX_EVALS = 30
 SCAN = 8
 BALL_SWEEPS = 100
+LN2 = math.log(2.0)
 
 
 # -- member kernels (the contract is ``Descent.members``) ---------------
@@ -96,10 +108,15 @@ def d12_cores(V: np.ndarray, N: int) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(C, 0, 1).reshape(len(V), -1))
 
 
-def _core_minors(Qbar: np.ndarray, cores: np.ndarray):
-    """The minors y (n, K) of the rows W = Qbar V and Z (n, K, r) with Z_kx = Qbar_k C_x = d y_kx / d Qbar_k."""
+def _core_jacobians(Qbar: np.ndarray, cores: np.ndarray) -> np.ndarray:
+    """Z (n, K, r) with Z_kx = Qbar_k C_x = d y_kx / d Qbar_k, for the minors y of the rows W = Qbar V."""
     n, r = Qbar.shape
-    Z = (Qbar @ cores).reshape(n, -1, r)
+    return (Qbar @ cores).reshape(n, -1, r)
+
+
+def _core_minors(Qbar: np.ndarray, cores: np.ndarray):
+    """The minors y (n, K) of the rows W = Qbar V and their ``_core_jacobians`` Z."""
+    Z = _core_jacobians(Qbar, cores)
     return 0.5 * (Z @ Qbar[:, :, None])[..., 0], Z
 
 
@@ -113,6 +130,40 @@ def d12_members(Qbar: np.ndarray, cores: np.ndarray):
     norms = np.linalg.norm(y, axis=1)
     u = y / np.where(norms > 0.0, norms, 1.0)[:, None]
     return 2.0 * norms, 2.0 * (u.conj()[:, None, :] @ Z)[:, 0]
+
+
+def e12_members(Qbar: np.ndarray, cores: np.ndarray, gram: np.ndarray):
+    """Entanglement p H(c) of rank-<=2 rows, c = d / p the concurrence, and its r-space gradient.
+
+    d and its gradient E_d come from ``d12_members``, the weight
+    p = q G q^H from the Gram matrix G = V V^H of the eigenvector rows, and
+    H(c) = ``eof_of_d(c, 1)`` is Wootters' two-level map (PRL 80, 2245).
+    The gradient is (H - c H') 2 conj(q G) + H' E_d with
+    H'(c) = c ln((1 + w) / c) / (w ln 2), w = sqrt((1 - c)(1 + c)); it
+    vanishes at product members (c = 0), and H' -> c / ln 2 as w -> 0.
+    Below c of about 1e-8, w rounds to 1 and H to 0.
+    The scalar map runs on Python floats: on the t <= 5 members of one
+    isometry, each numpy call would cost more than the map itself.
+    """
+    d, E_d = d12_members(Qbar, cores)
+    QG = Qbar @ gram
+    p = (QG * Qbar.conj()).sum(axis=1).real
+    values, coef = [], []
+    for dk, pk in zip(d.tolist(), p.tolist()):
+        c = min(dk / pk, 1.0) if pk > 0.0 else 0.0
+        H = eof_of_d(c, 1)
+        w = math.sqrt((1.0 - c) * (1.0 + c))
+        if c == 0.0:
+            slope = 0.0
+        elif w == 0.0:
+            slope = c / LN2
+        else:
+            # ln((1 + w) / c) as log1p((w + (1 - c)) / c), accurate as c -> 1.
+            slope = c * math.log1p((w + (1.0 - c)) / c) / (w * LN2)
+        values.append(pk * H)
+        coef.append((2.0 * (H - c * slope), slope))
+    coef = np.array(coef)
+    return np.array(values), coef[:, :1] * QG.conj() + coef[:, 1:] * E_d
 
 
 def _gram(W: np.ndarray, N: int):
@@ -198,75 +249,106 @@ def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
     return xs
 
 
+class Scored(NamedTuple):
+    """A kernel call's member values f and r-space gradients E: (t,), (t, r) per isometry; (c, t), (c, t, r) per stack."""
+
+    f: np.ndarray
+    E: np.ndarray
+
+    def at(self, j: int) -> "Scored":
+        """The members of isometry j of a stack."""
+        return Scored(self.f[j], self.E[j])
+
+
 class Descent:
     """Objective, gradient and kink rule (for the kernel ``d12_members``) of one problem at an isometry Q.
 
     ``members`` is the kernel contract: conjugated isometry rows conj(Q)
-    in, member values and r-space gradients E = conj(G) V^T out.  The
-    D(1, 2) kernel reads the ``d12_cores``, built once here from the
-    bound's tau cores; the other kernels see the rows conj(Q) V and their
-    G is mapped to E.  ``evaluations`` counts the decompositions scored
-    so far, one per isometry that reaches the kernel.
+    in, member values and r-space gradients E = conj(G) V^T out.  The two
+    cored kernels, ``d12_members`` and ``e12_members``, read the
+    ``d12_cores`` (``e12_members`` also the Gram matrix V V^H), built once
+    here; the other kernels see the rows conj(Q) V and their G is mapped
+    to E.  ``values`` hands a scored stack on as a ``Scored``, whose points
+    the gradient and the kink rule read instead of scoring them again.
+    ``evaluations`` counts the decompositions scored so far, one per
+    isometry that reaches the kernel.
     """
 
     def __init__(self, V: np.ndarray, N: int, kernel):
         self.V, self.N, self.kernel = V, N, kernel
-        self.exact = kernel is d12_members
-        if self.exact:
+        self.kinked = kernel is d12_members
+        self.inputs = None
+        if self.kinked or kernel is e12_members:
             self.cores, self.gram = d12_cores(V, N), V @ V.conj().T
+            self.inputs = (self.cores,) if self.kinked else (self.cores, self.gram)
         self.evaluations = 0
 
     def members(self, Qbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (n,) and r-space gradients E (n, r) of the members whose isometry rows are conj(Qbar)."""
-        if self.exact:
-            return self.kernel(Qbar, self.cores)
+        if self.inputs is not None:
+            return self.kernel(Qbar, *self.inputs)
         values, G = self.kernel(Qbar @ self.V, self.N)
         return values, G.conj() @ self.V.T
 
-    def values(self, Qs: np.ndarray) -> tuple[list[float], np.ndarray]:
-        """Objective values and member gradients E (c, t, r) of a stack of isometries (c, t, r), from one kernel call."""
+    def values(self, Qs: np.ndarray) -> tuple[list[float], Scored]:
+        """Objective values and the ``Scored`` stack of a stack of isometries (c, t, r), from one kernel call."""
         c, t, r = Qs.shape
         self.evaluations += c
-        vals, E = self.members(Qs.reshape(c * t, r).conj())
-        return list(map(math.fsum, vals.reshape(c, t).tolist())), E.reshape(c, t, r)
+        f, E = self.members(Qs.reshape(c * t, r).conj())
+        f = f.reshape(c, t)
+        return list(map(math.fsum, f.tolist())), Scored(f, E.reshape(c, t, r))
 
-    def value(self, Q: np.ndarray) -> tuple[float, np.ndarray]:
-        """``values`` of the one isometry Q: its objective value and member gradients E (t, r)."""
-        F, E = self.values(Q[None])
-        return F[0], E[0]
+    def value(self, Q: np.ndarray) -> tuple[float, Scored]:
+        """The objective value and ``Scored`` members of the one isometry Q, as ``values`` gives them for a stack."""
+        self.evaluations += 1
+        f, E = self.members(Q.conj())
+        return math.fsum(f.tolist()), Scored(f, E)
 
-    def omega(self, Q: np.ndarray, E: np.ndarray) -> np.ndarray:
-        """Skew-Hermitian Omega = B - B^H with B = E Q^H, for the member gradients E at Q."""
-        B = E @ Q.conj().T
+    def omega(self, Q: np.ndarray, S: Scored) -> np.ndarray:
+        """Skew-Hermitian Omega = B - B^H with B = E Q^H, for the member gradients E of S at Q."""
+        B = S.E @ Q.conj().T
         return B - B.conj().T
 
-    def gradient(self, Q: np.ndarray, E: np.ndarray):
+    def gradient(self, Q: np.ndarray, S: Scored):
         """Riemannian gradient at Q (min-norm subgradient at kinks), kink and loose members.
 
-        ``loose`` lists the members whose minor norm lies in
-        (SNAP_FLOOR, SNAP_TOL] * p, which a snap could move onto a product
-        state.
+        The kink and loose tests read the minor norms ||y|| = f / 2 that the
+        D(1, 2) kernel scored Q with.  ``loose`` lists the members whose
+        minor norm lies in (SNAP_FLOOR, SNAP_TOL] * p, which a snap could
+        move onto a product state.
         """
         kinks, loose = [], []
-        if self.exact:
-            Qbar = Q.conj()
-            y, Z = _core_minors(Qbar, self.cores)
-            p = np.sum((Qbar @ self.gram) * Q, axis=1).real
-            norms = np.linalg.norm(y, axis=1)
+        if self.kinked:
+            p = np.sum((Q.conj() @ self.gram) * Q, axis=1).real
+            norms = 0.5 * S.f
             kinks = np.flatnonzero(norms <= KINK_TOL * p).tolist()
             loose = np.flatnonzero((norms <= SNAP_TOL * p) & (norms > SNAP_FLOOR * p)).tolist()
         if not kinks:
-            return self.omega(Q, E), [], loose
-        E = E.copy()
+            return self.omega(Q, S), [], loose
+        E = S.E.copy()
         E[kinks] = 0.0
         basis = _skew_basis(Q.shape[0])
-        a = np.tensordot(basis.conj(), self.omega(Q, E), axes=([1, 2], [0, 1])).real
+        a = np.tensordot(basis.conj(), self.omega(Q, Scored(S.f, E)), axes=([1, 2], [0, 1])).real
         # Along exp(-eta B) Q, the kink term 2 Re<u, minors_k> changes at
         # rate 2 Re<u, dy>, which is -1/2 <B, Omega>: Omega's coordinates
         # are -4 (Re dy, Im dy) (Re u, Im u).
+        Z = _core_jacobians(Q.conj(), self.cores)
         blocks = [-4.0 * np.concatenate([dy.real, dy.imag], axis=1) for dy, _ in self._changes(Q, Z, kinks)]
         xs = _ball_lsq(a, blocks)
         return np.tensordot(a + sum(B @ x for B, x in zip(blocks, xs)), basis, 1), kinks, loose
+
+    def reorthonormalized(self, Q: np.ndarray, S: Scored) -> tuple[np.ndarray, Scored]:
+        """The isometry U V^H nearest Q (Q = U s V^H) and S with the values f re-read there for the kink rule.
+
+        The kink and loose tests compare the minor norms f / 2 with p at one
+        point, so the D(1, 2) values are scored again at the new isometry
+        (one more evaluation); E is kept.
+        """
+        U, _, Vh = np.linalg.svd(Q, full_matrices=False)
+        Q = U @ Vh
+        if self.kinked:
+            S = Scored(self.value(Q)[1].f, S.E)
+        return Q, S
 
     def _changes(self, Q: np.ndarray, Z: np.ndarray, members: list[int]):
         """(d minors_k, d p_k) along dQ = -B Q for every basis element B, per member: (t^2, K), (t^2,).
@@ -328,11 +410,11 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
     """
     t, r = Q.shape
     cycle = 2 * t * r - r * r
-    F, E = problem.value(Q)
+    F, S = problem.value(Q)
     trace = [F]
     if not math.isfinite(F):
         return Q, trace, False, 0
-    grad, kinks, _ = problem.gradient(Q, E)
+    grad, kinks, _ = problem.gradient(Q, S)
     H = grad
     eta = slope = None
     for it in range(max_cycles * cycle):
@@ -341,8 +423,8 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
             step = _probe(problem, Q, F)
             if step is None:
                 return Q, trace, True, len(kinks)
-            Q, F, E = step
-            grad, kinks, _ = problem.gradient(Q, E)
+            Q, F, S = step
+            grad, kinks, _ = problem.gradient(Q, S)
             H, eta = grad, None
             trace.append(F)
             continue
@@ -359,17 +441,16 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
             step = _line_search(problem, Q, F, H, slope, guess)
         if step is None:
             return Q, trace, False, len(kinks)
-        eta, Q, F, E = step
+        eta, Q, F, S = step
         if (it + 1) % cycle == 0:
-            U, _, Vh = np.linalg.svd(Q, full_matrices=False)
-            Q = U @ Vh
-        new, kinks, loose = problem.gradient(Q, E)
+            Q, S = problem.reorthonormalized(Q, S)
+        new, kinks, loose = problem.gradient(Q, S)
         if loose:
             Qs = problem.snap(Q, loose)
-            Fs, Es = problem.value(Qs)
+            Fs, Ss = problem.value(Qs)
             if Fs <= F + FLAT * abs(F):
-                Q, F, E = Qs, Fs, Es
-                new, kinks, loose = problem.gradient(Q, E)
+                Q, F, S = Qs, Fs, Ss
+                new, kinks, loose = problem.gradient(Q, S)
         beta = max(0.0, _inner(new - grad, new) / gnorm2)
         H = new + beta * H
         grad = new
@@ -378,7 +459,7 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
 
 
 def _probe(problem: Descent, Q, F0: float):
-    """Scan every two-row rotation of Q; (Q, F, E) of the lowest point if it beats F0 beyond rounding.
+    """Scan every two-row rotation of Q; (Q, F, S) of the lowest point if it beats F0 beyond rounding.
 
     A stationary point of the gradient search can be a saddle, such as
     the eigendecomposition of a symmetric state; the rotations give it
@@ -390,11 +471,11 @@ def _probe(problem: Descent, Q, F0: float):
     if not stacks:
         return None
     Qs = np.concatenate(stacks)
-    scores, E = problem.values(Qs)
+    scores, S = problem.values(Qs)
     j = min(range(len(scores)), key=scores.__getitem__)  # ties go to the first
     if not scores[j] < F0 - FLAT * abs(F0):
         return None
-    return Qs[j], scores[j], E[j]
+    return Qs[j], scores[j], S.at(j)
 
 
 @lru_cache(maxsize=None)
@@ -411,11 +492,11 @@ def _rotate(theta: np.ndarray, U: np.ndarray, UhQ: np.ndarray, eta) -> np.ndarra
 
 
 def _scan(problem: Descent, theta, U, UhQ, etas: np.ndarray, F0: float):
-    """(j, Qs, scores, E): the lowest j of scores = [F(Q) = F0] + F(Qs), Qs = exp(-etas[1:] H) Q, and Qs's gradients."""
+    """(j, Qs, scores, S): the lowest j of scores = [F(Q) = F0] + F(Qs), Qs = exp(-etas[1:] H) Q, and Qs's ``Scored``."""
     Qs = _rotate(theta, U, UhQ, etas[1:])
-    scores, E = problem.values(Qs)
+    scores, S = problem.values(Qs)
     scores = [F0] + scores
-    return min(range(len(scores)), key=scores.__getitem__), Qs, scores, E
+    return min(range(len(scores)), key=scores.__getitem__), Qs, scores, S
 
 
 def _cubic_step(a, fa, da, b, fb, db) -> float:
@@ -436,7 +517,7 @@ def _cubic_step(a, fa, da, b, fb, db) -> float:
 
 
 def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
-    """Strong-Wolfe line search along exp(-eta H) Q; (eta, Q, F, E) or None.
+    """Strong-Wolfe line search along exp(-eta H) Q; (eta, Q, F, S) or None.
 
     phi(eta) = F(exp(-eta H) Q) has phi'(0) = -slope.  A point is
     accepted when it passes the Armijo test and |phi'| <= CURVATURE *
@@ -456,9 +537,9 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     cap = math.pi / top
     UhQ = U.conj().T @ Q
 
-    def point(eta, Qn, Fn, En):
-        d = -0.5 * _inner(H, problem.omega(Qn, En)) if math.isfinite(Fn) else math.nan
-        return eta, Qn, Fn, En, d
+    def point(eta, Qn, Fn, Sn):
+        d = -0.5 * _inner(H, problem.omega(Qn, Sn)) if math.isfinite(Fn) else math.nan
+        return eta, Qn, Fn, Sn, d
 
     def at(eta):
         Qn = _rotate(theta, U, UhQ, eta)
@@ -494,12 +575,12 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     prev = (0.0, Q, F0, None, -slope)
     if guess is None:
         etas = 2.0 * cap * np.arange(SCAN) / SCAN
-        j, Qs, scores, E = _scan(problem, theta, U, UhQ, etas, F0)
+        j, Qs, scores, S = _scan(problem, theta, U, UhQ, etas, F0)
         grid = {0: prev}
 
         def node(i):
             if i not in grid:
-                grid[i] = point(etas[i], Qs[i - 1], scores[i], E[i - 1])
+                grid[i] = point(etas[i], Qs[i - 1], scores[i], S.at(i - 1))
             return grid[i]
 
         pt = node(j)

@@ -85,8 +85,11 @@ class EigFamily:
 
 def entropy_bits(values) -> float:
     """Shannon entropy -sum lambda log2(lambda) in bits; values <= 0 add nothing."""
-    lam = np.asarray(values, dtype=float).tolist()
-    return -sum((v * math.log2(v) for v in lam if v > 0.0), 0.0)
+    h = 0.0
+    for v in values.tolist() if isinstance(values, np.ndarray) else map(float, values):
+        if v > 0.0:
+            h -= v * math.log2(v)
+    return h
 
 
 def concurrence_of_values(values, m: int) -> float:

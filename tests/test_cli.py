@@ -150,6 +150,15 @@ def test_eof_pure_and_concurrence_commands():
     assert abs(report.results["D"] - np.sqrt(2.0)) < 1e-12
 
 
+def test_eof_pure_of_a_product_state_prints_zero_not_minus_zero(tmp_path, capsys):
+    """A product state's entanglement is +0.0: its text report reads "eof: 0"."""
+    path = tmp_path / "product.json"
+    path.write_text(dumps_state(from_coefficients(np.diag([1.0, 0.0]))))
+    assert main(["eof-pure", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "eof: 0" in out and "eof: -0" not in out
+
+
 def test_concurrence_D_resolves_the_profile_like_bound(tmp_path, capsys):
     report, _ = dispatch(["concurrence", BELL_FILE, "--which", "D"])
     assert (report.results["m"], report.results["n"]) == (1, 2)

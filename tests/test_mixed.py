@@ -41,7 +41,8 @@ from qconc.errors import (
     OutOfRange,
     UnsupportedFamily,
 )
-from qconc.linalg import hermitian_eig, sqrt_psd
+from qconc import linalg, mixed
+from qconc.linalg import check_hermitian, hermitian_eig, sqrt_psd
 from qconc.mixed import (
     RANK_EPS,
     _factor,
@@ -111,8 +112,9 @@ def test_mix_pure_states_normalizes_weights():
         ([0.0, 0.0], [BELL, BELL], OutOfRange),
         ([], [], OutOfRange),
         ([0.5, 0.5], [BELL, random_pure(3, generator(113))], DimensionMismatch),
+        ([1e308, 1e308], [BELL, BELL], OutOfRange),
     ],
-    ids=["nan", "inf", "all-zero", "empty", "mixed-dimensions"],
+    ids=["nan", "inf", "all-zero", "empty", "mixed-dimensions", "sum-overflow"],
 )
 def test_mix_pure_states_rejects_what_is_no_mixture(weights, states, error):
     with pytest.raises(error):
@@ -131,6 +133,41 @@ def test_validate_density_checks_positivity_on_the_symmetrized_matrix():
     rho, adjoint = validate_density(A, 2), validate_density(A.conj().T, 2)
     assert rho.matrix.tobytes() == adjoint.matrix.tobytes()
     assert abs(rho.eig.eigenvalues[-1] + 0.9e-10) < 1e-15
+
+
+def test_validate_density_tests_hermiticity_once(monkeypatch):
+    """validate_density runs check_hermitian once; the eig of the density it returns runs none."""
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return check_hermitian(M)
+
+    monkeypatch.setattr(linalg, "check_hermitian", counted)
+    monkeypatch.setattr(mixed, "check_hermitian", counted)
+    A = random_density(3, 2, 114).matrix
+    for big in (1.0, 1.0 + 5e-11):
+        calls.clear()
+        rho = validate_density(A * big, 3)
+        assert rho.hermitian and len(calls) == 1, big
+        assert rho.eig.eigenvalues[0] > 0.0
+        assert len(calls) == 1, big
+    calls.clear()
+    assert mix_pure_states([0.3, 0.7], [BELL, random_pure(2, generator(114))]).eig.eigenvalues[0] > 0.0
+    assert not calls
+
+
+def test_density_built_from_a_non_hermitian_array_raises_on_eig():
+    """Only hermitian_part (validate_density, mix_pure_states) skips the test; a direct build keeps it."""
+    A = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    A[0, 1] = 0.25
+    rho = DensityMatrix(2, A)
+    assert not rho.hermitian
+    with pytest.raises(NotHermitian):
+        rho.eig
+    with pytest.raises(TypeError):
+        DensityMatrix(2, A, hermitian=True)
+    assert DensityMatrix.hermitian_part(2, A).eig.eigenvalues.tolist() == pytest.approx([0.625, 0.375, 0.0, 0.0])
 
 
 def test_validate_density_keeps_an_entry_just_above_one_unscaled():

@@ -34,9 +34,9 @@ from qconc.roofopt import (
     minimize_roof,
     transform_decomposition,
 )
-from qconc import mixed, roofsearch
+from qconc import mixed, roofopt, roofsearch
 from qconc.roofsearch import SCAN, Descent, _pair_rotations, _probe, _rotate, _scan, d12_cores, d12_members, search
-from qconc.roofsearch import _ball_lsq, e_members
+from qconc.roofsearch import KINK_TOL, SNAP_FLOOR, SNAP_TOL, _ball_lsq, _core_minors, e12_members, e_members
 from qconc.sampling import generator, haar_isometry, haar_unitary, random_form_a_state, random_pure
 from qconc.spectra import eof_of_d
 
@@ -207,6 +207,127 @@ def test_core_kernel_matches_the_row_oracle(N, rank, grow, seed):
     assert not E[k].any() and not want_E[k].any()
     np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
     np.testing.assert_allclose(E, want_E, rtol=0.0, atol=1e-13 * np.max(np.abs(want_E)))
+
+
+@given(
+    N=st.sampled_from([2, 3]),
+    rank=st.integers(1, 6),
+    grow=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_e12_kernel_matches_the_member_oracle_and_e_members(N, rank, grow, seed):
+    """e12_members scores each row as its Schmidt spectrum does, and as p eof_of_d(d / p, 1).
+
+    Form-(a) mixtures of rank 1..6 and two-qubit states of rank 1..4, with
+    t = r .. r + 2 rows of a Haar isometry; values within 1e-12 p of each
+    member, and values and gradients within 1e-12 of the eigh kernel's.
+    """
+    rank = min(rank, 4) if N == 2 else rank
+    rho = random_form_a_mixture(rank, 116, seed) if N == 3 else random_density(2, rank, 116, seed)
+    V = eigen_vectors_subnormalized(rho)
+    r = len(V)
+    Qbar = haar_isometry(r + grow, r, generator(117, seed, grow)).conj()
+    cores = d12_cores(V, N)
+    values, E = e12_members(Qbar, cores, V @ V.conj().T)
+    d, _ = d12_members(Qbar, cores)
+    W = Qbar @ V
+    for k, w in enumerate(W):
+        p = float(np.vdot(w, w).real)
+        assert abs(values[k] - roof_member(w, N, "E")) <= 1e-12 * p, k
+        assert abs(values[k] - p * eof_of_d(min(d[k] / p, 1.0), 1)) <= 1e-12 * p, k
+    want, want_E = Descent(V, N, e_members).members(Qbar)
+    np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+    np.testing.assert_allclose(E, want_E, rtol=0.0, atol=1e-12 * np.max(np.abs(want_E)))
+
+
+def _qubit_block(B, N):
+    """The N x N coefficient matrix of a 2 x 2 block B: B at N = 2; at N = 3, rows 2 and 3 share B's second row (form (a))."""
+    if N == 2:
+        return B
+    A = np.zeros((3, 3), dtype=complex)
+    A[0, :2] = B[0]
+    A[1, :2] = A[2, :2] = B[1] / math.sqrt(2.0)
+    return A
+
+
+# Member 1 of the rows at Q = I has concurrence sin(2 theta): 0 (a product
+# member), 1e-9 (where w rounds to 1), generic, and 1 (w = 0 at N = 2,
+# about 2e-8 at N = 3).
+_E12_THETAS = (0.0, 5e-10, 0.3, math.pi / 4)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("theta", _E12_THETAS)
+@given(
+    grow=st.integers(0, 1),
+    seed=st.integers(0, 2**16),
+    direction=arrays(np.float64, (2, 3, 3), elements=st.floats(-1.0, 1.0)),
+)
+def test_e12_gradient_matches_central_differences(N, theta, grow, seed, direction):
+    """-1/2 <H, Omega> of the cored E kernel is the derivative along exp(-eta H) Q at Q = I.
+
+    Row 1 is a state of concurrence sin(2 theta) at weight 0.6, row 2 a
+    random Schmidt-rank-2 state at weight 0.4; with grow = 1 the third
+    member has weight 0.
+    """
+    g = generator(118, seed)
+    B = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
+    V = np.array([
+        math.sqrt(0.6) * _qubit_block(np.diag([math.cos(theta), math.sin(theta)]), N).reshape(-1),
+        math.sqrt(0.4) * _qubit_block(B / np.linalg.norm(B), N).reshape(-1),
+    ], dtype=complex)
+    kernel = member_kernel(AverageE(), V, N)
+    assert kernel is e12_members
+    problem = Descent(V, N, kernel)
+    t = 2 + grow
+    Q = np.eye(t, 2, dtype=complex)
+    F, S = problem.value(Q)
+    if theta == 0.0:
+        assert S.f[0] == 0.0 and not S.E[0].any()
+    H = _skew(direction[0, :t, :t] + 1j * direction[1, :t, :t])
+    assume(np.linalg.norm(H) > 0.1)
+    omega = problem.omega(Q, S)
+    theta_H, U = np.linalg.eigh(1j * H)
+
+    def along(eta):
+        return problem.value((U * np.exp(1j * eta * theta_H)) @ U.conj().T @ Q)[0]
+
+    h = 1e-5
+    fd = (along(h) - along(-h)) / (2.0 * h)
+    exact = -0.5 * float(np.vdot(H, omega).real)
+    assert abs(fd - exact) <= 1e-6 * np.linalg.norm(H) * np.linalg.norm(omega), (fd, exact)
+
+
+def test_cored_e_roofs_agree_with_the_eigh_kernel_on_the_corpus(monkeypatch):
+    """The benchmark corpus's E roofs at criterion 4's settings move by at most 1e-12 with the kernel."""
+    problems = [
+        RoofProblem(target=random_form_a_mixture(2 + k % 2, 104, k), objective=AverageE(),
+                    t_max=2 + k % 2, restarts=2, tol=1e-7, max_sweeps=30)
+        for k in range(5)
+    ]
+    cored = [minimize_roof(problem) for problem in problems]
+    monkeypatch.setattr(roofopt, "member_kernel", lambda objective, V, N: e_members)
+    rows = [minimize_roof(problem) for problem in problems]
+    for k, (got, want) in enumerate(zip(cored, rows)):
+        assert got.converged and want.converged, k
+        assert abs(got.value - want.value) <= 1e-12, (k, got.value, want.value)
+
+
+def test_cored_e_roof_makes_no_eigh_call_in_its_kernel(eigh_calls, monkeypatch):
+    """The E kernel on a form-(a) support reads the cores; only the search's rotations call eigh."""
+    inside = []
+
+    def counted(*args):
+        before = len(eigh_calls)
+        out = e12_members(*args)
+        inside.append(len(eigh_calls) - before)
+        return out
+
+    monkeypatch.setattr(roofsearch, "e12_members", counted)
+    rho = random_form_a_mixture(3, 104, 1)
+    minimize_roof(RoofProblem(target=rho, objective=AverageE(), t_max=3, restarts=2, tol=1e-7, max_sweeps=30))
+    assert len(inside) > 100 and not any(inside)
+    assert len(eigh_calls) > 0
 
 
 @given(rank=st.integers(1, 6), grow=st.integers(0, 2), seed=st.integers(0, 2**16))
@@ -504,6 +625,7 @@ _KERNEL_CASES = [
     (random_form_a_mixture(3, 104, 1), AverageD(1, 2)),
     (random_form_a_mixture(3, 104, 1), AverageE()),
     (random_density(3, 3, 106), AverageD(1, 3)),
+    (random_density(3, 3, 106), AverageE()),
     (_mixed_profile_density(), AverageD(1, 2)),
 ]
 
@@ -527,7 +649,7 @@ def test_batched_scores_match_one_value_call_per_candidate():
             infinite += sum(math.isinf(x) for x in single)
             for got, want in zip(batched, single):
                 assert got == want if math.isinf(want) else abs(got - want) <= 1e-13 * abs(want), (i, got, want)
-    assert kernels == {"d12_members", "e_members", "<lambda>"}
+    assert kernels == {"d12_members", "e12_members", "e_members", "<lambda>"}
     assert infinite > 0
 
 
@@ -568,6 +690,38 @@ def test_bench_corpus_roofs_converge_at_the_criterion_settings():
             assert result.converged, (k, objective)
 
 
+def test_kink_tests_after_the_svd_step_read_norms_and_p_at_one_isometry(monkeypatch):
+    """The periodic SVD step re-reads the D(1, 2) values, so kink and loose tests see one point.
+
+    On corpus mixture 3, some SVD steps fall on a cycle with kinked or
+    loose members.  At every step, the values handed on are the minor
+    norms 2 ||y|| at the new isometry bit for bit, and the gradient's kink
+    and loose sets are those of these norms and p taken there.
+    """
+    steps = []
+    reorthonormalized = Descent.reorthonormalized
+
+    def spy(self, Q, S):
+        Q, S = reorthonormalized(self, Q, S)
+        steps.append((self, Q, S))
+        return Q, S
+
+    monkeypatch.setattr(Descent, "reorthonormalized", spy)
+    rho = random_form_a_mixture(3, 104, 3)
+    minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=3, restarts=2, tol=1e-7, max_sweeps=30))
+    flagged = 0
+    for problem, Q, S in steps:
+        y, _ = _core_minors(Q.conj(), problem.cores)
+        norms = np.linalg.norm(y, axis=1)
+        assert (S.f == 2.0 * norms).all()
+        p = np.sum((Q.conj() @ problem.gram) * Q, axis=1).real
+        kinks = np.flatnonzero(norms <= KINK_TOL * p).tolist()
+        loose = np.flatnonzero((norms <= SNAP_TOL * p) & (norms > SNAP_FLOOR * p)).tolist()
+        assert problem.gradient(Q, S)[1:] == (kinks, loose)
+        flagged += bool(kinks or loose)
+    assert flagged > 0 and len(steps) > flagged
+
+
 def test_no_isometry_reaches_the_kernel_twice(monkeypatch):
     """Over the benchmark corpus's D and E roofs, each scored decomposition is scored once.
 
@@ -577,20 +731,20 @@ def test_no_isometry_reaches_the_kernel_twice(monkeypatch):
     seen, repeats = set(), []
 
     def once(kernel, t):
-        def wrapped(W, N):
+        def wrapped(W, *inputs):
             for rows in np.split(W, len(W) // t):
                 key = rows.tobytes()
                 (repeats.append if key in seen else seen.add)(key)
-            return kernel(W, N)
+            return kernel(W, *inputs)
         return wrapped
 
     for k in range(5):
         rank = 2 + k % 2
         rho = random_form_a_mixture(rank, 104, k)
-        for objective in (AverageD(1, 2), AverageE()):
+        # The kernel the search calls; e12_members calls d12_members inside.
+        for objective, kernel in ((AverageD(1, 2), d12_members), (AverageE(), e12_members)):
             seen.clear()
-            monkeypatch.setattr(roofsearch, "d12_members", once(d12_members, rank))
-            monkeypatch.setattr(roofsearch, "e_members", once(e_members, rank))
+            monkeypatch.setattr(roofsearch, kernel.__name__, once(kernel, rank))
             minimize_roof(RoofProblem(target=rho, objective=objective, t_max=rank, restarts=2, tol=1e-7, max_sweeps=30))
             monkeypatch.undo()
             assert seen, (k, objective)

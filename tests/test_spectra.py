@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qconc.spectra import (
     EigFamily,
@@ -79,6 +81,16 @@ def test_eof_of_d_endpoints():
         eof_of_d(1.5, 1)
     with pytest.raises(OutOfRange):
         eof_of_d(0.5, 0)
+
+
+@given(st.lists(st.floats(-1.0, 1.0), max_size=6))
+@example([])
+@example([0.5, 0.5, 0.0, -0.0])
+def test_entropy_bits_reads_arrays_lists_and_tuples_alike(values):
+    """entropy_bits iterates its values as floats: a float array, a list and a tuple give one value, bit for bit."""
+    h = entropy_bits(values).hex()
+    assert entropy_bits(tuple(values)).hex() == h
+    assert entropy_bits(np.array(values, dtype=float)).hex() == h
 
 
 def test_eof_of_d_matches_qubit_concurrence_formula():
@@ -175,7 +187,7 @@ def test_arith3_stable_near_origin():
 
 def test_entropy_and_concurrence_kernels():
     assert entropy_bits([0.5, 0.5, 0.0, -1e-18]) == 1.0
-    assert entropy_bits([1.0]) == 0.0
+    assert math.copysign(1.0, entropy_bits([1.0])) == 1.0 == math.copysign(1.0, eof_of_d(0.0, 1))
     assert abs(entropy_bits([0.25] * 4) - 2.0) < 1e-15
     assert concurrence_of_values((0.5, 0.5), 1) == 1.0
     assert abs(concurrence_of_values((0.1, 0.2, 0.3), 2) - 6.0 * math.sqrt(0.006)) < 1e-15
