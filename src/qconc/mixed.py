@@ -506,6 +506,18 @@ def _rows_form_a(V: np.ndarray) -> bool:
     return True
 
 
+def _rank_two_support(V: np.ndarray, N: int) -> bool:
+    """Whether rho_A or rho_B of the eigenvector rows V has rank <= 2, so every member of every decomposition has Schmidt rank <= 2.
+
+    Rank <= 2 means that the third singular value s_3 of the N x (r N)
+    stack of coefficient matrices (of their transposes for rho_B) has
+    s_3^2 <= RANK_EPS; at N = 2 there is none.
+    """
+    A = V.reshape(-1, N, N)
+    s = np.linalg.svd(np.stack([A.transpose(1, 0, 2), A.transpose(2, 0, 1)]).reshape(2, N, -1), compute_uv=False)
+    return bool(s[:, 2:].max(axis=1, initial=0.0).min() ** 2 <= RANK_EPS)
+
+
 FORM_A_INDICES = (SIndex(1, 1, 2, 2), SIndex(1, 1, 2, 3), SIndex(1, 2, 2, 3))
 _FORM_A_SUPPORT = np.array([_support(idx, 3) for idx in FORM_A_INDICES])
 

@@ -21,7 +21,6 @@ from .errors import NotIsometry, OutOfRange, ProfileMismatch
 from .mixed import (
     DensityMatrix,
     Decomposition,
-    _rows_form_a,
     check_profile,
     d_lower_bound,
     eigen_vectors_subnormalized,
@@ -74,7 +73,9 @@ class RoofProblem:
     conjugate-gradient cycles of a start; a cycle is 2tr - r^2 iterations
     (the real dimension of the t x r isometries), after which the
     direction restarts at steepest descent.  restarts or max_sweeps below
-    1, tol <= 0 and an AverageD profile with m n > N raise OutOfRange.
+    1, a negative seed, a tol that is not positive and finite, an AverageD
+    profile with m n > N and an objective other than AverageE or AverageD
+    raise OutOfRange.
     """
 
     target: DensityMatrix
@@ -91,8 +92,12 @@ class RoofProblem:
                 raise OutOfRange(f"{name} must be >= 1, got {getattr(self, name)}")
         if isinstance(self.objective, AverageD):
             check_profile(self.objective.m, self.objective.n, self.target.dim)
-        if not (self.tol > 0.0):
-            raise OutOfRange(f"tol must be positive, got {self.tol}")
+        elif not isinstance(self.objective, AverageE):
+            raise OutOfRange(f"unknown objective {self.objective!r}")
+        if self.seed < 0:
+            raise OutOfRange(f"seed must be >= 0, got {self.seed}")
+        if not (0.0 < self.tol < math.inf):
+            raise OutOfRange(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -135,38 +140,12 @@ class RoofResult:
 
 
 def _pure_measure(objective):
-    """The objective's value of a normalized Schmidt spectrum; ``member_kernel`` is its batched twin."""
+    """The objective's value of a normalized Schmidt spectrum; the kernels that ``roofsearch.Descent`` picks are its batched twins."""
     if isinstance(objective, AverageE):
         return entropy_bits
     if isinstance(objective, AverageD):
         m, n = objective.m, objective.n
         return lambda lam: concurrence_of_values(_profile_values(lam, m, n), m)
-    raise OutOfRange(f"unknown objective {objective!r}")
-
-
-def member_kernel(objective, V: np.ndarray, N: int):
-    """The search's member kernel for eigenvector rows V; ``roofsearch.Descent(V, N, kernel)`` runs it.
-
-    Through ``Descent.members`` every kernel maps conjugated isometry rows
-    conj(Q) (n, r) to the member values and their r-space gradients
-    E = conj(G) V^T (n, r).  When every member has Schmidt rank <= 2
-    (N = 2, or rows V of the rows-2=3 class), AverageD(1, 2) takes the
-    minor route ``roofsearch.d12_members``, which reads the bound's r x r
-    tau cores, and AverageE takes ``roofsearch.e12_members``, Wootters'
-    map of that D.  On any other support AverageE takes
-    ``roofsearch.e_members``; it and the profile kernel act on the rows
-    conj(Q) V.
-    """
-    # Imported on first use, so that processes which never search never compile it.
-    from .roofsearch import d12_members, e12_members, e_members, profile_members
-
-    rank_two = N == 2 or (N == 3 and _rows_form_a(V))
-    if isinstance(objective, AverageE):
-        return e12_members if rank_two else e_members
-    if isinstance(objective, AverageD):
-        if (objective.m, objective.n) == (1, 2) and rank_two:
-            return d12_members
-        return lambda W, N: profile_members(W, N, objective.m, objective.n)
     raise OutOfRange(f"unknown objective {objective!r}")
 
 
@@ -230,9 +209,10 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
     t_hi = r + 2 if problem.t_max is None else problem.t_max
     if t_hi < r:
         raise OutOfRange(f"t_max {t_hi} below the density's rank {r}")
-    from .roofsearch import Descent, search  # on first use, as in member_kernel
+    from .roofsearch import Descent, search  # on first use: the CLI's other subcommands never search
 
-    descent = Descent(V, N, member_kernel(problem.objective, V, N))
+    objective = problem.objective
+    descent = Descent(V, N, (objective.m, objective.n) if isinstance(objective, AverageD) else None)
 
     best = None
     starts = []

@@ -14,13 +14,15 @@ E = conj(G) V^T is member k's Euclidean gradient with respect to conj(Q_k).
 
 The kernel contract (``Descent.members``): conjugated isometry rows
 conj(Q) (n, r) in; every member's value p f(psi) and its r-space gradient
-E (n, r) out.  One batched kernel per objective and support:
+E (n, r) out.  ``Descent`` picks one batched kernel per search from the
+objective and one support test, ``mixed._rank_two_support``: rho_A or
+rho_B of the eigenvector rows has rank <= 2 (at N = 2, and on form-(a),
+C^2 x C^N and C^N x C^2 supports), so every member has Schmidt rank <= 2.
 
-* ``d12_members`` (AverageD(1, 2) where every member has Schmidt rank <= 2:
-  N = 2 or a form-(a) support): the value 2 ||2x2 minors of A|| =
-  2 sqrt(e2(M)) by Cauchy-Binet (A the member's coefficient matrix,
-  M = A A^H).  It reads the bound's r x r tau cores: with
-  C_x = conj(tau_x), the minors of the row q V are y_x = q C_x q^T / 2, so
+* ``d12_members`` (AverageD(1, 2) on such a support): the value
+  2 ||2x2 minors of A|| = 2 sqrt(e2(M)) by Cauchy-Binet (A the member's
+  coefficient matrix, M = A A^H).  It reads the bound's r x r tau cores:
+  with C_x = conj(tau_x), the minors of the row q V are y_x = q C_x q^T / 2, so
   one (n, r) x (r, K r) product with the ``d12_cores`` gives Z_x = q C_x,
   y = Z q / 2 and E = 2 conj(u)^T Z for the unit minor vector u; no
   ``eigh`` and nothing N^2 wide.
@@ -33,9 +35,9 @@ E (n, r) out.  One batched kernel per objective and support:
 * ``profile_members`` (any other AverageD(m, n)): the spectral gradient of
   the matched profile; a step that leaves the profile scores +inf.
 
-The last two act on the rows W = conj(Q) V (n, N^2) and return G_k; the
-one adapter in ``Descent.members`` maps their G to E.  ``Descent.values``
-keeps each kernel call's member values and E (``Scored``).
+The last two work on the rows W = conj(Q) V (n, N^2) and map their
+gradients G back to E = conj(G) V^T.  ``Descent.values`` keeps each
+kernel call's member values and E (``Scored``).
 
 The D(1, 2) sum of minor norms has kinks at product members, where the
 entanglement is smooth (its gradient vanishes there), so the kink rule
@@ -57,8 +59,8 @@ of a scan or a probe are fixed in advance and scored in one kernel call
 no decomposition is scored twice.  ``_rotate`` forms every exp(-eta H) Q.
 
 Imports run one way: this module imports nothing from ``roofopt``, whose
-``member_kernel`` picks the kernel and imports this module on the first
-search, since the CLI's other subcommands never search.
+``minimize_roof`` imports it on the first search, since the CLI's other
+subcommands never search.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ProfileMismatch
-from .mixed import _support_table, _tau_cores
+from .mixed import _rank_two_support, _support_table, _tau_cores
 from .purestate import _profile_values
 from .spectra import concurrence_of_values, eof_of_d
 
@@ -171,9 +173,9 @@ def _gram(W: np.ndarray, N: int):
     return A, A @ A.conj().transpose(0, 2, 1), np.einsum("kij,kij->k", A.conj(), A).real
 
 
-def e_members(W: np.ndarray, N: int):
-    """Entanglement p S(lambda / p) of each row and its gradient 2 X A."""
-    A, M, p = _gram(W, N)
+def e_members(Qbar: np.ndarray, V: np.ndarray, N: int):
+    """Entanglement p S(lambda / p) of each row W = Qbar V and its r-space gradient conj(G) V^T, G = 2 X A."""
+    A, M, p = _gram(Qbar @ V, N)
     lam, U = np.linalg.eigh(M)
     live = lam > 0.0
     logp = np.log(np.where(p > 0.0, p, 1.0))[:, None]
@@ -181,16 +183,16 @@ def e_members(W: np.ndarray, N: int):
     values = np.sum(lam * x, axis=1)
     x = np.where(lam > RANGE_TOL * p[:, None], x, 0.0)
     X = (U * x[:, None, :]) @ U.conj().transpose(0, 2, 1)
-    return values, 2.0 * (X @ A).reshape(W.shape)
+    return values, (2.0 * (X @ A)).reshape(len(A), -1).conj() @ V.T
 
 
-def profile_members(W: np.ndarray, N: int, m: int, n: int):
-    """Profile D(m, n) of each row, m n p^(1 - n/2) sqrt(prod nu), and its spectral gradient."""
-    A, M, p = _gram(W, N)
+def profile_members(Qbar: np.ndarray, V: np.ndarray, N: int, m: int, n: int):
+    """Profile D(m, n) of each row W = Qbar V, m n p^(1 - n/2) sqrt(prod nu), and its r-space spectral gradient."""
+    A, M, p = _gram(Qbar @ V, N)
     lam, U = np.linalg.eigh(M)
-    values = np.zeros(len(W))
+    values = np.zeros(len(A))
     x = np.zeros(lam.shape)
-    for k in range(len(W)):
+    for k in range(len(A)):
         if p[k] <= 0.0:
             continue
         try:
@@ -204,7 +206,7 @@ def profile_members(W: np.ndarray, N: int, m: int, n: int):
             x[k, N - nu.size:] = values[k] * 0.5 / (m * p[k] * nu[::-1])
             x[k] += values[k] * (1.0 - 0.5 * n) / p[k]
     X = (U * x[:, None, :]) @ U.conj().transpose(0, 2, 1)
-    return values, 2.0 * (X @ A).reshape(W.shape)
+    return values, (2.0 * (X @ A)).reshape(len(A), -1).conj() @ V.T
 
 
 # -- the Riemannian conjugate-gradient search --------------------------
@@ -261,34 +263,35 @@ class Scored(NamedTuple):
 
 
 class Descent:
-    """Objective, gradient and kink rule (for the kernel ``d12_members``) of one problem at an isometry Q.
+    """Objective, gradient and kink rule of one problem at an isometry Q.
 
-    ``members`` is the kernel contract: conjugated isometry rows conj(Q)
-    in, member values and r-space gradients E = conj(G) V^T out.  The two
-    cored kernels, ``d12_members`` and ``e12_members``, read the
-    ``d12_cores`` (``e12_members`` also the Gram matrix V V^H), built once
-    here; the other kernels see the rows conj(Q) V and their G is mapped
-    to E.  ``values`` hands a scored stack on as a ``Scored``, whose points
-    the gradient and the kink rule read instead of scoring them again.
-    ``evaluations`` counts the decompositions scored so far, one per
-    isometry that reaches the kernel.
+    ``profile`` is the AverageD (m, n), None for AverageE.  ``__init__`` is
+    the one place that picks the kernel, from the profile and
+    ``_rank_two_support(V, N)``; the cored kernels read the ``d12_cores``
+    and the Gram matrix V V^H built here, and only ``d12_members`` runs
+    the kink rule.  ``members`` is the kernel contract: conjugated
+    isometry rows conj(Q) in, member values and r-space gradients
+    E = conj(G) V^T out.  ``values`` hands a scored stack on as a
+    ``Scored``, whose points the gradient and the kink rule read instead
+    of scoring them again.  ``evaluations`` counts the decompositions
+    scored so far, one per isometry that reaches the kernel.
     """
 
-    def __init__(self, V: np.ndarray, N: int, kernel):
-        self.V, self.N, self.kernel = V, N, kernel
-        self.kinked = kernel is d12_members
-        self.inputs = None
-        if self.kinked or kernel is e12_members:
+    def __init__(self, V: np.ndarray, N: int, profile: tuple[int, int] | None):
+        cored = profile in (None, (1, 2)) and _rank_two_support(V, N)
+        self.kinked = cored and profile is not None
+        if cored:
             self.cores, self.gram = d12_cores(V, N), V @ V.conj().T
+            self.kernel = d12_members if self.kinked else e12_members
             self.inputs = (self.cores,) if self.kinked else (self.cores, self.gram)
+        else:
+            self.kernel = e_members if profile is None else profile_members
+            self.inputs = (V, N) if profile is None else (V, N, *profile)
         self.evaluations = 0
 
     def members(self, Qbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (n,) and r-space gradients E (n, r) of the members whose isometry rows are conj(Qbar)."""
-        if self.inputs is not None:
-            return self.kernel(Qbar, *self.inputs)
-        values, G = self.kernel(Qbar @ self.V, self.N)
-        return values, G.conj() @ self.V.T
+        return self.kernel(Qbar, *self.inputs)
 
     def values(self, Qs: np.ndarray) -> tuple[list[float], Scored]:
         """Objective values and the ``Scored`` stack of a stack of isometries (c, t, r), from one kernel call."""

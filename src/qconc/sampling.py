@@ -20,7 +20,9 @@ from .purestate import PureState, from_coefficients
 
 
 def generator(seed: int, *key: int) -> np.random.Generator:
-    """PCG64 generator for (seed, key); the single source of randomness."""
+    """PCG64 generator for (seed, key); the single source of randomness.  A negative seed raises OutOfRange."""
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(ss))
 

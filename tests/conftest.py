@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qconc import DensityMatrix, generator, mix_pure_states, random_pure
+from qconc import DensityMatrix, from_coefficients, generator, mix_pure_states, random_pure
 
 # Property tests draw the same examples on every run, so tier-1 stays deterministic.
 settings.register_profile("qconc", derandomize=True, max_examples=25, deadline=None, database=None)
@@ -48,9 +48,19 @@ def eigh_calls(monkeypatch):
     return calls
 
 
-def random_density(dim, rank, seed, *key):
-    """Random rank-limited density matrix as a mixture of pure states."""
+def random_density(dim, rank, seed, *key, qubit=None):
+    """Random rank-limited density matrix as a mixture of pure states.
+
+    qubit="A" keeps rows 0 and 1 of each member's coefficient matrix, so
+    the support lies in C^2 x C^dim; qubit="B" keeps columns 0 and 1
+    (C^dim x C^2).
+    """
     states = [random_pure(dim, generator(seed, *key, k)) for k in range(rank)]
+    if qubit is not None:
+        keep = np.zeros((dim, dim))
+        keep[:2] = 1.0
+        keep = keep if qubit == "A" else keep.T
+        states = [from_coefficients(psi.coeffs * keep, renormalize=True) for psi in states]
     if rank == 1:
         weights = [1.0]
     else:

@@ -301,10 +301,16 @@ def test_main_degenerate_lemma_point_exits_one(capsys):
         ["bound", FORM_A_FILE, "--m", "2", "--n", "2"],
         ["bound", WERNER_FILE, "--m", "1", "--n", "3", "--eof"],
         ["invariance", FORM_A_FILE, "--m", "2", "--n", "2"],
+        ["roof", WERNER_FILE, "--objective", "E", "--seed", "-1"],
+        ["roof", WERNER_FILE, "--objective", "E", "--seed", "-1", "--restarts", "1"],
+        ["certify", WERNER_FILE, "--seed", "-2"],
+        ["invariance", BELL_FILE, "--seed", "-1"],
+        ["certify", WERNER_FILE, "--tol", "inf"],
+        ["roof", WERNER_FILE, "--objective", "D", "--tol", "inf"],
     ],
 )
 def test_main_impossible_profiles_and_counts_exit_one(argv, capsys):
-    """Profiles no N x N pure state has, and search or trial counts below 1."""
+    """Profiles no N x N pure state has, search or trial counts below 1, negative seeds and an infinite tol."""
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

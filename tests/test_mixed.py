@@ -46,6 +46,7 @@ from qconc.linalg import check_hermitian, hermitian_eig, sqrt_psd
 from qconc.mixed import (
     RANK_EPS,
     _factor,
+    _rank_two_support,
     _spectra,
     _support,
     _support_table,
@@ -505,6 +506,39 @@ def test_form_a_check():
     assert not form_a_check(generic)
     with pytest.raises(DimensionMismatch):
         form_a_check(werner(0.5))
+
+
+def _rank_two(rho) -> bool:
+    return _rank_two_support(eigen_vectors_subnormalized(rho), rho.dim)
+
+
+def test_rank_two_support_holds_exactly_where_a_reduced_density_has_rank_two():
+    """Two-qubit, form-(a) and C^2 x C^N or C^N x C^2 supports pass; generic N = 3, 4 mixtures fail."""
+    for rank in (1, 2, 3, 4):
+        assert _rank_two(random_density(2, rank, 47, rank))
+        for N in (3, 4):
+            assert not _rank_two(random_density(N, rank, 48, N, rank))
+        for N, qubit in ((3, "A"), (3, "B"), (4, "A")):
+            assert _rank_two(random_density(N, rank, 49, N, rank, qubit=qubit)), (N, qubit, rank)
+    for k in range(50):
+        assert _rank_two(random_form_a_mixture(2 + k % 2, 104, k)), k
+
+
+def test_rank_two_support_threshold_on_a_planted_third_eigenvalue():
+    """A third rho_A (or rho_B) eigenvalue of 0.5 RANK_EPS passes and one of 10 RANK_EPS fails.
+
+    Rows A_k = U diag(sqrt(w)) P_k / sqrt(3) with Haar unitaries U, P_k give
+    rho_A = U diag(w) U^H exactly, while the other reduced density has full rank.
+    """
+    rng = generator(50)
+    U = haar_unitary(3, rng)
+    P = [haar_unitary(3, rng) for _ in range(3)]
+    for planted, passes in ((0.5, True), (10.0, False)):
+        w = np.array([0.6, 0.4 - planted * RANK_EPS, planted * RANK_EPS])
+        A = np.array([(U * np.sqrt(w)) @ Pk / math.sqrt(3.0) for Pk in P])
+        assert np.linalg.eigvalsh(np.einsum("kij,kil->jl", A.conj(), A))[0] > 0.01
+        for rows in (A, A.transpose(0, 2, 1)):
+            assert _rank_two_support(rows.reshape(3, 9), 3) is passes, planted
 
 
 def test_example_3x3_bound_matches_general_formula():

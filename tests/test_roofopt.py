@@ -30,11 +30,10 @@ from qconc.roofopt import (
     RoofProblem,
     average_objective,
     certify_bound,
-    member_kernel,
     minimize_roof,
     transform_decomposition,
 )
-from qconc import mixed, roofopt, roofsearch
+from qconc import mixed, roofsearch
 from qconc.roofsearch import SCAN, Descent, _pair_rotations, _probe, _rotate, _scan, d12_cores, d12_members, search
 from qconc.roofsearch import KINK_TOL, SNAP_FLOOR, SNAP_TOL, _ball_lsq, _core_minors, e12_members, e_members
 from qconc.sampling import generator, haar_isometry, haar_unitary, random_form_a_state, random_pure
@@ -125,8 +124,13 @@ def test_roof_problem_validation():
     rho = werner(0.5)
     with pytest.raises(OutOfRange):
         RoofProblem(target=rho, objective=AverageE(), restarts=0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(OutOfRange):
+            RoofProblem(target=rho, objective=AverageE(), tol=tol)
     with pytest.raises(OutOfRange):
-        RoofProblem(target=rho, objective=AverageE(), tol=0.0)
+        RoofProblem(target=rho, objective=AverageE(), seed=-1)
+    with pytest.raises(OutOfRange):
+        RoofProblem(target=rho, objective="not-an-objective")
     with pytest.raises(OutOfRange):
         minimize_roof(RoofProblem(target=rho, objective=AverageE(), t_max=2))
     for sweeps in (0, -1):
@@ -235,7 +239,7 @@ def test_e12_kernel_matches_the_member_oracle_and_e_members(N, rank, grow, seed)
         p = float(np.vdot(w, w).real)
         assert abs(values[k] - roof_member(w, N, "E")) <= 1e-12 * p, k
         assert abs(values[k] - p * eof_of_d(min(d[k] / p, 1.0), 1)) <= 1e-12 * p, k
-    want, want_E = Descent(V, N, e_members).members(Qbar)
+    want, want_E = e_members(Qbar, V, N)
     np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
     np.testing.assert_allclose(E, want_E, rtol=0.0, atol=1e-12 * np.max(np.abs(want_E)))
 
@@ -276,9 +280,8 @@ def test_e12_gradient_matches_central_differences(N, theta, grow, seed, directio
         math.sqrt(0.6) * _qubit_block(np.diag([math.cos(theta), math.sin(theta)]), N).reshape(-1),
         math.sqrt(0.4) * _qubit_block(B / np.linalg.norm(B), N).reshape(-1),
     ], dtype=complex)
-    kernel = member_kernel(AverageE(), V, N)
-    assert kernel is e12_members
-    problem = Descent(V, N, kernel)
+    problem = Descent(V, N, None)
+    assert problem.kernel is e12_members
     t = 2 + grow
     Q = np.eye(t, 2, dtype=complex)
     F, S = problem.value(Q)
@@ -306,11 +309,40 @@ def test_cored_e_roofs_agree_with_the_eigh_kernel_on_the_corpus(monkeypatch):
         for k in range(5)
     ]
     cored = [minimize_roof(problem) for problem in problems]
-    monkeypatch.setattr(roofopt, "member_kernel", lambda objective, V, N: e_members)
+    monkeypatch.setattr(roofsearch, "_rank_two_support", lambda V, N: False)
     rows = [minimize_roof(problem) for problem in problems]
     for k, (got, want) in enumerate(zip(cored, rows)):
         assert got.converged and want.converged, k
         assert abs(got.value - want.value) <= 1e-12, (k, got.value, want.value)
+
+
+def test_two_row_supports_take_the_cored_kernels_and_keep_their_roofs(monkeypatch):
+    """C^2 x C^3 and C^3 x C^2 mixtures of rank 2 and 3 take the cored kernels.
+
+    With the support test patched to false they take the eigh and profile
+    kernels instead: the E roofs agree to 1e-12, and the D roofs to 1e-9
+    where both searches converge.
+    """
+    problems = []
+    for qubit in ("A", "B"):
+        for rank in (2, 3):
+            rho = random_density(3, rank, 119, rank, qubit=qubit)
+            V = eigen_vectors_subnormalized(rho)
+            assert Descent(V, 3, (1, 2)).kernel is d12_members and Descent(V, 3, None).kernel is e12_members
+            problems += [RoofProblem(target=rho, objective=objective, t_max=rank, restarts=2, tol=1e-7, max_sweeps=30)
+                         for objective in (AverageD(1, 2), AverageE())]
+    cored = [minimize_roof(problem) for problem in problems]
+    monkeypatch.setattr(roofsearch, "_rank_two_support", lambda V, N: False)
+    rows = [minimize_roof(problem) for problem in problems]
+    compared = 0
+    for k, (problem, got, want) in enumerate(zip(problems, cored, rows)):
+        assert got.converged, k
+        if isinstance(problem.objective, AverageE):
+            assert abs(got.value - want.value) <= 1e-12, (k, got.value, want.value)
+        elif want.converged:
+            assert abs(got.value - want.value) <= 1e-9, (k, got.value, want.value)
+            compared += 1
+    assert compared >= 2
 
 
 def test_cored_e_roof_makes_no_eigh_call_in_its_kernel(eigh_calls, monkeypatch):
@@ -493,9 +525,8 @@ def test_batched_member_kernels_match_the_per_member_oracle():
         for t, k in ((r, 0), (r, 1), (r + 1, 2)):
             iso = np.eye(t, r) if k == 0 else haar_isometry(t, r, generator(105, i, k))
             W = iso.conj() @ V
-            for objective, kind in ((AverageD(1, 2), 2), (AverageE(), "E")):
-                kernel = member_kernel(objective, V, rho.dim)
-                values, _ = Descent(V, rho.dim, kernel).members(iso.conj())
+            for profile, kind in (((1, 2), 2), (None, "E")):
+                values, _ = Descent(V, rho.dim, profile).members(iso.conj())
                 expect = [roof_member(w, rho.dim, kind) for w in W]
                 np.testing.assert_allclose(values, expect, rtol=0.0, atol=1e-12)
 
@@ -505,10 +536,10 @@ def _skew(M):
 
 
 _GRADIENT_CASES = [
-    (random_form_a_mixture(3, 104, 1), AverageD(1, 2)),
-    (random_form_a_mixture(3, 104, 1), AverageE()),
-    (load_state("fixtures/werner_p05.json"), AverageD(1, 2)),
-    (random_density(3, 3, 106), AverageD(1, 3)),
+    (random_form_a_mixture(3, 104, 1), (1, 2)),
+    (random_form_a_mixture(3, 104, 1), None),
+    (load_state("fixtures/werner_p05.json"), (1, 2)),
+    (random_density(3, 3, 106), (1, 3)),
 ]
 
 
@@ -520,7 +551,7 @@ _GRADIENT_CASES = [
 )
 def test_member_gradients_match_central_differences(case, grow, iso, direction):
     """-1/2 <H, Omega> is the derivative of the roof objective along exp(-eta H) Q."""
-    rho, objective = _GRADIENT_CASES[case]
+    rho, profile = _GRADIENT_CASES[case]
     V = eigen_vectors_subnormalized(rho)
     r = len(V)
     t = r + grow
@@ -530,7 +561,7 @@ def test_member_gradients_match_central_differences(case, grow, iso, direction):
     Q, _ = np.linalg.qr(iso[0, :t, :r] + 1j * iso[1, :t, :r] + base)
     H = _skew(direction[0, :t, :t] + 1j * direction[1, :t, :t])
     assume(np.linalg.norm(H) > 0.1)
-    problem = Descent(V, rho.dim, member_kernel(objective, V, rho.dim))
+    problem = Descent(V, rho.dim, profile)
     F, G = problem.value(Q)
     assume(math.isfinite(F))
     omega = problem.omega(Q, G)
@@ -546,15 +577,19 @@ def test_member_gradients_match_central_differences(case, grow, iso, direction):
 
 
 def test_product_member_scores_zero_in_search_and_recompute():
-    """A product member is not a profile mismatch for (1, n): it scores the limit 0."""
-    for rows, form_a in (([1.0, 0.0, 0.0], True), ([0.0, 0.0, 1.0], False)):
+    """A product member is not a profile mismatch for (1, n): it scores the limit 0.
+
+    Its support has rank-1 reduced densities, form (a) or not, so (1, 2)
+    scores it on the cores and (1, 3) on the profile kernel.
+    """
+    for rows in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]):
         psi = from_coefficients(np.outer(rows, [0.0, 1.0, 0.0]))
         rho = pure_density(psi)
         for objective in (AverageD(1, 2), AverageD(1, 3)):
             V = eigen_vectors_subnormalized(rho)
-            kernel = member_kernel(objective, V, 3)
-            assert (kernel is d12_members) == (form_a and objective.n == 2)
-            values, _ = Descent(V, 3, kernel).members(np.eye(1))
+            problem = Descent(V, 3, (objective.m, objective.n))
+            assert (problem.kernel is d12_members) == (objective.n == 2)
+            values, _ = problem.members(np.eye(1))
             assert values.tolist() == [0.0]
             assert average_objective(Decomposition(((1.0, psi),)), objective) == 0.0
             result = minimize_roof(RoofProblem(target=rho, objective=objective, t_max=1, restarts=1))
@@ -593,16 +628,17 @@ def test_every_snap_lowers_the_minor_norm_of_each_snapped_member(monkeypatch):
     """
     snap = Descent.snap
     outcomes = []
+    rho = random_form_a_mixture(3, 104, 3)
+    V = eigen_vectors_subnormalized(rho)
 
     def checked(self, Q, members):
         Qs = snap(self, Q, members)
-        before = np.linalg.norm(minors(Q.conj() @ self.V, self.N)[members], axis=1)
-        after = np.linalg.norm(minors(Qs.conj() @ self.V, self.N)[members], axis=1)
+        before = np.linalg.norm(minors(Q.conj() @ V, 3)[members], axis=1)
+        after = np.linalg.norm(minors(Qs.conj() @ V, 3)[members], axis=1)
         outcomes.append(bool(np.all(after < before)))
         return Qs
 
     monkeypatch.setattr(Descent, "snap", checked)
-    rho = random_form_a_mixture(3, 104, 3)
     minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=3, restarts=2, tol=1e-7, max_sweeps=30))
     assert outcomes and all(outcomes), (len(outcomes), outcomes.count(False))
 
@@ -611,7 +647,7 @@ def _mixed_profile_density():
     """A rank-2 N = 3 density whose eigenvectors have Schmidt rank 2 but whose rotations have rank 3.
 
     Its eigendecomposition scores finite under AverageD(1, 2) and the
-    rotations of it score +inf; it is not of form (a), so the profile route runs.
+    rotations of it score +inf; its rho_A and rho_B have rank 3, so the profile route runs.
     """
     psi = np.zeros((3, 3), dtype=complex)
     psi[0, 0], psi[1, 1] = 0.8, 0.6
@@ -622,23 +658,22 @@ def _mixed_profile_density():
 
 
 _KERNEL_CASES = [
-    (random_form_a_mixture(3, 104, 1), AverageD(1, 2)),
-    (random_form_a_mixture(3, 104, 1), AverageE()),
-    (random_density(3, 3, 106), AverageD(1, 3)),
-    (random_density(3, 3, 106), AverageE()),
-    (_mixed_profile_density(), AverageD(1, 2)),
+    (random_form_a_mixture(3, 104, 1), (1, 2)),
+    (random_form_a_mixture(3, 104, 1), None),
+    (random_density(3, 3, 106), (1, 3)),
+    (random_density(3, 3, 106), None),
+    (_mixed_profile_density(), (1, 2)),
 ]
 
 
 def test_batched_scores_match_one_value_call_per_candidate():
     """``Descent.values`` on a stack equals ``Descent.value`` per isometry, +inf mismatches included."""
     kernels, infinite = set(), 0
-    for i, (rho, objective) in enumerate(_KERNEL_CASES):
+    for i, (rho, profile) in enumerate(_KERNEL_CASES):
         V = eigen_vectors_subnormalized(rho)
         r = len(V)
-        kernel = member_kernel(objective, V, rho.dim)
-        kernels.add(kernel.__name__)
-        problem = Descent(V, rho.dim, kernel)
+        problem = Descent(V, rho.dim, profile)
+        kernels.add(problem.kernel.__name__)
         for t in (r, r + 1):
             isos = [np.eye(t, r, dtype=complex), haar_isometry(t, r, generator(108, i, t))]
             stack = np.concatenate([Q[None] for Q in isos] + [
@@ -649,7 +684,7 @@ def test_batched_scores_match_one_value_call_per_candidate():
             infinite += sum(math.isinf(x) for x in single)
             for got, want in zip(batched, single):
                 assert got == want if math.isinf(want) else abs(got - want) <= 1e-13 * abs(want), (i, got, want)
-    assert kernels == {"d12_members", "e12_members", "e_members", "<lambda>"}
+    assert kernels == {"d12_members", "e12_members", "e_members", "profile_members"}
     assert infinite > 0
 
 
@@ -659,8 +694,8 @@ def test_batched_scan_and_probe_pick_the_loop_winner():
         rank = 2 + k % 2
         rho = random_form_a_mixture(rank, 104, k)
         V = eigen_vectors_subnormalized(rho)
-        for objective in (AverageD(1, 2), AverageE()):
-            problem = Descent(V, 3, member_kernel(objective, V, 3))
+        for profile in ((1, 2), None):
+            problem = Descent(V, 3, profile)
 
             def value(Q):
                 return problem.value(Q)[0]
@@ -675,7 +710,7 @@ def test_batched_scan_and_probe_pick_the_loop_winner():
                 assert _scan(problem, theta, U, U.conj().T @ Q, etas, F)[0] == scan_loop(value, Q, H, SCAN)
                 want_F, want_Q = probe_loop(value, Q, SCAN)
                 got_Q, got_F, _ = _probe(problem, Q, np.finfo(float).max)
-                assert got_F == want_F, (k, objective)
+                assert got_F == want_F, (k, profile)
                 np.testing.assert_array_equal(got_Q, want_Q)
 
 

@@ -32,6 +32,11 @@ def test_haar_unitary_rejects_bad_dim():
         haar_unitary(0, generator(62))
 
 
+def test_generator_rejects_a_negative_seed():
+    with pytest.raises(OutOfRange):
+        generator(-1, 0)
+
+
 def test_haar_unitary_deterministic_and_fresh():
     a = haar_unitary(3, generator(63))
     b = haar_unitary(3, generator(63))
