@@ -147,7 +147,8 @@ def _build_parser() -> _Parser:
     search.add_argument("--t-max", type=int, dest="t_max")
     search.add_argument("--tol", type=float, help="converged once the Riemannian gradient norm is below this")
     search.add_argument("--max-sweeps", type=int, dest="max_sweeps",
-                        help="cap on conjugate-gradient cycles of 2tr - r^2 iterations per start")
+                        help="cap on search cycles of 2tr - r^2 iterations per start "
+                             "(BFGS steps for E, conjugate-gradient steps for D)")
 
     parser = _Parser(prog="qconc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

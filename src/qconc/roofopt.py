@@ -3,11 +3,11 @@
 Any decomposition of a rank-r density matrix into t >= r pure states is
 parametrized by a t x r isometry Q acting on the subnormalized
 eigenvectors: |w_k> = sum_l conj(Q_kl) |v_l>.  ``minimize_roof`` searches
-these isometries from several starts (the Riemannian conjugate-gradient
-search of ``roofsearch``) and recomputes the winner's value through
-``average_objective`` from the member states.  This is an independent
-numeric check of the closed-form lower bounds; it never certifies global
-optimality.
+these isometries from several starts (the Riemannian search of
+``roofsearch``: BFGS on E, conjugate gradients on D) and recomputes the
+winner's value through ``average_objective`` from the member states.
+This is an independent numeric check of the closed-form lower bounds; it
+never certifies global optimality.
 """
 
 from __future__ import annotations
@@ -70,12 +70,14 @@ class RoofProblem:
     the eigendecomposition itself.  tol is the threshold on the Frobenius
     norm of the Riemannian gradient (at kinks, the minimum-norm
     subgradient) below which a start has converged.  max_sweeps caps the
-    conjugate-gradient cycles of a start; a cycle is 2tr - r^2 iterations
-    (the real dimension of the t x r isometries), after which the
-    direction restarts at steepest descent.  restarts or max_sweeps below
-    1, a negative seed, a tol that is not positive and finite, an AverageD
-    profile with m n > N and an objective other than AverageE or AverageD
-    raise OutOfRange.
+    cycles of a start; a cycle is 2tr - r^2 iterations (the real dimension
+    of the t x r isometries).  For AverageD, whose search takes
+    conjugate-gradient directions, the direction restarts at steepest
+    descent after each cycle; the AverageE search keeps its BFGS inverse
+    Hessian across cycles.  restarts or max_sweeps below 1, a negative
+    seed, a tol that is not positive and finite, an AverageD profile with
+    m n > N and an objective other than AverageE or AverageD raise
+    OutOfRange.
     """
 
     target: DensityMatrix
@@ -195,11 +197,13 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
     isometry); later starts use ``sampling.haar_isometry`` drawn from
     ``generator(seed, cardinality, start)``, so results are reproducible
     bit for bit and independent of evaluation order.  Each start runs the
-    conjugate-gradient search until the gradient norm falls below tol, a
-    line search fails, or the cycle cap is hit; the objective trace does
-    not increase beyond rounding.  A result is always returned; a winning start that did not
-    converge is reported with converged=False rather than raised.  The
-    value is recomputed from the winning decomposition's members by
+    search (BFGS directions for AverageE; for AverageD conjugate-gradient
+    directions, restarted at steepest descent every cycle) until the
+    gradient norm falls below tol, a line search fails, or the cycle cap
+    is hit; the objective trace does not increase beyond rounding.  A
+    result is always returned; a winning start that did not converge is
+    reported with converged=False rather than raised.  The value is
+    recomputed from the winning decomposition's members by
     ``average_objective`` (+inf if a member fails the profile).
     """
     rho = problem.target

@@ -2,15 +2,32 @@
 
 A decomposition of a rank-r density into t >= r members is a t x r
 isometry Q acting on the subnormalized eigenvectors V: the rows are
-W = conj(Q) V.  ``search`` runs a Riemannian Polak-Ribiere+
-conjugate-gradient descent over these isometries, the variational method
-of Audenaert, Verstraete and De Moor (PRA 64, 052304, 2001) and
-Rothlisberger et al. (PRA 79, 042301, 2009).  Steps are
-Q <- exp(-eta H) Q along a skew-Hermitian direction H, the exponential
-taken through ``eigh`` of iH; the step length comes from a strong-Wolfe
-line search (Armijo decrease, curvature test, cubic interpolation).  The
-Riemannian gradient is Omega = B - B^H with B = E Q^H, where row k of
-E = conj(G) V^T is member k's Euclidean gradient with respect to conj(Q_k).
+W = conj(Q) V.  ``search`` runs a Riemannian descent over these
+isometries, the variational method of Audenaert, Verstraete and De Moor
+(PRA 64, 052304, 2001) and Rothlisberger et al. (PRA 79, 042301, 2009).
+Steps are Q <- exp(-eta H) Q along a skew-Hermitian direction H, the
+exponential taken through ``eigh`` of iH; the step length comes from a
+strong-Wolfe line search (Armijo decrease, curvature test, cubic
+interpolation).  The Riemannian gradient is Omega = B - B^H with
+B = E Q^H, where row k of E = conj(G) V^T is member k's Euclidean
+gradient with respect to conj(Q_k).
+
+The direction rule is the one thing that depends on the objective
+(``Descent.quasi_newton``).  E is smooth, and its search takes BFGS
+directions (Riemannian BFGS in the Lie-algebra coordinates, Huang,
+Gallivan and Absil, SIAM J. Optim. 25, 1660, 2015): with w the
+coordinates of Omega in the orthonormal ``_skew_basis`` (``_coordinates``),
+the gradient in the coordinates x of exp(-X) Q is g = -w / 2, the step is
+p = -Hinv g with a first guess eta = 1, and after it ``_bfgs_update``
+takes s = eta p and y = g_new - g when s . y > 0.  Hinv starts empty at
+each start, and is emptied again by an accepted probe rotation or a
+failed line search, which is retried along Omega from a scan; while it
+is empty the step follows Omega.  D(1, 2) has kinks at product members
+and D(m, n) its profile wall, where BFGS takes more evaluations than
+CG; D searches take Polak-Ribiere+ conjugate-gradient directions,
+restarted at Omega every 2tr - r^2 iterations.  Everything else (line
+search, first-step scan, probe, snap, kink rule, re-orthonormalisation,
+stopping test and iteration cap) is shared.
 
 The kernel contract (``Descent.members``): conjugated isometry rows
 conj(Q) (n, r) in; every member's value p f(psi) and its r-space gradient
@@ -27,7 +44,8 @@ C^2 x C^N and C^N x C^2 supports), so every member has Schmidt rank <= 2.
   y = Z q / 2 and E = 2 conj(u)^T Z for the unit minor vector u; no
   ``eigh`` and nothing N^2 wide.
 * ``e12_members`` (AverageE on the same supports): Wootters' two-level
-  map of the concurrence c = d / p, p H(c) with H(c) = ``eof_of_d(c, 1)``,
+  map of the concurrence c = d / p, p H(c) with H(c) = ``eof_of_d(c, 1)``
+  (``spectra.two_level_entropy``),
   built on ``d12_members``'s d and gradient and the weight p = q G q^H
   (G = V V^H); no ``eigh``.
 * ``e_members`` (AverageE on any other support): one batched ``eigh``,
@@ -74,7 +92,7 @@ import numpy as np
 from .errors import ProfileMismatch
 from .mixed import _rank_two_support, _support_table, _tau_cores
 from .purestate import _profile_values
-from .spectra import concurrence_of_values, eof_of_d
+from .spectra import concurrence_of_values, two_level_entropy
 
 # Eigenvalues of M at or below RANGE_TOL * p are outside the range of M.
 RANGE_TOL = 1e-12
@@ -139,7 +157,8 @@ def e12_members(Qbar: np.ndarray, cores: np.ndarray, gram: np.ndarray):
 
     d and its gradient E_d come from ``d12_members``, the weight
     p = q G q^H from the Gram matrix G = V V^H of the eigenvector rows, and
-    H(c) = ``eof_of_d(c, 1)`` is Wootters' two-level map (PRL 80, 2245).
+    H(c) = ``two_level_entropy(c)`` (``eof_of_d`` unchecked) is Wootters'
+    two-level map (PRL 80, 2245).
     The gradient is (H - c H') 2 conj(q G) + H' E_d with
     H'(c) = c ln((1 + w) / c) / (w ln 2), w = sqrt((1 - c)(1 + c)); it
     vanishes at product members (c = 0), and H' -> c / ln 2 as w -> 0.
@@ -153,7 +172,7 @@ def e12_members(Qbar: np.ndarray, cores: np.ndarray, gram: np.ndarray):
     values, coef = [], []
     for dk, pk in zip(d.tolist(), p.tolist()):
         c = min(dk / pk, 1.0) if pk > 0.0 else 0.0
-        H = eof_of_d(c, 1)
+        H = two_level_entropy(c)
         w = math.sqrt((1.0 - c) * (1.0 + c))
         if c == 0.0:
             slope = 0.0
@@ -209,7 +228,7 @@ def profile_members(Qbar: np.ndarray, V: np.ndarray, N: int, m: int, n: int):
     return values, (2.0 * (X @ A)).reshape(len(A), -1).conj() @ V.T
 
 
-# -- the Riemannian conjugate-gradient search --------------------------
+# -- the Riemannian search: BFGS on E, conjugate gradients on D --------
 
 
 def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -267,17 +286,19 @@ class Descent:
 
     ``profile`` is the AverageD (m, n), None for AverageE.  ``__init__`` is
     the one place that picks the kernel, from the profile and
-    ``_rank_two_support(V, N)``; the cored kernels read the ``d12_cores``
-    and the Gram matrix V V^H built here, and only ``d12_members`` runs
-    the kink rule.  ``members`` is the kernel contract: conjugated
-    isometry rows conj(Q) in, member values and r-space gradients
-    E = conj(G) V^T out.  ``values`` hands a scored stack on as a
+    ``_rank_two_support(V, N)``, and the direction rule: ``quasi_newton``
+    (BFGS) for E, conjugate gradients for D.  The cored kernels read the
+    ``d12_cores`` and the Gram matrix V V^H built here, and only
+    ``d12_members`` runs the kink rule.  ``members`` is the kernel
+    contract: conjugated isometry rows conj(Q) in, member values and
+    r-space gradients E = conj(G) V^T out.  ``values`` hands a scored stack on as a
     ``Scored``, whose points the gradient and the kink rule read instead
     of scoring them again.  ``evaluations`` counts the decompositions
     scored so far, one per isometry that reaches the kernel.
     """
 
     def __init__(self, V: np.ndarray, N: int, profile: tuple[int, int] | None):
+        self.quasi_newton = profile is None
         cored = profile in (None, (1, 2)) and _rank_two_support(V, N)
         self.kinked = cored and profile is not None
         if cored:
@@ -406,10 +427,12 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
-    """Polak-Ribiere+ CG from Q; returns (Q, trace, converged, kinks).
+    """Riemannian descent from Q; returns (Q, trace, converged, kinks).
 
-    After each step, members near a product state are snapped onto it when
-    that does not raise the objective.
+    The direction is BFGS's where ``problem.quasi_newton`` holds (E, which
+    is smooth) and Polak-Ribiere+ CG's otherwise (D, with its kinks and
+    its profile wall).  After each step, members near a product state are
+    snapped onto it when that does not raise the objective.
     """
     t, r = Q.shape
     cycle = 2 * t * r - r * r
@@ -419,7 +442,7 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
         return Q, trace, False, 0
     grad, kinks, _ = problem.gradient(Q, S)
     H = grad
-    eta = slope = None
+    eta = slope = Hinv = None
     for it in range(max_cycles * cycle):
         gnorm2 = _inner(grad, grad)
         if math.sqrt(gnorm2) < tol:
@@ -428,18 +451,20 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
                 return Q, trace, True, len(kinks)
             Q, F, S = step
             grad, kinks, _ = problem.gradient(Q, S)
-            H, eta = grad, None
+            H, eta, Hinv = grad, None, None
             trace.append(F)
             continue
-        if it % cycle == 0:
+        if it % cycle == 0 and not problem.quasi_newton:
             H = grad
         last = slope
         slope = 0.5 * _inner(H, grad)
         if slope <= 0.0:
-            H, slope = grad, 0.5 * gnorm2
-        guess = None if eta is None else eta * last / slope
+            H, slope, Hinv = grad, 0.5 * gnorm2, None
+        guess = 1.0 if Hinv is not None else None if eta is None else eta * last / slope
         step = _line_search(problem, Q, F, H, slope, guess)
         if step is None and H is not grad:
+            if Hinv is not None:
+                Hinv = guess = None
             H, slope = grad, 0.5 * gnorm2
             step = _line_search(problem, Q, F, H, slope, guess)
         if step is None:
@@ -454,11 +479,62 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
             if Fs <= F + FLAT * abs(F):
                 Q, F, S = Qs, Fs, Ss
                 new, kinks, loose = problem.gradient(Q, S)
-        beta = max(0.0, _inner(new - grad, new) / gnorm2)
-        H = new + beta * H
+        if problem.quasi_newton:
+            # In the coordinates of exp(-X) Q the gradient is g = -w / 2.
+            w = _coordinates(new)
+            Hinv = _bfgs_update(Hinv, eta * _coordinates(H), 0.5 * (_coordinates(grad) - w))
+            H = new if Hinv is None else _from_coordinates(0.5 * (Hinv @ w), t)
+        else:
+            beta = max(0.0, _inner(new - grad, new) / gnorm2)
+            H = new + beta * H
         grad = new
         trace.append(F)
     return Q, trace, math.sqrt(_inner(grad, grad)) < tol, len(kinks)
+
+
+@lru_cache(maxsize=None)
+def _upper(t: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(t, 1)
+
+
+def _coordinates(A: np.ndarray) -> np.ndarray:
+    """The real coordinates of a skew-Hermitian A in the orthonormal ``_skew_basis``, diagonal elements first.
+
+    Im A_jj, then sqrt 2 Re A_jl and sqrt 2 Im A_jl over the strict upper
+    triangle j < l, so that x . y = Re <A, B> for the coordinates x, y of A, B.
+    """
+    upper = math.sqrt(2.0) * A[_upper(len(A))]
+    return np.concatenate([A.diagonal().imag, upper.real, upper.imag])
+
+
+def _from_coordinates(x: np.ndarray, t: int) -> np.ndarray:
+    """The t x t skew-Hermitian matrix whose ``_coordinates`` are x."""
+    k = t * (t - 1) // 2
+    A = np.zeros((t, t), dtype=complex)
+    A[_upper(t)] = (x[t:t + k] + 1j * x[t + k:]) / math.sqrt(2.0)
+    A -= A.conj().T
+    A[np.diag_indices(t)] = 1j * x[:t]
+    return A
+
+
+def _bfgs_update(Hinv: np.ndarray | None, s: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """BFGS's inverse Hessian after the step s with gradient change y; Hinv itself unless s . y > 0.
+
+    The rank-two form H+ = (I - rho s y^T) H (I - rho y s^T) + rho s s^T,
+    rho = 1 / (s . y), expanded so that it costs O(d^2) for d coordinates;
+    it satisfies the secant equation H+ y = s and keeps H positive
+    definite.  Hinv None (no curvature seen yet) starts from
+    (s . y / y . y) I (Nocedal and Wright, eq. 6.20).
+    """
+    sy = float(s @ y)
+    if not sy > 0.0:
+        return Hinv
+    if Hinv is None:
+        Hinv = sy / float(y @ y) * np.eye(len(s))
+    Hy = Hinv @ y
+    rho = 1.0 / sy
+    Hinv = Hinv + (rho * rho * float(y @ Hy) + rho) * np.outer(s, s)
+    return Hinv - rho * (np.outer(s, Hy) + np.outer(Hy, s))
 
 
 def _probe(problem: Descent, Q, F0: float):

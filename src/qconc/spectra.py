@@ -71,7 +71,7 @@ class EigFamily:
         else:
             resid = abs(3.0 * self.m * (u + v) - 1.0)
             t = v
-        if resid > NORMALIZATION_TOL:
+        if not resid <= NORMALIZATION_TOL:
             raise OutOfRange(f"point {point} off the normalized curve (residual {resid:.2e})")
         lo, hi = self.domain()
         if not (lo < t < hi) or np.any(self.values(t) <= 0.0):
@@ -121,8 +121,22 @@ def eof_of_d(d: float, m: int) -> float:
         raise OutOfRange(f"multiplicity must be >= 1, got {m}")
     if not (0.0 <= d <= 1.0):
         raise OutOfRange(f"d = {d!r} outside [0, 1]")
+    return two_level_entropy(d, m)
+
+
+def two_level_entropy(d: float, m: int = 1) -> float:
+    """``eof_of_d`` without its range checks, for d in [0, 1] and m >= 1.
+
+    The larger value x = (1 + sqrt(1 - d^2)) / (2m) is at least 1/(2m), so
+    only the smaller, 1/m - x, can be zero (at d = 0); the terms are taken
+    in ``entropy_bits``' order, so the result is its value bit for bit.
+    """
     x = (1.0 + math.sqrt(max(1.0 - d * d, 0.0))) / (2.0 * m)
-    return m * entropy_bits((x, 1.0 / m - x))
+    y = 1.0 / m - x
+    h = 0.0 - x * math.log2(x)
+    if y > 0.0:
+        h -= y * math.log2(y)
+    return m * h
 
 
 def d_two_eigen(lam1: float, lam2: float, m: int) -> float:

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qconc import (
@@ -286,6 +286,30 @@ def test_main_bad_flag_exits_one(capsys):
 def test_main_degenerate_lemma_point_exits_one(capsys):
     assert main(["lemma", "--family", "two", "--u", "0.5", "--v", "0.5"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+_lemma_coordinate = st.one_of(st.floats(-1.0, 1.0), st.sampled_from((math.nan, math.inf, -math.inf)))
+
+
+@given(family=st.sampled_from(("two", "arith3")),
+       point=st.tuples(_lemma_coordinate, _lemma_coordinate).filter(lambda p: not all(map(math.isfinite, p))))
+@example(family="two", point=(0.4, math.nan))
+@example(family="arith3", point=(math.nan, 0.1))
+@example(family="arith3", point=(0.2, -math.inf))
+def test_main_non_finite_lemma_point_exits_one(family, point):
+    """A NaN or infinite u or v is off the normalized curve, whatever the other coordinate.
+
+    A NaN residual fails every comparison, so the family's residual test
+    must accept a point only when the residual is at most the tolerance:
+    (0.4, NaN) on ``two`` and (NaN, 0.1) on ``arith3`` name a free
+    parameter inside the domain.
+    """
+    u, v = point
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["lemma", "--family", family, f"--u={u!r}", f"--v={v!r}", "--json"])
+    assert code == 1
+    assert err.getvalue().startswith("error:"), err.getvalue()
 
 
 @pytest.mark.parametrize(

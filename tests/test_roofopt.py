@@ -1,4 +1,4 @@
-"""Tests for the convex-roof conjugate-gradient optimizer."""
+"""Tests for the convex-roof optimizer: BFGS on E, Polak-Ribiere+ conjugate gradients on D."""
 import math
 
 import numpy as np
@@ -36,6 +36,7 @@ from qconc.roofopt import (
 from qconc import mixed, roofsearch
 from qconc.roofsearch import SCAN, Descent, _pair_rotations, _probe, _rotate, _scan, d12_cores, d12_members, search
 from qconc.roofsearch import KINK_TOL, SNAP_FLOOR, SNAP_TOL, _ball_lsq, _core_minors, e12_members, e_members
+from qconc.roofsearch import _bfgs_update, _coordinates, _from_coordinates, _skew_basis
 from qconc.sampling import generator, haar_isometry, haar_unitary, random_form_a_state, random_pure
 from qconc.spectra import eof_of_d
 
@@ -356,10 +357,117 @@ def test_cored_e_roof_makes_no_eigh_call_in_its_kernel(eigh_calls, monkeypatch):
         return out
 
     monkeypatch.setattr(roofsearch, "e12_members", counted)
-    rho = random_form_a_mixture(3, 104, 1)
-    minimize_roof(RoofProblem(target=rho, objective=AverageE(), t_max=3, restarts=2, tol=1e-7, max_sweeps=30))
+    for k in (1, 3):
+        rho = random_form_a_mixture(3, 104, k)
+        minimize_roof(RoofProblem(target=rho, objective=AverageE(), t_max=3, restarts=2, tol=1e-7, max_sweeps=30))
     assert len(inside) > 100 and not any(inside)
     assert len(eigh_calls) > 0
+
+
+@given(t=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_skew_coordinates_read_the_skew_basis(t, seed):
+    """``_from_coordinates`` maps the unit coordinates onto the elements of ``_skew_basis``, and ``_coordinates`` inverts it."""
+    basis = _skew_basis(t)
+    elements = [_from_coordinates(e, t) for e in np.eye(t * t)]
+    order = [next(i for i, B in enumerate(basis) if np.array_equal(B, E)) for E in elements]
+    assert sorted(order) == list(range(t * t))
+    rng = generator(112, t, seed)
+    A = rng.standard_normal((t, t)) + 1j * rng.standard_normal((t, t))
+    A -= A.conj().T
+    want = np.tensordot(basis.conj(), A, axes=([1, 2], [0, 1])).real
+    np.testing.assert_allclose(_coordinates(A), want[order], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(_from_coordinates(_coordinates(A), t), A, rtol=0.0, atol=1e-12)
+
+
+@given(d=st.integers(1, 12), seed=st.integers(0, 2**16), start=st.booleans())
+def test_bfgs_update_is_positive_definite_and_meets_the_secant_equation(d, seed, start):
+    """H+ is symmetric positive definite with H+ y = s; a pair with s . y <= 0 leaves H as it was."""
+    rng = generator(111, d, seed)
+    A = rng.standard_normal((d, d))
+    H = None if start else A @ A.T + 0.1 * np.eye(d)
+    s, y = rng.standard_normal(d), rng.standard_normal(d)
+    y *= math.copysign(1.0, float(s @ y))
+    assume(float(s @ y) > 1e-3 * np.linalg.norm(s) * np.linalg.norm(y))
+    got = _bfgs_update(H, s, y)
+    assert np.array_equal(got, got.T)
+    assert np.linalg.eigvalsh(got)[0] > 0.0
+    assert np.linalg.norm(got @ y - s) <= 1e-10 * (np.linalg.norm(got) * np.linalg.norm(y) + np.linalg.norm(s))
+    assert _bfgs_update(H, s, -y) is H
+    assert _bfgs_update(H, s, 0.0 * y) is H
+
+
+def test_bfgs_e_roofs_agree_with_conjugate_gradients_in_fewer_iterations(monkeypatch):
+    """E roofs with the CG directions forced back reach the BFGS minima within 1e-12, in more iterations.
+
+    The five benchmark corpus mixtures take ``e12_members``, the three
+    generic N = 3 rank-3 mixtures ``e_members``; both kernels' searches
+    take BFGS directions.
+    """
+    knobs = dict(restarts=2, tol=1e-7, max_sweeps=30)
+    targets = [(random_form_a_mixture(2 + k % 2, 104, k), 2 + k % 2) for k in range(5)]
+    targets += [(random_density(3, 3, 900, s), 4) for s in range(3)]
+    kernels = [Descent(eigen_vectors_subnormalized(rho), 3, None).kernel for rho, _ in targets]
+    assert kernels == [e12_members] * 5 + [e_members] * 3
+    problems = [RoofProblem(target=rho, objective=AverageE(), t_max=t, **knobs) for rho, t in targets]
+    bfgs = [minimize_roof(problem) for problem in problems]
+    init = Descent.__init__
+
+    def conjugate_gradients(self, *args):
+        init(self, *args)
+        self.quasi_newton = False
+
+    monkeypatch.setattr(Descent, "__init__", conjugate_gradients)
+    cg = [minimize_roof(problem) for problem in problems]
+    for k, (got, want) in enumerate(zip(bfgs, cg)):
+        assert got.converged and want.converged, k
+        assert abs(got.value - want.value) <= 1e-12, (k, got.value, want.value)
+    assert sum(r.iterations for r in bfgs) < sum(r.iterations for r in cg)
+
+
+def test_a_failed_bfgs_line_search_retries_along_the_gradient_from_a_scan(monkeypatch):
+    """The first BFGS step's line search is made to fail: the search scans along Omega and starts Hinv afresh."""
+    guesses, fresh = [], []
+    line_search, update = roofsearch._line_search, roofsearch._bfgs_update
+
+    def failing_once(problem, Q, F0, H, slope, guess):
+        guesses.append(guess)
+        if guess == 1.0 and guesses.count(1.0) == 1:
+            return None
+        return line_search(problem, Q, F0, H, slope, guess)
+
+    def recorded(Hinv, s, y):
+        fresh.append(Hinv is None)
+        return update(Hinv, s, y)
+
+    monkeypatch.setattr(roofsearch, "_line_search", failing_once)
+    monkeypatch.setattr(roofsearch, "_bfgs_update", recorded)
+    problem = Descent(eigen_vectors_subnormalized(random_form_a_mixture(3, 104, 1)), 3, None)
+    _, trace, converged, _ = search(problem, np.eye(3, dtype=complex), 1e-7, 30)
+    i = guesses.index(1.0)
+    assert guesses[i + 1] is None and fresh[i] and not fresh[i + 1]
+    assert converged and all(b <= a + 1e-13 * abs(a) for a, b in zip(trace, trace[1:]))
+
+
+def test_d_searches_never_update_the_inverse_hessian(monkeypatch):
+    """D(1, 2) on the corpus and D(1, 3) on a generic mixture keep CG; the E roofs beside them run BFGS."""
+    updates = []
+
+    def counted(*args):
+        updates.append(args)
+        return _bfgs_update(*args)
+
+    monkeypatch.setattr(roofsearch, "_bfgs_update", counted)
+    knobs = dict(restarts=2, tol=1e-7, max_sweeps=30)
+    for k in range(5):
+        rho = random_form_a_mixture(2 + k % 2, 104, k)
+        minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=2 + k % 2, **knobs))
+    rho = random_density(3, 3, 900, 0)
+    minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 3), t_max=4, **knobs))
+    assert not updates
+    V = eigen_vectors_subnormalized(rho)
+    assert not Descent(V, 3, (1, 3)).quasi_newton and Descent(V, 3, None).quasi_newton
+    minimize_roof(RoofProblem(target=rho, objective=AverageE(), t_max=4, **knobs))
+    assert updates
 
 
 @given(rank=st.integers(1, 6), grow=st.integers(0, 2), seed=st.integers(0, 2**16))

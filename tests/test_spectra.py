@@ -18,6 +18,7 @@ from qconc.spectra import (
     eof_of_bound,
     eof_of_d,
     lemma_value,
+    two_level_entropy,
 )
 from qconc import eof_pure, from_coefficients
 from qconc.errors import BadSpectrum, DegeneratePoint, OutOfRange, UnsupportedFamily
@@ -51,6 +52,11 @@ def test_family_parameter_checks_normalization():
         fam.parameter((0.3, 0.6))
     with pytest.raises(OutOfRange):
         fam.parameter((0.0, 1.0))  # boundary leaves the open domain
+    for point in ((0.4, math.nan), (math.nan, 0.6), (math.inf, -math.inf)):
+        with pytest.raises(OutOfRange):
+            fam.parameter(point)
+    with pytest.raises(OutOfRange):
+        EigFamily("arith3", 1).parameter((math.nan, 0.1))
 
 
 def test_eof_from_spectrum_examples():
@@ -91,6 +97,17 @@ def test_entropy_bits_reads_arrays_lists_and_tuples_alike(values):
     h = entropy_bits(values).hex()
     assert entropy_bits(tuple(values)).hex() == h
     assert entropy_bits(np.array(values, dtype=float)).hex() == h
+
+
+@given(d=st.floats(0.0, 1.0), m=st.integers(1, 4))
+@example(d=0.0, m=1)
+@example(d=1.0, m=3)
+def test_two_level_entropy_is_the_two_value_entropy_bit_for_bit(d, m):
+    """``two_level_entropy`` and ``eof_of_d`` give m entropy_bits((x, 1/m - x)) bit for bit."""
+    x = (1.0 + math.sqrt(max(1.0 - d * d, 0.0))) / (2.0 * m)
+    want = (m * entropy_bits((x, 1.0 / m - x))).hex()
+    assert two_level_entropy(d, m).hex() == want
+    assert eof_of_d(d, m).hex() == want
 
 
 def test_eof_of_d_matches_qubit_concurrence_formula():
