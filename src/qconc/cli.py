@@ -41,8 +41,6 @@ from .purestate import (
     local_invariants,
 )
 from .report import Report, canonical_json, file_digest, render_text, report_to_json
-from .roofopt import AverageD, AverageE, RoofProblem, certify_bound, minimize_roof
-from .sampling import generator, haar_unitary
 from .spectra import EigFamily, arith3_closed_forms, convexity_value, dE_dD, eof_of_bound, lemma_value
 
 
@@ -226,6 +224,8 @@ def _search_knobs(ns) -> dict:
 
 
 def _cmd_roof(ns) -> tuple[dict, dict, int]:
+    from .roofopt import AverageD, AverageE, RoofProblem, minimize_roof
+
     rho = _as_density(load_state(ns.file))
     if ns.objective == "E":
         objective = AverageE()
@@ -246,6 +246,8 @@ def _cmd_roof(ns) -> tuple[dict, dict, int]:
 
 
 def _cmd_certify(ns) -> tuple[dict, dict, int]:
+    from .roofopt import certify_bound
+
     rho = _as_density(load_state(ns.file))
     m, n = _resolve_mn(ns.m, ns.n, rho.dim)
     rep = certify_bound(rho, m, n, **_search_knobs(ns))
@@ -292,6 +294,8 @@ def _pure_measures(psi: PureState) -> dict:
 
 
 def _cmd_invariance(ns) -> tuple[dict, dict, int]:
+    from .sampling import generator, haar_unitary
+
     if ns.trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {ns.trials}")
     state = load_state(ns.file)

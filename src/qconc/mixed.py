@@ -275,8 +275,14 @@ def _support_table(N: int) -> np.ndarray:
 
 
 def _tau_cores(X: np.ndarray) -> np.ndarray:
-    """X S4 X^T for one (r, 4) matrix X or a stack of them; tau for X = conj(V[:, J])."""
-    return X @ _S4 @ np.swapaxes(X, -1, -2)
+    """X S4 X^T for one (r, 4) matrix X or a stack of them; tau for X = conj(V[:, J]).
+
+    Formed elementwise as A + A^T with A = x0 x1^T - x2 x3^T over the
+    columns x0 .. x3 of X, so the result is exactly symmetric.
+    """
+    x0, x1, x2, x3 = (X[..., i] for i in range(4))
+    A = x0[..., :, None] * x1[..., None, :] - x2[..., :, None] * x3[..., None, :]
+    return A + np.swapaxes(A, -1, -2)
 
 
 def _spectra(F: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -376,8 +382,7 @@ def lambda_spectrum(rho: DensityMatrix, idx: SIndex) -> LambdaSpectrum:
 
 def _tau(V: np.ndarray, J) -> np.ndarray:
     """tau = V[J]^H S4 conj(V[J]) over the rows V of eigen_vectors_subnormalized."""
-    tau = _tau_cores(V[:, J].conj())
-    return 0.5 * (tau + tau.T)
+    return _tau_cores(V[:, J].conj())
 
 
 def tau_matrix(rho: DensityMatrix, idx: SIndex) -> np.ndarray:

@@ -8,7 +8,9 @@ isometries, the variational method of Audenaert, Verstraete and De Moor
 Steps are Q <- exp(-eta H) Q along a skew-Hermitian direction H, the
 exponential taken through ``eigh`` of iH; the step length comes from a
 strong-Wolfe line search (Armijo decrease, curvature test, cubic
-interpolation).  The Riemannian gradient is Omega = B - B^H with
+interpolation clipped into the inner 80% of the bracket, so that an
+overlong first trial is not halved back one evaluation at a time).  The
+Riemannian gradient is Omega = B - B^H with
 B = E Q^H, where row k of E = conj(G) V^T is member k's Euclidean
 gradient with respect to conj(Q_k).
 
@@ -579,7 +581,16 @@ def _scan(problem: Descent, theta, U, UhQ, etas: np.ndarray, F0: float):
 
 
 def _cubic_step(a, fa, da, b, fb, db) -> float:
-    """Minimizer of the cubic through (a, fa, da) and (b, fb, db), kept inside the bracket."""
+    """Minimizer of the cubic through (a, fa, da) and (b, fb, db), clipped into the bracket.
+
+    A finite minimizer is clipped to [lo + w / 10, hi - w / 10], w the
+    bracket's width, so that every step shrinks the bracket by at least
+    a tenth and one that lands near an end keeps its side (Moré and
+    Thuente, ACM TOMS 20, 286, 1994); the midpoint stands in for a
+    minimizer that is not finite.  The arguments are taken as Python
+    floats, whose overflow gives inf, not numpy's warning.
+    """
+    a, fa, da, b, fb, db = map(float, (a, fa, da, b, fb, db))
     lo, hi = min(a, b), max(a, b)
     d1 = da + db - 3.0 * (fa - fb) / (a - b)
     rad = d1 * d1 - da * db
@@ -589,10 +600,10 @@ def _cubic_step(a, fa, da, b, fb, db) -> float:
         den = db - da + 2.0 * d2
         if den != 0.0:
             x = b - (b - a) * (db + d2 - d1) / den
+    if not math.isfinite(x):
+        return 0.5 * (lo + hi)
     margin = 0.1 * (hi - lo)
-    if not (lo + margin <= x <= hi - margin):
-        x = 0.5 * (lo + hi)
-    return x
+    return min(max(x, lo + margin), hi - margin)
 
 
 def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
@@ -603,7 +614,12 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     slope.  Where the expected decrease eta * slope is below the rounding
     of F (FLAT * |F|), values within that rounding count as equal, so the
     search still finds the root of phi' from the accurate derivatives.
-    Brackets are refined by safeguarded cubic interpolation.  Without a
+    A bracket is refined at the minimizer of the cubic through its ends
+    (``_cubic_step``), clipped to lie at least a tenth of the bracket's
+    width inside either end, or at the midpoint when that minimizer is
+    not finite or an end scores +inf; so each trial cuts the bracket by
+    at least a tenth, and a trial that overshot by orders of magnitude is
+    cut back by the cubic's own estimate, not by halving.  Without a
     guess (a start's first step), phi is first scanned over
     SCAN points of one period of the fastest rotation and the search
     continues from the lowest, so that the first step is not confined to

@@ -4,8 +4,9 @@ These deliberately take different computational routes from the package:
 the two-qubit concurrence goes through the spin-flipped product matrix
 rho @ rho_tilde, the entanglement of formation goes through the
 binary-entropy formula, roof members are scored one at a time through
-their own Schmidt spectra, and the D(1, 2) roof kernel is rebuilt on the
-members' N^2-wide rows instead of the r x r cores.
+their own Schmidt spectra, the D(1, 2) roof kernel is rebuilt on the
+members' N^2-wide rows instead of the r x r cores, and the tau cores
+come from two batched matmuls with S4 instead of outer products.
 """
 import math
 
@@ -78,6 +79,11 @@ def roof_member(w, N, objective, tol=1e-6):
 
 
 S4 = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]], dtype=float)
+
+
+def tau_cores_matmul(X):
+    """X S4 X^T for a stack of (r, 4) matrices X by two batched matmuls, the route of the package's old tau builder."""
+    return X @ S4 @ np.swapaxes(X, -1, -2)
 
 
 def minor_rows(N):

@@ -459,6 +459,34 @@ def test_cli_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
+def test_a_light_subcommand_loads_neither_the_roof_search_nor_the_samplers():
+    """``check`` in a fresh process leaves qconc.roofopt, qconc.roofsearch and qconc.sampling unloaded."""
+    code = (
+        "import contextlib, io, sys; from qconc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()): code = cli.main(['check', sys.argv[1], '--json'])\n"
+        "assert code == 0, code\n"
+        "loaded = {'qconc.roofopt', 'qconc.roofsearch', 'qconc.sampling'} & set(sys.modules)\n"
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", code, os.path.abspath(BELL_FILE)], check=True, timeout=60)
+
+
+def test_star_import_binds_every_public_name_from_its_module():
+    """``from qconc import *`` binds each ``__all__`` name to the object its module defines."""
+    import importlib
+
+    import qconc
+
+    namespace = {}
+    exec("from qconc import *", namespace)
+    assert set(qconc.__all__) <= set(namespace)
+    for name, module in qconc._EXPORTS.items():
+        assert namespace[name] is getattr(importlib.import_module(f"qconc.{module}"), name), name
+    assert set(qconc.__all__) <= set(dir(qconc))
+    with pytest.raises(AttributeError):
+        qconc.no_such_name
+
+
 @pytest.mark.parametrize(
     "source,entries,message",
     [

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qconc import (
@@ -65,7 +65,7 @@ from qconc.sampling import (
 from qconc.spectra import eof_from_spectrum, eof_of_d
 
 from conftest import random_density, random_separable_density
-from oracles import d_bound_dense, lambda_spectra_dense, wootters_concurrence
+from oracles import d_bound_dense, lambda_spectra_dense, tau_cores_matmul, wootters_concurrence
 
 BELL = from_coefficients(np.eye(2) / np.sqrt(2))
 IDX2 = SIndex(1, 1, 2, 2)
@@ -338,6 +338,20 @@ def test_tau_matrix_is_symmetric_with_lambda_singular_values():
         lam = np.array(lambda_spectrum(rho, idx).values)
         k = min(sv.size, 4)
         np.testing.assert_allclose(sv[:k], lam[:k], atol=1e-9)
+
+
+@given(N=st.integers(2, 6), rank=st.integers(0, 3), seed=st.integers(0, 2**31 - 1))
+@example(N=6, rank=0, seed=0)
+@example(N=2, rank=1, seed=0)
+def test_tau_cores_match_the_matmul_oracle_and_are_exactly_symmetric(N, rank, seed):
+    """The elementwise A + A^T cores equal X S4 X^T by matmuls to 1e-15, at ranks 1, 2, 3 and N^2."""
+    rho = random_density(N, rank or N * N, seed)
+    V = eigen_vectors_subnormalized(rho)
+    X = np.swapaxes(V.T[_support_table(N)], 1, 2).conj()
+    tau = _tau_cores(X)
+    np.testing.assert_allclose(tau, tau_cores_matmul(X), rtol=0.0, atol=1e-15)
+    assert np.array_equal(tau, np.swapaxes(tau, 1, 2))
+    np.testing.assert_array_equal(tau_matrix(rho, canonical_indices(N)[-1]), tau[-1])
 
 
 def test_tau_matrix_maximally_mixed_entries():

@@ -36,7 +36,7 @@ from qconc.roofopt import (
 from qconc import mixed, roofsearch
 from qconc.roofsearch import SCAN, Descent, _pair_rotations, _probe, _rotate, _scan, d12_cores, d12_members, search
 from qconc.roofsearch import KINK_TOL, SNAP_FLOOR, SNAP_TOL, _ball_lsq, _core_minors, e12_members, e_members
-from qconc.roofsearch import _bfgs_update, _coordinates, _from_coordinates, _skew_basis
+from qconc.roofsearch import _bfgs_update, _coordinates, _cubic_step, _from_coordinates, _skew_basis
 from qconc.sampling import generator, haar_isometry, haar_unitary, random_form_a_state, random_pure
 from qconc.spectra import eof_of_d
 
@@ -831,6 +831,62 @@ def test_bench_corpus_roofs_converge_at_the_criterion_settings():
                 RoofProblem(target=rho, objective=objective, t_max=rank, restarts=2, tol=1e-7, max_sweeps=30)
             )
             assert result.converged, (k, objective)
+
+
+def _quadratic_ends(a, b, m):
+    """(a, fa, da, b, fb, db) of (x - m)^2, a cubic with its minimizer at m."""
+    return a, (a - m) ** 2, 2.0 * (a - m), b, (b - m) ** 2, 2.0 * (b - m)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0)])
+def test_cubic_step_clips_its_minimizer_into_the_inner_bracket(a, b):
+    """A minimizer left or right of [lo + w/10, hi - w/10] lands on that end; one inside is kept."""
+    for m in (-3.0, 0.0, 0.03):
+        assert _cubic_step(*_quadratic_ends(a, b, m)) == 0.1
+    for m in (0.95, 1.0, 40.0):
+        assert _cubic_step(*_quadratic_ends(a, b, m)) == 0.9
+    for m in (0.1, 0.4, 0.9):
+        assert _cubic_step(*_quadratic_ends(a, b, m)) == pytest.approx(m, abs=1e-15)
+
+
+def test_cubic_step_takes_the_midpoint_when_the_minimizer_is_not_finite():
+    """A cubic with no real stationary point (radicand < 0) and one that overflows both give the midpoint."""
+    # d1 = da + db - 3 (fa - fb) / (a - b) = 0, so d1^2 - da db = -1.
+    assert _cubic_step(0.0, 1.0 + 2.0 / 3.0, -1.0, 1.0, 1.0, -1.0) == 0.5
+    assert _cubic_step(2.0, 1.0, 1e300, 4.0, 0.0, -1e300) == 3.0
+
+
+def test_cubic_step_gives_numpy_scalars_the_arithmetic_of_floats():
+    """np.float64 bracket ends (the scan's np.arange) overflow to inf and fall back, with no RuntimeWarning."""
+    args = (0.0, 0.5, -1e-3, 2e-323, 0.6, 1e-3)
+    want = _cubic_step(*args)
+    assert want == 1e-323
+    assert _cubic_step(np.float64(0.0), 0.5, -1e-3, np.float64(2e-323), 0.6, 1e-3) == want
+    assert _cubic_step(*map(np.float64, args)) == want
+    for m in (-3.0, 0.4, 0.95):
+        ends = _quadratic_ends(0.0, 1.0, m)
+        assert _cubic_step(*map(np.float64, ends)) == _cubic_step(*ends)
+
+
+# D(1, 2) roofs of the five benchmark corpus mixtures at criterion 4's
+# settings, as the search found them before its cubic steps were clipped.
+_CORPUS_D_BEFORE_CLIPPING = (
+    0.5924665559813924, 0.3868733436484886, 0.4401600046675125, 0.7888215985726096, 0.6809871501111724,
+)
+
+
+def test_corpus_d_roofs_take_at_most_1000_evaluations_and_keep_their_minima():
+    """Clipped cubic steps take the corpus D roofs from 1217 evaluations to at most 1000, minima within 1e-9."""
+    evaluations = 0
+    for k, before in enumerate(_CORPUS_D_BEFORE_CLIPPING):
+        rank = 2 + k % 2
+        rho = random_form_a_mixture(rank, 104, k)
+        result = minimize_roof(
+            RoofProblem(target=rho, objective=AverageD(1, 2), t_max=rank, restarts=2, tol=1e-7, max_sweeps=30)
+        )
+        assert result.converged and abs(result.value - before) <= 1e-9, (k, result.value)
+        evaluations += sum(start.evaluations for start in result.starts)
+    assert evaluations <= 1000, evaluations
 
 
 def test_kink_tests_after_the_svd_step_read_norms_and_p_at_one_isometry(monkeypatch):
