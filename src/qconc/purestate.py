@@ -223,20 +223,6 @@ def profile_from_values(
     return SpectrumProfile(n=n, m=m, values=tuple(values))
 
 
-def _profile_values(lam, m: int, n: int):
-    """The roof objectives' n profile values of a descending normalized spectrum, at PROFILE_TOL.
-
-    Coincident clusters are allowed, and with m = 1 fewer than n values at
-    or above PROFILE_TOL give the top n (the wall rule); other mismatches raise.
-    """
-    try:
-        return profile_from_values(lam, m, n, PROFILE_TOL, allow_coincident=True).values
-    except ProfileMismatch:
-        if m == 1 and n <= len(lam) and np.count_nonzero(lam >= PROFILE_TOL) < n:
-            return lam[:n]
-        raise
-
-
 def spectrum_profile(psi: PureState, m: int, n: int, allow_coincident: bool = False) -> SpectrumProfile:
     """Match the reduced-density spectrum of a state against an (m, n) profile.
 

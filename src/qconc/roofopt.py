@@ -6,6 +6,8 @@ eigenvectors: |w_k> = sum_l conj(Q_kl) |v_l>.  ``minimize_roof`` searches
 these isometries from several starts (the Riemannian search of
 ``roofsearch``: BFGS on E, conjugate gradients on D) and recomputes the
 winner's value through ``average_objective`` from the member states.
+Average D is the 2x2-minor form that the closed-form bound bounds, on
+every support.
 This is an independent numeric check of the closed-form lower bounds; it
 never certifies global optimality.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotIsometry, OutOfRange, ProfileMismatch
+from .errors import NotIsometry, OutOfRange
 from .mixed import (
     DensityMatrix,
     Decomposition,
@@ -25,9 +27,9 @@ from .mixed import (
     d_lower_bound,
     eigen_vectors_subnormalized,
 )
-from .purestate import PROFILE_TOL, _profile_values, schmidt_spectrum
+from .purestate import PROFILE_TOL, schmidt_spectrum  # PROFILE_TOL is re-exported for bench/probe.py
 from .sampling import generator, haar_isometry
-from .spectra import concurrence_of_values, entropy_bits
+from .spectra import entropy_bits
 
 ISOMETRY_TOL = 1e-10
 
@@ -39,18 +41,19 @@ class AverageE:
 
 @dataclass(frozen=True)
 class AverageD:
-    """Decomposition-averaged generalized concurrence with an (m, n) profile.
+    """Decomposition-averaged generalized concurrence D(m, n) in its 2x2-minor form.
 
-    m >= 1 is the multiplicity and n >= 2 the number of distinct values;
-    anything else raises OutOfRange.  Members whose normalized spectrum
-    fails the profile at relative tolerance PROFILE_TOL = 1e-6
-    (coincident-cluster rule applied) are nonconforming:
-    ``average_objective`` raises ProfileMismatch and the search scores
-    them +inf.  Schmidt values below PROFILE_TOL are left out of the
-    match.  For m = 1, a member with fewer than n Schmidt values at or
-    above PROFILE_TOL is not a mismatch: it scores the continuous limit
-    n sqrt(lambda_1 ... lambda_n) of its top n values, which is 0 for a
-    product state.
+    Each member psi_k scores (mn / 2) 2 ||2x2 minors of psi_k||
+    = (mn / sqrt 2) sqrt(I0^2 - I1) = mn sqrt(e2(lambda)), with e2 the
+    second elementary symmetric function of its Schmidt spectrum, on any
+    support.  This is the quantity whose decomposition average the
+    closed-form bound (mn / 2) sqrt(sum of squared deficits) bounds
+    (the Takagi step of Mintert, Kus and Buchleitner, PRL 92, 167902,
+    2004); at (1, 2) it is the I-concurrence of Rungta et al. (PRA 64,
+    042315, 2001).  It equals the spectral ``generalized_concurrence_D``
+    exactly where every member meets ``psi_condition_iii``, so at (1, 2)
+    on Schmidt rank <= 2.  m >= 1 is the multiplicity and n >= 2 the
+    number of distinct values; anything else raises OutOfRange.
     """
 
     m: int
@@ -74,10 +77,11 @@ class RoofProblem:
     of the t x r isometries).  For AverageD, whose search takes
     conjugate-gradient directions, the direction restarts at steepest
     descent after each cycle; the AverageE search keeps its BFGS inverse
-    Hessian across cycles.  restarts or max_sweeps below 1, a negative
-    seed, a tol that is not positive and finite, an AverageD profile with
-    m n > N and an objective other than AverageE or AverageD raise
-    OutOfRange.
+    Hessian across cycles.  Every AverageD(m, n) runs the one D(1, 2)
+    minor-form search, whose values ``minimize_roof`` scales by mn / 2.
+    restarts or max_sweeps below 1, a negative seed, a tol that is not
+    positive and finite, an AverageD profile with m n > N and an objective
+    other than AverageE or AverageD raise OutOfRange.
     """
 
     target: DensityMatrix
@@ -142,12 +146,18 @@ class RoofResult:
 
 
 def _pure_measure(objective):
-    """The objective's value of a normalized Schmidt spectrum; the kernels that ``roofsearch.Descent`` picks are its batched twins."""
+    """The objective's value of a normalized descending Schmidt spectrum; the kernels that ``roofsearch.Descent`` picks are its batched twins.
+
+    AverageD(m, n) reads mn sqrt(e2(lambda)), e2 = sum_{i<j} lambda_i
+    lambda_j summed as sum_j lambda_j (lambda_1 + ... + lambda_{j-1}), which
+    on a rank-two spectrum is 2 sqrt(lambda_1 lambda_2) up to the rounding
+    of the zero values.
+    """
     if isinstance(objective, AverageE):
         return entropy_bits
     if isinstance(objective, AverageD):
-        m, n = objective.m, objective.n
-        return lambda lam: concurrence_of_values(_profile_values(lam, m, n), m)
+        mn = objective.m * objective.n
+        return lambda lam: mn * math.sqrt(float(lam[1:] @ np.cumsum(lam[:-1])))
     raise OutOfRange(f"unknown objective {objective!r}")
 
 
@@ -177,14 +187,9 @@ def transform_decomposition(vectors, V) -> Decomposition:
 def average_objective(decomposition: Decomposition, objective) -> float:
     """Weighted average sum_a p_a f(psi_a) of the objective's pure measure.
 
-    f is the entropy of the Schmidt spectrum for AverageE and the
-    generalized concurrence D (at the objective's profile tolerance, with
-    the m = 1 wall rule of AverageD) for AverageD.
-
-    Raises
-    ------
-    ProfileMismatch
-        For AverageD when a member's spectrum fails the (m, n) profile.
+    f is the entropy of the Schmidt spectrum for AverageE and, for
+    AverageD(m, n), the minor form mn sqrt(e2) of the Schmidt spectrum
+    (``AverageD``), which is 0 for a product state.
     """
     f = _pure_measure(objective)
     return float(math.fsum(p * f(schmidt_spectrum(psi)) for p, psi in decomposition.members))
@@ -200,11 +205,13 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
     search (BFGS directions for AverageE; for AverageD conjugate-gradient
     directions, restarted at steepest descent every cycle) until the
     gradient norm falls below tol, a line search fails, or the cycle cap
-    is hit; the objective trace does not increase beyond rounding.  A
+    is hit; the objective trace does not increase beyond rounding.  Every
+    AverageD(m, n) runs the D(1, 2) search, and its trace and start
+    values are multiplied here by mn / 2 (exactly 1.0 at (1, 2)).  A
     result is always returned; a winning start that did not converge is
     reported with converged=False rather than raised.  The value is
     recomputed from the winning decomposition's members by
-    ``average_objective`` (+inf if a member fails the profile).
+    ``average_objective``.
     """
     rho = problem.target
     N = rho.dim
@@ -216,7 +223,9 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
     from .roofsearch import Descent, search  # on first use: the CLI's other subcommands never search
 
     objective = problem.objective
-    descent = Descent(V, N, (objective.m, objective.n) if isinstance(objective, AverageD) else None)
+    is_d = isinstance(objective, AverageD)
+    descent = Descent(V, N, is_d)
+    scale = objective.m * objective.n / 2.0 if is_d else 1.0
 
     best = None
     starts = []
@@ -228,6 +237,7 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
                 iso = haar_isometry(t, r, generator(problem.seed, t, k))
             scored = descent.evaluations
             Q, trace, converged, kinks = search(descent, iso, problem.tol, problem.max_sweeps)
+            trace = [scale * F for F in trace]
             starts.append(RoofStart(t, k, trace[-1], len(trace) - 1, converged, kinks,
                                     descent.evaluations - scored))
             if best is None or trace[-1] < best[0]:
@@ -235,12 +245,8 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
 
     _, Q, trace, converged = best
     decomposition = Decomposition.from_rows(Q.conj() @ V, N)
-    try:
-        value = average_objective(decomposition, problem.objective)
-    except ProfileMismatch:
-        value = math.inf
     return RoofResult(
-        value=float(value),
+        value=average_objective(decomposition, objective),
         decomposition=decomposition,
         iterations=sum(s.iterations for s in starts),
         converged=converged,
@@ -266,7 +272,7 @@ def certify_bound(rho: DensityMatrix, m: int, n: int, **search) -> CertifyReport
     ``search`` holds RoofProblem's search settings (t_max, restarts, seed,
     tol, max_sweeps), with RoofProblem's defaults.  gap = roof_min - bound;
     a gap below -1e-6 is flagged as a violation (the bound is supposed to
-    sit below every decomposition average).
+    sit below every decomposition average of the minor form ``AverageD``).
     """
     problem = RoofProblem(target=rho, objective=AverageD(m, n), **search)
     bound = d_lower_bound(rho, m, n, clamp=True)

@@ -24,40 +24,41 @@ p = -Hinv g with a first guess eta = 1, and after it ``_bfgs_update``
 takes s = eta p and y = g_new - g when s . y > 0.  Hinv starts empty at
 each start, and is emptied again by an accepted probe rotation or a
 failed line search, which is retried along Omega from a scan; while it
-is empty the step follows Omega.  D(1, 2) has kinks at product members
-and D(m, n) its profile wall, where BFGS takes more evaluations than
-CG; D searches take Polak-Ribiere+ conjugate-gradient directions,
-restarted at Omega every 2tr - r^2 iterations.  Everything else (line
-search, first-step scan, probe, snap, kink rule, re-orthonormalisation,
-stopping test and iteration cap) is shared.
+is empty the step follows Omega.  D has kinks at product members, where
+BFGS takes more evaluations than CG; D searches take Polak-Ribiere+
+conjugate-gradient directions, restarted at Omega every 2tr - r^2
+iterations.  Everything else (line search, first-step scan, probe, snap,
+kink rule, re-orthonormalisation, stopping test and iteration cap) is
+shared.
 
 The kernel contract (``Descent.members``): conjugated isometry rows
 conj(Q) (n, r) in; every member's value p f(psi) and its r-space gradient
-E (n, r) out.  ``Descent`` picks one batched kernel per search from the
-objective and one support test, ``mixed._rank_two_support``: rho_A or
-rho_B of the eigenvector rows has rank <= 2 (at N = 2, and on form-(a),
-C^2 x C^N and C^N x C^2 supports), so every member has Schmidt rank <= 2.
+E (n, r) out.  Every D search, whatever its (m, n) and support, scores the
+minor form D(1, 2) = 2 ||2x2 minors||, which ``roofopt.minimize_roof``
+scales by mn / 2.  ``Descent`` picks the E kernel from one support test,
+``mixed._rank_two_support``: rho_A or rho_B of the eigenvector rows has
+rank <= 2 (at N = 2, and on form-(a), C^2 x C^N and C^N x C^2 supports),
+so every member has Schmidt rank <= 2.
 
-* ``d12_members`` (AverageD(1, 2) on such a support): the value
-  2 ||2x2 minors of A|| = 2 sqrt(e2(M)) by Cauchy-Binet (A the member's
-  coefficient matrix, M = A A^H).  It reads the bound's r x r tau cores:
+* ``d12_members`` (every AverageD): the value 2 ||2x2 minors of A|| =
+  2 sqrt(e2(M)) by Cauchy-Binet (A the member's coefficient matrix,
+  M = A A^H), which equals the spectral D(1, 2) on Schmidt rank <= 2.  It
+  reads the bound's r x r tau cores:
   with C_x = conj(tau_x), the minors of the row q V are y_x = q C_x q^T / 2, so
   one (n, r) x (r, K r) product with the ``d12_cores`` gives Z_x = q C_x,
   y = Z q / 2 and E = 2 conj(u)^T Z for the unit minor vector u; no
   ``eigh`` and nothing N^2 wide.
-* ``e12_members`` (AverageE on the same supports): Wootters' two-level
+* ``e12_members`` (AverageE on a rank-two support): Wootters' two-level
   map of the concurrence c = d / p, p H(c) with H(c) = ``eof_of_d(c, 1)``
   (``spectra.two_level_entropy``),
   built on ``d12_members``'s d and gradient and the weight p = q G q^H
   (G = V V^H); no ``eigh``.
-* ``e_members`` (AverageE on any other support): one batched ``eigh``,
-  G_k = 2 X A_k with X = (log p - log M) / ln 2 on the range of M.
-* ``profile_members`` (any other AverageD(m, n)): the spectral gradient of
-  the matched profile; a step that leaves the profile scores +inf.
+* ``e_members`` (AverageE on any other support): one batched ``eigh`` of
+  the rows W = conj(Q) V (n, N^2), G_k = 2 X A_k with
+  X = (log p - log M) / ln 2 on the range of M, mapped back to
+  E = conj(G) V^T.
 
-The last two work on the rows W = conj(Q) V (n, N^2) and map their
-gradients G back to E = conj(G) V^T.  ``Descent.values`` keeps each
-kernel call's member values and E (``Scored``).
+``Descent.values`` keeps each kernel call's member values and E (``Scored``).
 
 The D(1, 2) sum of minor norms has kinks at product members, where the
 entanglement is smooth (its gradient vanishes there), so the kink rule
@@ -91,10 +92,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ProfileMismatch
 from .mixed import _rank_two_support, _support_table, _tau_cores
-from .purestate import _profile_values
-from .spectra import concurrence_of_values, two_level_entropy
+from .spectra import two_level_entropy
 
 # Eigenvalues of M at or below RANGE_TOL * p are outside the range of M.
 RANGE_TOL = 1e-12
@@ -189,43 +188,16 @@ def e12_members(Qbar: np.ndarray, cores: np.ndarray, gram: np.ndarray):
     return np.array(values), coef[:, :1] * QG.conj() + coef[:, 1:] * E_d
 
 
-def _gram(W: np.ndarray, N: int):
-    A = W.reshape(-1, N, N)
-    return A, A @ A.conj().transpose(0, 2, 1), np.einsum("kij,kij->k", A.conj(), A).real
-
-
 def e_members(Qbar: np.ndarray, V: np.ndarray, N: int):
     """Entanglement p S(lambda / p) of each row W = Qbar V and its r-space gradient conj(G) V^T, G = 2 X A."""
-    A, M, p = _gram(Qbar @ V, N)
-    lam, U = np.linalg.eigh(M)
+    A = (Qbar @ V).reshape(-1, N, N)
+    p = np.einsum("kij,kij->k", A.conj(), A).real
+    lam, U = np.linalg.eigh(A @ A.conj().transpose(0, 2, 1))
     live = lam > 0.0
     logp = np.log(np.where(p > 0.0, p, 1.0))[:, None]
     x = np.where(live, logp - np.log(np.where(live, lam, 1.0)), 0.0) / math.log(2.0)
     values = np.sum(lam * x, axis=1)
     x = np.where(lam > RANGE_TOL * p[:, None], x, 0.0)
-    X = (U * x[:, None, :]) @ U.conj().transpose(0, 2, 1)
-    return values, (2.0 * (X @ A)).reshape(len(A), -1).conj() @ V.T
-
-
-def profile_members(Qbar: np.ndarray, V: np.ndarray, N: int, m: int, n: int):
-    """Profile D(m, n) of each row W = Qbar V, m n p^(1 - n/2) sqrt(prod nu), and its r-space spectral gradient."""
-    A, M, p = _gram(Qbar @ V, N)
-    lam, U = np.linalg.eigh(M)
-    values = np.zeros(len(A))
-    x = np.zeros(lam.shape)
-    for k in range(len(A)):
-        if p[k] <= 0.0:
-            continue
-        try:
-            matched = _profile_values(np.maximum(lam[k, ::-1] / p[k], 0.0), m, n)
-        except ProfileMismatch:
-            values[k] = math.inf
-            continue
-        values[k] = p[k] * concurrence_of_values(matched, m)
-        nu = np.repeat(matched, m)
-        if values[k] > 0.0:
-            x[k, N - nu.size:] = values[k] * 0.5 / (m * p[k] * nu[::-1])
-            x[k] += values[k] * (1.0 - 0.5 * n) / p[k]
     X = (U * x[:, None, :]) @ U.conj().transpose(0, 2, 1)
     return values, (2.0 * (X @ A)).reshape(len(A), -1).conj() @ V.T
 
@@ -286,12 +258,13 @@ class Scored(NamedTuple):
 class Descent:
     """Objective, gradient and kink rule of one problem at an isometry Q.
 
-    ``profile`` is the AverageD (m, n), None for AverageE.  ``__init__`` is
-    the one place that picks the kernel, from the profile and
-    ``_rank_two_support(V, N)``, and the direction rule: ``quasi_newton``
-    (BFGS) for E, conjugate gradients for D.  The cored kernels read the
-    ``d12_cores`` and the Gram matrix V V^H built here, and only
-    ``d12_members`` runs the kink rule.  ``members`` is the kernel
+    ``kinked`` is true for an AverageD search (any true value, such as its
+    (m, n), will do) and false for AverageE.  ``__init__`` is the one place
+    that picks the kernel and the direction rule: D takes ``d12_members``,
+    its kink rule and conjugate gradients; E takes BFGS (``quasi_newton``)
+    and ``e12_members`` where ``_rank_two_support(V, N)`` holds,
+    ``e_members`` elsewhere.  The cored kernels read the ``d12_cores`` and
+    the Gram matrix V V^H built here.  ``members`` is the kernel
     contract: conjugated isometry rows conj(Q) in, member values and
     r-space gradients E = conj(G) V^T out.  ``values`` hands a scored stack on as a
     ``Scored``, whose points the gradient and the kink rule read instead
@@ -299,17 +272,15 @@ class Descent:
     scored so far, one per isometry that reaches the kernel.
     """
 
-    def __init__(self, V: np.ndarray, N: int, profile: tuple[int, int] | None):
-        self.quasi_newton = profile is None
-        cored = profile in (None, (1, 2)) and _rank_two_support(V, N)
-        self.kinked = cored and profile is not None
-        if cored:
+    def __init__(self, V: np.ndarray, N: int, kinked: bool):
+        self.kinked = bool(kinked)
+        self.quasi_newton = not self.kinked
+        if self.kinked or _rank_two_support(V, N):
             self.cores, self.gram = d12_cores(V, N), V @ V.conj().T
             self.kernel = d12_members if self.kinked else e12_members
             self.inputs = (self.cores,) if self.kinked else (self.cores, self.gram)
         else:
-            self.kernel = e_members if profile is None else profile_members
-            self.inputs = (V, N) if profile is None else (V, N, *profile)
+            self.kernel, self.inputs = e_members, (V, N)
         self.evaluations = 0
 
     def members(self, Qbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -432,16 +403,14 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
     """Riemannian descent from Q; returns (Q, trace, converged, kinks).
 
     The direction is BFGS's where ``problem.quasi_newton`` holds (E, which
-    is smooth) and Polak-Ribiere+ CG's otherwise (D, with its kinks and
-    its profile wall).  After each step, members near a product state are
-    snapped onto it when that does not raise the objective.
+    is smooth) and Polak-Ribiere+ CG's otherwise (D, with its kinks).
+    After each step, members near a product state are snapped onto it
+    when that does not raise the objective.
     """
     t, r = Q.shape
     cycle = 2 * t * r - r * r
     F, S = problem.value(Q)
     trace = [F]
-    if not math.isfinite(F):
-        return Q, trace, False, 0
     grad, kinks, _ = problem.gradient(Q, S)
     H = grad
     eta = slope = Hinv = None
@@ -617,9 +586,9 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     A bracket is refined at the minimizer of the cubic through its ends
     (``_cubic_step``), clipped to lie at least a tenth of the bracket's
     width inside either end, or at the midpoint when that minimizer is
-    not finite or an end scores +inf; so each trial cuts the bracket by
-    at least a tenth, and a trial that overshot by orders of magnitude is
-    cut back by the cubic's own estimate, not by halving.  Without a
+    not finite; so each trial cuts the bracket by at least a tenth, and a
+    trial that overshot by orders of magnitude is cut back by the cubic's
+    own estimate, not by halving.  Without a
     guess (a start's first step), phi is first scanned over
     SCAN points of one period of the fastest rotation and the search
     continues from the lowest, so that the first step is not confined to
@@ -633,8 +602,7 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     UhQ = U.conj().T @ Q
 
     def point(eta, Qn, Fn, Sn):
-        d = -0.5 * _inner(H, problem.omega(Qn, Sn)) if math.isfinite(Fn) else math.nan
-        return eta, Qn, Fn, Sn, d
+        return eta, Qn, Fn, Sn, -0.5 * _inner(H, problem.omega(Qn, Sn))
 
     def at(eta):
         Qn = _rotate(theta, U, UhQ, eta)
@@ -651,11 +619,7 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
         for _ in range(MAX_EVALS):
             if abs(hi[0] - lo[0]) <= 1e-14 * max(lo[0], hi[0]):
                 break
-            if math.isfinite(hi[2]):
-                eta = _cubic_step(lo[0], lo[2], lo[4], hi[0], hi[2], hi[4])
-            else:
-                eta = 0.5 * (lo[0] + hi[0])
-            pt = at(eta)
+            pt = at(_cubic_step(lo[0], lo[2], lo[4], hi[0], hi[2], hi[4]))
             if not decreases(pt) or pt[2] > lo[2] + noise:
                 hi = pt
                 continue

@@ -235,19 +235,21 @@ def test_concurrence_command_cn():
     assert abs(report.results["cn"] - 1.0) < 1e-12
 
 
-def test_roof_whose_every_start_scores_infinity(tmp_path, capsys):
+def test_roof_on_a_generic_rank_two_mixture_is_finite_and_above_the_bound(tmp_path, capsys):
     """A generic N = 3 rank-2 mixture: every decomposition has a Schmidt-rank-3 member.
 
-    No start can take a step, so the search reports +inf after 0
-    iterations, unconverged, and the report carries Infinity.
+    Average D is the minor form on every support, so the search moves
+    from every start and converges to a finite roof above the bound.
     """
+    rho = random_density(3, 2, 109)
     path = tmp_path / "generic.json"
-    path.write_text(dumps_state(random_density(3, 2, 109)))
+    path.write_text(dumps_state(rho))
     assert main(["roof", str(path), "--objective", "D", "--m", "1", "--n", "2", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["results"]["value"] == math.inf
-    assert report["results"]["iterations"] == 0
-    assert report["flags"]["converged"] is False
+    value = report["results"]["value"]
+    assert math.isfinite(value) and value >= d_lower_bound(rho, 1, 2)
+    assert report["results"]["iterations"] > 0
+    assert report["flags"]["converged"] is True
 
 
 def test_report_json_is_byte_stable():
@@ -382,6 +384,19 @@ def test_certify_form_a_converges_with_default_search(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["flags"]["converged"] is True
     assert report["results"]["gap"] < 0.118
+
+
+def test_certify_form_a_at_one_three_is_one_and_a_half_times_one_two(capsys):
+    """The (1, 3) roof of a form-(a) mixture is the (1, 2) minor-form roof scaled by mn / 2, above its bound."""
+    knobs = ["--restarts", "2", "--max-sweeps", "30", "--tol", "1e-7", "--json"]
+    reports = []
+    for n in ("3", "2"):
+        assert main(["certify", FORM_A_FILE, "--m", "1", "--n", n] + knobs) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    three, two = reports
+    assert three["flags"]["violation"] is False and three["flags"]["converged"] is True
+    assert three["results"]["gap"] > 0.0
+    assert three["results"]["roof_min"] == pytest.approx(1.5 * two["results"]["roof_min"], rel=1e-12)
 
 
 def test_certify_command_pure_state(tmp_path):

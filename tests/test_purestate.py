@@ -24,7 +24,7 @@ from qconc.errors import (
     ZeroState,
 )
 from qconc.mixed import Decomposition
-from qconc.purestate import _profile_values, profile_from_values
+from qconc.purestate import profile_from_values
 from qconc.roofopt import AverageD, average_objective
 from qconc.sampling import generator, haar_unitary, random_form_a_state, random_pure
 
@@ -184,20 +184,18 @@ def test_profile_from_values_reports_cluster_sizes():
         profile_from_values(np.array([0.5, 0.3, 0.2]), 3, 1)
 
 
-def test_values_below_the_profile_tolerance_do_not_break_the_match():
-    """A Schmidt value below PROFILE_TOL is left out of the match without counting against it.
+def test_average_d_scores_every_schmidt_value_through_e2():
+    """Average D(1, 2) reads a member's whole spectrum as 2 sqrt(e2), small third values included.
 
-    Only more than n values at or above the tolerance, or a spectrum that
-    does not sum to 1, is a mismatch.
+    Below, at and above the old profile tolerance of 1e-6, the third value
+    t enters e2 = sum_{i<j} lambda_i lambda_j; nothing is dropped or rejected.
     """
-    for t in (5e-8, 5e-7):
-        assert _profile_values(np.array([0.6, 0.4 - t, t]), 1, 2) == (0.6, 0.4 - t)
-        psi = from_coefficients(np.diag(np.sqrt([0.6, 0.4 - t, t])))
+    for t in (5e-8, 5e-7, 2e-6, 0.1):
+        lam = (0.6, 0.4 - t, t)
+        psi = from_coefficients(np.diag(np.sqrt(lam)))
         value = average_objective(Decomposition(((1.0, psi),)), AverageD(1, 2))
-        assert value == pytest.approx(2.0 * math.sqrt(0.6 * (0.4 - t)), abs=1e-12)
-    for spectrum in ([0.6, 0.4 - 2e-6, 2e-6], [0.5, 0.3]):
-        with pytest.raises(ProfileMismatch):
-            _profile_values(np.array(spectrum), 1, 2)
+        e2 = lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2]
+        assert value == pytest.approx(2.0 * math.sqrt(e2), abs=1e-12)
 
 
 def test_generalized_concurrence_form_a_endpoint():
