@@ -40,12 +40,12 @@ class HermitianEig(NamedTuple):
 
 
 def check_hermitian(M) -> np.ndarray:
-    """M as a complex square array; NotHermitian unless Hermitian within 1e-10 relative."""
+    """M as a complex square array; NotHermitian unless Hermitian within 1e-10 relative (NaN never is)."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {A.shape}")
     scale = max(np.linalg.norm(A), 1.0)
-    if np.linalg.norm(A - A.conj().T) > HERMITIAN_TOL * scale:
+    if not np.linalg.norm(A - A.conj().T) <= HERMITIAN_TOL * scale:
         raise NotHermitian("matrix is not Hermitian within 1e-10 relative tolerance")
     return A
 
@@ -84,8 +84,8 @@ def eigh_descending(A: np.ndarray) -> HermitianEig:
 
 
 def check_psd(eig: HermitianEig) -> HermitianEig:
-    """Pass a PSD eigendecomposition through; eigenvalues below -1e-10 raise NotPSD."""
-    if eig.eigenvalues[-1] < -PSD_CLAMP:
+    """Pass a PSD eigendecomposition through; eigenvalues below -1e-10, or NaN, raise NotPSD."""
+    if not eig.eigenvalues[-1] >= -PSD_CLAMP:
         raise NotPSD(f"minimum eigenvalue {eig.eigenvalues[-1]:.3e} below -1e-10")
     return eig
 
@@ -130,13 +130,13 @@ def takagi(T) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     NotSymmetric
-        If ``T.T != T`` within 1e-10.
+        If ``T.T != T`` within 1e-10, which NaN or infinite entries fail.
     """
     A = np.asarray(T, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {A.shape}")
     scale = max(np.linalg.norm(A), 1.0)
-    if np.linalg.norm(A - A.T) > SYMMETRIC_TOL * scale:
+    if not np.linalg.norm(A - A.T) <= SYMMETRIC_TOL * scale:
         raise NotSymmetric("matrix is not complex symmetric within 1e-10")
 
     n = A.shape[0]

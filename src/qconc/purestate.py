@@ -114,15 +114,14 @@ def reduced_density(psi: PureState) -> np.ndarray:
     return psi.coeffs @ psi.coeffs.conj().T
 
 
-def schmidt_values(A: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of A A^H, clamped at 0: the one Schmidt-spectrum kernel."""
-    return np.maximum(np.linalg.eigvalsh(A @ A.conj().T)[::-1], 0.0)
-
-
 def schmidt_spectrum(psi: PureState) -> np.ndarray:
-    """Schmidt spectrum, descending and clamped at 0; LAPACK failures raise ConvergenceFailure."""
+    """Descending eigenvalues of A A^H for the coefficients A, clamped at 0: the one Schmidt-spectrum kernel.
+
+    LAPACK failures raise ConvergenceFailure.
+    """
+    A = psi.coeffs
     with lapack_errors():
-        return schmidt_values(psi.coeffs)
+        return np.maximum(np.linalg.eigvalsh(A @ A.conj().T)[::-1], 0.0)
 
 
 def eof_pure(psi: PureState) -> float:

@@ -172,13 +172,15 @@ def transform_decomposition(vectors, V) -> Decomposition:
     Raises
     ------
     NotIsometry
-        If V'V deviates from the identity by more than 1e-10.
+        If V'V deviates from the identity by more than 1e-10, or is not finite.
     """
     Vmat = np.array(vectors, dtype=complex)
     A = np.asarray(V, dtype=complex)
     if A.ndim != 2 or A.shape[1] != Vmat.shape[0] or A.shape[0] < A.shape[1]:
         raise NotIsometry(f"expected t x r with t >= r = {Vmat.shape[0]}, got {A.shape}")
-    if np.linalg.norm(A.conj().T @ A - np.eye(A.shape[1])) > ISOMETRY_TOL:
+    with np.errstate(invalid="ignore"):
+        gap = np.linalg.norm(A.conj().T @ A - np.eye(A.shape[1]))
+    if not gap <= ISOMETRY_TOL:
         raise NotIsometry("columns are not orthonormal within 1e-10")
     N = int(round(math.sqrt(Vmat.shape[1])))
     return Decomposition.from_rows(A.conj() @ Vmat, N)

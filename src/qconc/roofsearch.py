@@ -18,7 +18,9 @@ The direction rule is the one thing that depends on the objective
 (``Descent.quasi_newton``).  E is smooth, and its search takes BFGS
 directions (Riemannian BFGS in the Lie-algebra coordinates, Huang,
 Gallivan and Absil, SIAM J. Optim. 25, 1660, 2015): with w the
-coordinates of Omega in the orthonormal ``_skew_basis`` (``_coordinates``),
+coordinates of Omega in the orthonormal ``_skew_basis``, in its element
+order (``_coordinates`` and ``_from_coordinates`` are products with the
+basis reshaped to t^2 x t^2, the same maps the kink rule and the snap use),
 the gradient in the coordinates x of exp(-X) Q is g = -w / 2, the step is
 p = -Hinv g with a first guess eta = 1, and after it ``_bfgs_update``
 takes s = eta p and y = g_new - g when s . y > 0.  Hinv starts empty at
@@ -324,15 +326,14 @@ class Descent:
             return self.omega(Q, S), [], loose
         E = S.E.copy()
         E[kinks] = 0.0
-        basis = _skew_basis(Q.shape[0])
-        a = np.tensordot(basis.conj(), self.omega(Q, Scored(S.f, E)), axes=([1, 2], [0, 1])).real
+        a = _coordinates(self.omega(Q, Scored(S.f, E)))
         # Along exp(-eta B) Q, the kink term 2 Re<u, minors_k> changes at
         # rate 2 Re<u, dy>, which is -1/2 <B, Omega>: Omega's coordinates
         # are -4 (Re dy, Im dy) (Re u, Im u).
         Z = _core_jacobians(Q.conj(), self.cores)
         blocks = [-4.0 * np.concatenate([dy.real, dy.imag], axis=1) for dy, _ in self._changes(Q, Z, kinks)]
         xs = _ball_lsq(a, blocks)
-        return np.tensordot(a + sum(B @ x for B, x in zip(blocks, xs)), basis, 1), kinks, loose
+        return _from_coordinates(a + sum(B @ x for B, x in zip(blocks, xs)), len(Q)), kinks, loose
 
     def reorthonormalized(self, Q: np.ndarray, S: Scored) -> tuple[np.ndarray, Scored]:
         """The isometry U V^H nearest Q (Q = U s V^H) and S with the values f re-read there for the kink rule.
@@ -370,13 +371,16 @@ class Descent:
                 for dy, dp in self._changes(Q, Z, members)]
         rhs = [np.concatenate([-yk.real, -yk.imag, [0.0]]) for yk in y[members]]
         coef = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=SNAP_RCOND)[0]
-        theta, U = np.linalg.eigh(1j * np.tensordot(coef, _skew_basis(Q.shape[0]), 1))
+        theta, U = np.linalg.eigh(1j * _from_coordinates(coef, len(Q)))
         return _rotate(theta, U, U.conj().T @ Q, 1.0)
 
 
 @lru_cache(maxsize=None)
 def _skew_basis(t: int) -> np.ndarray:
-    """An orthonormal real basis of the t x t skew-Hermitian matrices, (t^2, t, t)."""
+    """An orthonormal real basis of the t x t skew-Hermitian matrices, (t^2, t, t), in the order of ``_coordinates``.
+
+    Over j <= l row by row: i e_jj, or (e_jl - e_lj) / sqrt 2 then i (e_jl + e_lj) / sqrt 2.
+    """
     out = []
     for j in range(t):
         for l in range(j, t):
@@ -463,29 +467,15 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
     return Q, trace, math.sqrt(_inner(grad, grad)) < tol, len(kinks)
 
 
-@lru_cache(maxsize=None)
-def _upper(t: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(t, 1)
-
-
 def _coordinates(A: np.ndarray) -> np.ndarray:
-    """The real coordinates of a skew-Hermitian A in the orthonormal ``_skew_basis``, diagonal elements first.
-
-    Im A_jj, then sqrt 2 Re A_jl and sqrt 2 Im A_jl over the strict upper
-    triangle j < l, so that x . y = Re <A, B> for the coordinates x, y of A, B.
-    """
-    upper = math.sqrt(2.0) * A[_upper(len(A))]
-    return np.concatenate([A.diagonal().imag, upper.real, upper.imag])
+    """The real coordinates x_i = Re <B_i, A> of a skew-Hermitian A in the orthonormal ``_skew_basis`` B."""
+    t = len(A)
+    return (_skew_basis(t).reshape(t * t, -1).conj() @ A.ravel()).real
 
 
 def _from_coordinates(x: np.ndarray, t: int) -> np.ndarray:
-    """The t x t skew-Hermitian matrix whose ``_coordinates`` are x."""
-    k = t * (t - 1) // 2
-    A = np.zeros((t, t), dtype=complex)
-    A[_upper(t)] = (x[t:t + k] + 1j * x[t + k:]) / math.sqrt(2.0)
-    A -= A.conj().T
-    A[np.diag_indices(t)] = 1j * x[:t]
-    return A
+    """The t x t skew-Hermitian matrix sum_i x_i B_i whose ``_coordinates`` are x."""
+    return (x @ _skew_basis(t).reshape(t * t, -1)).reshape(t, t)
 
 
 def _bfgs_update(Hinv: np.ndarray | None, s: np.ndarray, y: np.ndarray) -> np.ndarray | None:

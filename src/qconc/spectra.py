@@ -100,7 +100,7 @@ def concurrence_of_values(values, m: int) -> float:
 def eof_from_spectrum(values, m: int) -> float:
     """Entanglement -sum_i m * lambda_i * log2(lambda_i) for distinct values."""
     lam = np.asarray(values, dtype=float)
-    if lam.size == 0 or np.any(lam <= 0.0):
+    if lam.size == 0 or not np.all(lam > 0.0):
         raise BadSpectrum(f"eigenvalues must be positive, got {values}")
     if m * lam.sum() > 1.0 + 1e-8:
         raise BadSpectrum(f"m * sum(values) = {m * lam.sum()!r} exceeds 1")
@@ -141,7 +141,7 @@ def two_level_entropy(d: float, m: int = 1) -> float:
 
 def d_two_eigen(lam1: float, lam2: float, m: int) -> float:
     """Concurrence d = 2m sqrt(lam1 lam2) of a two-value spectrum."""
-    if lam1 < 0.0 or lam2 < 0.0:
+    if not (lam1 >= 0.0 and lam2 >= 0.0):
         raise OutOfRange(f"eigenvalues must be nonnegative, got {(lam1, lam2)}")
     return concurrence_of_values((lam1, lam2), m)
 

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from qconc import hermitian_eig, sqrt_psd, takagi
 from qconc.errors import NotHermitian, NotPSD, NotSymmetric
+from qconc.linalg import HermitianEig, check_psd
 from qconc.sampling import generator, haar_unitary
 
 
@@ -61,6 +62,8 @@ def test_sqrt_psd_clamps_tiny_negative_eigenvalues():
 def test_sqrt_psd_rejects_indefinite():
     with pytest.raises(NotPSD):
         sqrt_psd(np.diag([1.0, -0.5]))
+    with pytest.raises(NotPSD):
+        check_psd(HermitianEig(np.array([1.0, np.nan]), np.eye(2)))
 
 
 def test_sqrt_psd_projector_is_idempotent_consistent():
@@ -81,6 +84,16 @@ def test_takagi_swap_matrix():
 def test_takagi_rejects_nonsymmetric():
     with pytest.raises(NotSymmetric):
         takagi(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("func, error", [(hermitian_eig, NotHermitian), (sqrt_psd, NotHermitian), (takagi, NotSymmetric)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_nan_entries_fail_the_tolerance_test(func, error, where):
+    """A NaN entry, on the diagonal or in a mirrored pair, raises the check's InputError, not NaN output or LinAlgError."""
+    M = np.eye(3, dtype=complex)
+    M[where] = M[where[::-1]] = np.nan
+    with pytest.raises(error):
+        func(M)
 
 
 def random_symmetric(n, rng):

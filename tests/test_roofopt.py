@@ -1,4 +1,5 @@
 """Tests for the convex-roof optimizer: BFGS on E, Polak-Ribiere+ conjugate gradients on D."""
+import itertools
 import math
 
 import numpy as np
@@ -69,6 +70,12 @@ def test_transform_rejects_non_isometry():
         transform_decomposition(vecs, np.ones((2, 2)))
     with pytest.raises(NotIsometry):
         transform_decomposition(vecs, np.eye(1, 2))
+    # A NaN or infinite entry fails the test instead of dropping members.
+    for bad, where in itertools.product((np.nan, np.inf), ((0, 0), (0, 1))):
+        V = np.eye(2, dtype=complex)
+        V[where] = bad
+        with pytest.raises(NotIsometry):
+            transform_decomposition(vecs, V)
 
 
 def test_transform_taller_isometry_reconstructs():
@@ -369,16 +376,16 @@ def test_cored_e_roof_makes_no_eigh_call_in_its_kernel(eigh_calls, monkeypatch):
 
 @given(t=st.integers(1, 6), seed=st.integers(0, 2**16))
 def test_skew_coordinates_read_the_skew_basis(t, seed):
-    """``_from_coordinates`` maps the unit coordinates onto the elements of ``_skew_basis``, and ``_coordinates`` inverts it."""
+    """``_from_coordinates`` maps the unit coordinate e_i onto element i of ``_skew_basis``, and ``_coordinates`` inverts it."""
     basis = _skew_basis(t)
-    elements = [_from_coordinates(e, t) for e in np.eye(t * t)]
-    order = [next(i for i, B in enumerate(basis) if np.array_equal(B, E)) for E in elements]
-    assert sorted(order) == list(range(t * t))
+    for i, e in enumerate(np.eye(t * t)):
+        assert np.array_equal(_from_coordinates(e, t), basis[i])
+        np.testing.assert_allclose(_coordinates(basis[i]), e, rtol=0.0, atol=1e-15)
     rng = generator(112, t, seed)
     A = rng.standard_normal((t, t)) + 1j * rng.standard_normal((t, t))
     A -= A.conj().T
     want = np.tensordot(basis.conj(), A, axes=([1, 2], [0, 1])).real
-    np.testing.assert_allclose(_coordinates(A), want[order], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(_coordinates(A), want, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(_from_coordinates(_coordinates(A), t), A, rtol=0.0, atol=1e-12)
 
 

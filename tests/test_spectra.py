@@ -66,6 +66,15 @@ def test_eof_from_spectrum_examples():
         eof_from_spectrum((0.5, -0.1), 1)
     with pytest.raises(BadSpectrum):
         eof_from_spectrum((0.9, 0.9), 1)
+    for values in ((math.nan,), (0.5, math.nan), (math.nan, 0.5), (0.5, math.inf)):
+        with pytest.raises(BadSpectrum):
+            eof_from_spectrum(values, 1)
+
+
+@pytest.mark.parametrize("lam1, lam2", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+def test_d_two_eigen_rejects_nan(lam1, lam2):
+    with pytest.raises(OutOfRange):
+        d_two_eigen(lam1, lam2, 1)
 
 
 def test_eof_from_spectrum_matches_pure_state_entropy():
