@@ -39,11 +39,19 @@ class HermitianEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def check_hermitian(M) -> np.ndarray:
-    """M as a complex square array; NotHermitian unless Hermitian within 1e-10 relative (NaN never is)."""
+def _finite_square(M, error) -> np.ndarray:
+    """M as a complex square array of finite entries; ``error`` otherwise, before any arithmetic on M."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {A.shape}")
+        raise error(f"expected a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise error("matrix has a NaN or infinite entry")
+    return A
+
+
+def check_hermitian(M) -> np.ndarray:
+    """M as a complex square array; NotHermitian unless finite and Hermitian within 1e-10 relative."""
+    A = _finite_square(M, NotHermitian)
     scale = max(np.linalg.norm(A), 1.0)
     if not np.linalg.norm(A - A.conj().T) <= HERMITIAN_TOL * scale:
         raise NotHermitian("matrix is not Hermitian within 1e-10 relative tolerance")
@@ -130,11 +138,9 @@ def takagi(T) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     NotSymmetric
-        If ``T.T != T`` within 1e-10, which NaN or infinite entries fail.
+        If ``T.T != T`` within 1e-10, or T has a NaN or infinite entry.
     """
-    A = np.asarray(T, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {A.shape}")
+    A = _finite_square(T, NotSymmetric)
     scale = max(np.linalg.norm(A), 1.0)
     if not np.linalg.norm(A - A.T) <= SYMMETRIC_TOL * scale:
         raise NotSymmetric("matrix is not complex symmetric within 1e-10")

@@ -30,8 +30,7 @@ is empty the step follows Omega.  D has kinks at product members, where
 BFGS takes more evaluations than CG; D searches take Polak-Ribiere+
 conjugate-gradient directions, restarted at Omega every 2tr - r^2
 iterations.  Everything else (line search, first-step scan, probe, snap,
-kink rule, re-orthonormalisation, stopping test and iteration cap) is
-shared.
+kink rule, stopping test and iteration cap) is shared.
 
 The kernel contract (``Descent.members``): conjugated isometry rows
 conj(Q) (n, r) in; every member's value p f(psi) and its r-space gradient
@@ -71,9 +70,7 @@ not raise the objective; at a kink (minor norm at most
 KINK_TOL * p) the search uses the minimum-norm subgradient, found by
 relaxing the member's unit minor vector to the unit ball (the group-lasso
 test), as both the stationarity test and the descent direction; both
-tests read the minor norms f / 2 of the values f the kernel returned,
-scored again after the periodic SVD re-orthonormalisation
-(``Descent.reorthonormalized``) so that f and p come from one point.  A
+tests read the minor norms f / 2 of the values f the kernel returned.  A
 start's first step scans one period of its geodesic, and a converged
 point is probed along every two-row rotation, so that saddles such as
 the eigendecomposition of a symmetric state are left behind.  The points
@@ -335,19 +332,6 @@ class Descent:
         xs = _ball_lsq(a, blocks)
         return _from_coordinates(a + sum(B @ x for B, x in zip(blocks, xs)), len(Q)), kinks, loose
 
-    def reorthonormalized(self, Q: np.ndarray, S: Scored) -> tuple[np.ndarray, Scored]:
-        """The isometry U V^H nearest Q (Q = U s V^H) and S with the values f re-read there for the kink rule.
-
-        The kink and loose tests compare the minor norms f / 2 with p at one
-        point, so the D(1, 2) values are scored again at the new isometry
-        (one more evaluation); E is kept.
-        """
-        U, _, Vh = np.linalg.svd(Q, full_matrices=False)
-        Q = U @ Vh
-        if self.kinked:
-            S = Scored(self.value(Q)[1].f, S.E)
-        return Q, S
-
     def _changes(self, Q: np.ndarray, Z: np.ndarray, members: list[int]):
         """(d minors_k, d p_k) along dQ = -B Q for every basis element B, per member: (t^2, K), (t^2,).
 
@@ -399,6 +383,12 @@ def _skew_basis(t: int) -> np.ndarray:
     return basis
 
 
+def _nearest_isometry(Q: np.ndarray) -> np.ndarray:
+    """The isometry U V^H nearest Q = U s V^H, which undoes the rounding drift of many steps."""
+    U, _, Vh = np.linalg.svd(Q, full_matrices=False)
+    return U @ Vh
+
+
 def _inner(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.vdot(X, Y).real)
 
@@ -409,7 +399,9 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
     The direction is BFGS's where ``problem.quasi_newton`` holds (E, which
     is smooth) and Polak-Ribiere+ CG's otherwise (D, with its kinks).
     After each step, members near a product state are snapped onto it
-    when that does not raise the objective.
+    when that does not raise the objective.  Every cycle, Q is replaced
+    by ``_nearest_isometry(Q)``, a move at rounding level, and keeps the
+    ``Scored`` members of the point the step reached.
     """
     t, r = Q.shape
     cycle = 2 * t * r - r * r
@@ -446,7 +438,7 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
             return Q, trace, False, len(kinks)
         eta, Q, F, S = step
         if (it + 1) % cycle == 0:
-            Q, S = problem.reorthonormalized(Q, S)
+            Q = _nearest_isometry(Q)
         new, kinks, loose = problem.gradient(Q, S)
         if loose:
             Qs = problem.snap(Q, loose)

@@ -140,9 +140,9 @@ def two_level_entropy(d: float, m: int = 1) -> float:
 
 
 def d_two_eigen(lam1: float, lam2: float, m: int) -> float:
-    """Concurrence d = 2m sqrt(lam1 lam2) of a two-value spectrum."""
-    if not (lam1 >= 0.0 and lam2 >= 0.0):
-        raise OutOfRange(f"eigenvalues must be nonnegative, got {(lam1, lam2)}")
+    """Concurrence d = 2m sqrt(lam1 lam2) of a two-value spectrum, m (lam1 + lam2) <= 1 (NaN and inf are not)."""
+    if not (lam1 >= 0.0 and lam2 >= 0.0 and m * (lam1 + lam2) <= 1.0 + 1e-8):
+        raise OutOfRange(f"eigenvalues must be nonnegative with m * sum <= 1, got {(lam1, lam2)} at m = {m}")
     return concurrence_of_values((lam1, lam2), m)
 
 
@@ -229,11 +229,10 @@ def lemma_value(family: EigFamily, point: tuple[float, float]) -> float:
 def dE_dD(family: EigFamily, point: tuple[float, float]) -> float:
     """Derivative of entanglement with respect to D along the family.
 
-    Equals -m * sum_i log2(lambda_i) dlambda_i/dD, which is positive exactly
-    when lemma_value is negative.
+    E = -m sum_i lambda_i log2(lambda_i), so dE/dD = -m * lemma_value (the
+    dlambda_i/dD sum to 0): positive exactly when lemma_value is negative.
     """
-    lam, dlam_dD, _, _ = _derivatives(family, point)
-    return float(-family.m * np.sum(np.log2(lam) * dlam_dD))
+    return -family.m * lemma_value(family, point)
 
 
 def convexity_value(family: EigFamily, point: tuple[float, float]) -> float:

@@ -75,6 +75,16 @@ def test_load_state_rejects_bad_inputs(tmp_path):
         load_state(array)
     with pytest.raises(ValidationError):
         load_state(BELL_FILE, expected="density")
+    flat = [[[0.0, 0.0]] * 4] * 4
+    for body, message in (
+        ({"kind": "density", "dim": 3, "data": flat}, "shape"),
+        ({"kind": "mixed", "dim": 2, "data": flat}, "kind"),
+        ({"kind": "density", "dim": 2}, "missing data"),
+    ):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(body))
+        with pytest.raises(ParseError, match=message):
+            load_state(path)
 
 
 def test_load_state_rejects_wrong_trace(tmp_path):

@@ -42,6 +42,8 @@ def test_hermitian_eig_sum_matches_trace():
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitian, match="square"):
+        hermitian_eig(np.ones((2, 3)))
 
 
 def test_sqrt_psd_squares_back():
@@ -84,16 +86,25 @@ def test_takagi_swap_matrix():
 def test_takagi_rejects_nonsymmetric():
     with pytest.raises(NotSymmetric):
         takagi(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(NotSymmetric, match="square"):
+        takagi(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("func, error", [(hermitian_eig, NotHermitian), (sqrt_psd, NotHermitian), (takagi, NotSymmetric)])
 @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
 def test_nan_entries_fail_the_tolerance_test(func, error, where):
-    """A NaN entry, on the diagonal or in a mirrored pair, raises the check's InputError, not NaN output or LinAlgError."""
-    M = np.eye(3, dtype=complex)
-    M[where] = M[where[::-1]] = np.nan
-    with pytest.raises(error):
-        func(M)
+    """A NaN entry (on the diagonal or in a mirrored pair) or one infinite entry raises the check's InputError.
+
+    Not NaN or identity output, a LinAlgError or a RuntimeWarning: an
+    infinite off-diagonal entry once passed the relative test, whose
+    scale max(||A||, 1) was infinite too.
+    """
+    for bad, cells in ((np.nan, (where, where[::-1])), (np.inf, (where,))):
+        M = np.eye(3, dtype=complex)
+        for cell in cells:
+            M[cell] = bad
+        with pytest.raises(error):
+            func(M)
 
 
 def random_symmetric(n, rng):

@@ -51,6 +51,7 @@ from qconc.mixed import (
     _support,
     _support_table,
     _tau_cores,
+    bound_from_deficits,
     eigen_vectors_subnormalized,
     s_matrix_raw,
 )
@@ -214,6 +215,8 @@ def test_sindex_validation_and_canonicalization():
         SIndex(2, 1, 1, 2)  # i > j
     with pytest.raises(BadIndex):
         SIndex(1, 2, 2, 1)  # p > q
+    with pytest.raises(BadIndex, match=">= 1"):
+        SIndex(0, 1, 2, 2)
     with pytest.raises(BadIndex):
         SIndex.canonical(1, 1, 1, 2)  # i = j
     assert SIndex.canonical(2, 2, 1, 1) == SIndex(1, 1, 2, 2)
@@ -446,6 +449,10 @@ def test_d_lower_bound_rejects_bad_profile():
         d_lower_bound(werner(0.5), 1, 3)
     with pytest.raises(OutOfRange):
         d_lower_bound(random_form_a_mixture(2, 39), 2, 2)
+    deficits = index_deficits(werner(0.5))
+    for m, n in ((0, 2), (1, 1)):
+        with pytest.raises(OutOfRange):
+            bound_from_deficits(deficits, m, n)
 
 
 def test_eof_lower_bound_werner():

@@ -24,7 +24,7 @@ from qconc.errors import (
     ZeroState,
 )
 from qconc.mixed import Decomposition
-from qconc.purestate import profile_from_values
+from qconc.purestate import SpectrumProfile, profile_from_values
 from qconc.roofopt import AverageD, average_objective
 from qconc.sampling import generator, haar_unitary, random_form_a_state, random_pure
 
@@ -177,6 +177,14 @@ def test_spectrum_profile_rejects_wrong_multiplicity():
         spectrum_profile(psi, 2, 1)
     with pytest.raises(ProfileMismatch):
         spectrum_profile(psi, 1, 4)  # m*n exceeds N
+    with pytest.raises(ProfileMismatch, match="expected 2 values"):
+        SpectrumProfile(2, 1, (0.5,))
+    with pytest.raises(ProfileMismatch, match="outside"):
+        SpectrumProfile(2, 2, (0.4, 0.6))
+    with pytest.raises(ProfileMismatch, match="need m, n >= 1"):
+        profile_from_values(np.array([0.5, 0.5]), 0, 2)
+    with pytest.raises(ProfileMismatch, match="sums to"):
+        profile_from_values(np.array([0.5, 0.4]), 1, 2)
 
 
 def test_profile_from_values_reports_cluster_sizes():

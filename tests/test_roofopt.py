@@ -37,7 +37,7 @@ from qconc.roofopt import (
 )
 from qconc import mixed, roofsearch
 from qconc.roofsearch import SCAN, Descent, _pair_rotations, _probe, _rotate, _scan, d12_cores, d12_members, search
-from qconc.roofsearch import KINK_TOL, SNAP_FLOOR, SNAP_TOL, _ball_lsq, _core_minors, e12_members, e_members
+from qconc.roofsearch import _ball_lsq, e12_members, e_members
 from qconc.roofsearch import _bfgs_update, _coordinates, _cubic_step, _from_coordinates, _skew_basis
 from qconc.sampling import generator, haar_isometry, haar_unitary, random_form_a_state, random_pure
 from qconc.spectra import eof_of_d
@@ -928,36 +928,37 @@ def test_corpus_d_roofs_take_at_most_1000_evaluations_and_keep_their_minima():
     assert evaluations <= 1000, evaluations
 
 
-def test_kink_tests_after_the_svd_step_read_norms_and_p_at_one_isometry(monkeypatch):
-    """The periodic SVD step re-reads the D(1, 2) values, so kink and loose tests see one point.
+def test_svd_step_moves_the_corpus_d_isometries_at_rounding_level_and_keeps_kinks_and_loose(monkeypatch):
+    """The periodic SVD step hands the scored members on: scoring again at its isometry changes no kink or loose set.
 
-    On corpus mixture 3, some SVD steps fall on a cycle with kinked or
-    loose members.  At every step, the values handed on are the minor
-    norms 2 ||y|| at the new isometry bit for bit, and the gradient's kink
-    and loose sets are those of these norms and p taken there.
+    Over the five corpus D roofs at criterion 4's settings, each step moves
+    Q by at most 1e-13, and the gradient at the new isometry reads the same
+    kinked and loose members from the values scored before the step as
+    from those scored after it, on steps with such members too.
     """
     steps = []
-    reorthonormalized = Descent.reorthonormalized
+    nearest_isometry = roofsearch._nearest_isometry
 
-    def spy(self, Q, S):
-        Q, S = reorthonormalized(self, Q, S)
-        steps.append((self, Q, S))
-        return Q, S
+    def spy(Q):
+        after = nearest_isometry(Q)
+        steps.append((Q.copy(), after))
+        return after
 
-    monkeypatch.setattr(Descent, "reorthonormalized", spy)
-    rho = random_form_a_mixture(3, 104, 3)
-    minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=3, restarts=2, tol=1e-7, max_sweeps=30))
-    flagged = 0
-    for problem, Q, S in steps:
-        y, _ = _core_minors(Q.conj(), problem.cores)
-        norms = np.linalg.norm(y, axis=1)
-        assert (S.f == 2.0 * norms).all()
-        p = np.sum((Q.conj() @ problem.gram) * Q, axis=1).real
-        kinks = np.flatnonzero(norms <= KINK_TOL * p).tolist()
-        loose = np.flatnonzero((norms <= SNAP_TOL * p) & (norms > SNAP_FLOOR * p)).tolist()
-        assert problem.gradient(Q, S)[1:] == (kinks, loose)
-        flagged += bool(kinks or loose)
-    assert flagged > 0 and len(steps) > flagged
+    monkeypatch.setattr(roofsearch, "_nearest_isometry", spy)
+    flagged = total = 0
+    for k in range(5):
+        rank = 2 + k % 2
+        rho = random_form_a_mixture(rank, 104, k)
+        minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=rank, restarts=2, tol=1e-7, max_sweeps=30))
+        problem = Descent(eigen_vectors_subnormalized(rho), rho.dim, True)
+        for before, after in steps:
+            assert np.linalg.norm(after - before) <= 1e-13, k
+            _, kinks, loose = problem.gradient(after, problem.value(before)[1])
+            assert problem.gradient(after, problem.value(after)[1])[1:] == (kinks, loose), k
+            flagged += bool(kinks or loose)
+        total += len(steps)
+        steps.clear()
+    assert flagged > 0 and total > flagged, (flagged, total)
 
 
 def test_no_isometry_reaches_the_kernel_twice(monkeypatch):

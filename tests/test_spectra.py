@@ -71,8 +71,12 @@ def test_eof_from_spectrum_examples():
             eof_from_spectrum(values, 1)
 
 
-@pytest.mark.parametrize("lam1, lam2", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+@pytest.mark.parametrize(
+    "lam1, lam2",
+    [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan), (math.inf, 0.5), (math.inf, 0.0), (2.0, 2.0)],
+)
 def test_d_two_eigen_rejects_nan(lam1, lam2):
+    """NaN, infinite values, and values beyond the sum rule m (lam1 + lam2) <= 1 raise OutOfRange."""
     with pytest.raises(OutOfRange):
         d_two_eigen(lam1, lam2, 1)
 
@@ -148,11 +152,13 @@ def test_eof_of_d_consistent_with_two_eigen_spectrum():
 
 
 def test_two_family_derivative_identity():
-    """dE/dD = -m * lemma along the two-eigenvalue family."""
-    fam = EigFamily("two", 2)
-    for u in (0.05, 0.1, 0.2):
-        point = (u, 0.5 - u)
-        assert abs(dE_dD(fam, point) + fam.m * lemma_value(fam, point)) < 1e-9
+    """dE/dD = -m * lemma, bit for bit, along the two-value and the arithmetic family."""
+    for fam, points in (
+        (EigFamily("two", 2), [(u, 0.5 - u) for u in (0.05, 0.1, 0.2)]),
+        (EigFamily("arith3", 1), [(1.0 / 3.0 - v, v) for v in (-0.2, 0.05, 0.1, 0.2)]),
+    ):
+        for point in points:
+            assert dE_dD(fam, point) == -fam.m * lemma_value(fam, point), (fam, point)
 
 
 def test_two_family_degenerate_point():
