@@ -17,6 +17,16 @@ r x r matrix tau_x = V[J]^H S4 conj(V[J]) over the subnormalized
 eigenvectors V (through its 4 x 4 QR core when r > 4); at full rank it comes
 from the 4 x 4 QR core of sqrt(rho)[:, J].  Eigenvalues at or below
 RANK_EPS = 1e-12 count as zero, which moves the bound by about that much.
+
+The bound needs only each index's deficit Lambda1 - Lambda2 - Lambda3 -
+Lambda4, and for r <= 2 that is a closed form in tau's entries
+(``_index_deficits``): |tau| at r = 1, and at r = 2, for tau = [[a, b],
+[b, c]] with f^2 = |a|^2 + |b|^2, sigma1 - sigma2 =
+hypot(f^2 - |ac - b^2|, |conj(a) b + conj(b) c|) / f (|c| when f = 0),
+because a Givens QR of tau's first column leaves [[f, g], [0, h]] with
+f g = |conj(a) b + conj(b) c|, f h = |det tau| and sigma1 +- sigma2 =
+hypot(f +- h, g).  For r >= 3, full rank included, the deficits come from
+the batched SVD of the cores.
 """
 
 from __future__ import annotations
@@ -308,6 +318,31 @@ def _deficits(lam: np.ndarray) -> np.ndarray:
     return lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
 
 
+def _index_deficits(F: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Signed deficits Lambda1 - Lambda2 - Lambda3 - Lambda4 of the indices with rows J, (K,).
+
+    F is the (r, N^2) factor of ``_factor``.  For r <= 2 the deficit is
+    sigma1 - sigma2 of the core tau in the closed form of the module
+    docstring, with no LAPACK call: |tau| = 2 |x0 x1 - x2 x3| over the
+    columns of X = F[:, J] at r = 1, and at r = 2 the Givens form, whose
+    only cancellation, f^2 - |det tau|, keeps the error at about
+    eps ||tau||, as in an SVD.  For r >= 3 it is ``_deficits`` of ``_spectra``.
+    """
+    if len(F) == 1:
+        x = F[0, J]
+        return 2.0 * np.abs(x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3])
+    if len(F) > 2:
+        return _deficits(_spectra(F, J))
+    T = _tau_cores(np.swapaxes(F.T[J], 1, 2))
+    a, b, c = T[:, 0, 0], T[:, 0, 1], T[:, 1, 1]
+    f = np.hypot(np.abs(a), np.abs(b))
+    fg = np.abs(a.conj() * b + b.conj() * c)
+    fh = np.abs(a * c - b * b)
+    d = np.abs(c)  # f = 0: tau = [[0, 0], [0, c]]
+    np.divide(np.hypot(f * f - fh, fg), f, out=d, where=f > 0.0)
+    return d
+
+
 def _deficit_norm(d: np.ndarray, clamp: bool) -> float:
     """sqrt of the summed squared deficits, each floored at 0 with ``clamp``."""
     if clamp:
@@ -419,8 +454,10 @@ def d_lower_bound(rho: DensityMatrix, m: int, n: int, clamp: bool = True) -> flo
     weight 4.  With ``clamp`` (the default) each deficit is floored at 0,
     which reproduces the established closed form at N = 2; disabling it
     evaluates the literal signed expression.  The squared deficits are
-    added with compensated summation.  The spectra come from
-    ``index_deficits``: from tau on a rank-deficient rho and from sqrt(rho)
+    added with compensated summation.  The deficits come from
+    ``index_deficits``: from tau on a rank-deficient rho, in closed form
+    (sigma1 - sigma2 = hypot(f - h, g) over tau's Givens QR [[f, g], [0, h]])
+    at rank <= 2 and from its batched SVD at rank >= 3, and from sqrt(rho)
     at full rank, with eigenvalues of rho at or below 1e-12 counted as zero,
     which moves the bound by about that much.
 
@@ -448,9 +485,13 @@ def check_profile(m: int, n: int, N: int) -> None:
 def index_deficits(rho: DensityMatrix) -> np.ndarray:
     """Signed deficits Lambda1 - Lambda2 - Lambda3 - Lambda4, one per canonical index.
 
-    In ``canonical_indices`` order, from rho's ``eig``.
+    In ``canonical_indices`` order, from rho's ``eig``.  At rank r <= 2 each
+    is sigma1 - sigma2 of the index's core tau in closed form: |tau| at
+    r = 1, and hypot(f^2 - |det tau|, f g) / f at r = 2, from the Givens QR
+    [[f, g], [0, h]] of tau (sigma1 +- sigma2 = hypot(f +- h, g)).  At
+    r >= 3, full rank included, they come from the batched SVD of the cores.
     """
-    return _deficits(_spectra(_factor(rho.eig), _support_table(rho.dim)))
+    return _index_deficits(_factor(rho.eig), _support_table(rho.dim))
 
 
 def bound_from_deficits(deficits: np.ndarray, m: int, n: int, clamp: bool = True) -> float:
@@ -534,7 +575,10 @@ def example_3x3_bound(rho: DensityMatrix, clamp: bool = True) -> float:
     independently on this class: the row-(1,3) spectra duplicate them and
     the row-(2,3) spectra vanish, collapsing the full canonical sum of
     ``d_lower_bound(rho, 1, 2)`` to this expression.  Both must agree to
-    1e-10.
+    1e-10.  The deficits come from the kernel of ``index_deficits``: in
+    closed form at rank <= 2 (sigma1 - sigma2 = hypot(f - h, g) over the
+    Givens QR [[f, g], [0, h]] of each tau), from the batched SVD of the
+    cores at rank >= 3.
 
     Raises
     ------
@@ -543,5 +587,4 @@ def example_3x3_bound(rho: DensityMatrix, clamp: bool = True) -> float:
     """
     if rho.dim != 3 or not _rows_form_a(_rows(rho.eig)):
         raise NotFormA("density is not supported on the rows-2=3 subspace")
-    lam = _spectra(_factor(rho.eig), _FORM_A_SUPPORT)
-    return float(math.sqrt(2.0) * _deficit_norm(_deficits(lam), clamp))
+    return float(math.sqrt(2.0) * _deficit_norm(_index_deficits(_factor(rho.eig), _FORM_A_SUPPORT), clamp))

@@ -26,26 +26,36 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-class EighCalls(list):
-    """Copies of the arguments of every ``np.linalg.eigh`` call, in call order."""
+class LinalgCalls(list):
+    """Copies of the arguments of every call to one ``np.linalg`` function, in call order."""
 
     def of(self, matrix) -> int:
         """How many calls decomposed a matrix equal to ``matrix``."""
         return sum(np.array_equal(a, matrix) for a in self)
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """Record each ``np.linalg.eigh`` argument while the test runs."""
-    calls = EighCalls()
-    eigh = np.linalg.eigh
+def _record(monkeypatch, name):
+    calls = LinalgCalls()
+    original = getattr(np.linalg, name)
 
     def recording(a, *args, **kwargs):
         calls.append(np.array(a))
-        return eigh(a, *args, **kwargs)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(np.linalg, name, recording)
     return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Record each ``np.linalg.eigh`` argument while the test runs."""
+    return _record(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record each ``np.linalg.svd`` argument while the test runs."""
+    return _record(monkeypatch, "svd")
 
 
 def random_density(dim, rank, seed, *key, qubit=None):

@@ -5,8 +5,10 @@ the two-qubit concurrence goes through the spin-flipped product matrix
 rho @ rho_tilde, the entanglement of formation goes through the
 binary-entropy formula, roof members are scored one at a time through
 their own Schmidt spectra, the D(1, 2) roof kernel is rebuilt on the
-members' N^2-wide rows instead of the r x r cores, and the tau cores
-come from two batched matmuls with S4 instead of outer products.
+members' N^2-wide rows instead of the r x r cores, the tau cores
+come from two batched matmuls with S4 instead of outer products, and the
+deficits of rank-one and rank-two cores come from a batched SVD instead
+of the closed form.
 """
 import math
 
@@ -84,6 +86,13 @@ S4 = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]], dtype=
 def tau_cores_matmul(X):
     """X S4 X^T for a stack of (r, 4) matrices X by two batched matmuls, the route of the package's old tau builder."""
     return X @ S4 @ np.swapaxes(X, -1, -2)
+
+
+def core_deficits_svd(T):
+    """sigma1 - sigma2 - sigma3 - sigma4 of each core in a (K, r, r) stack, by one batched SVD padded to four values."""
+    lam = np.linalg.svd(T, compute_uv=False)
+    lam = np.concatenate([lam, np.zeros((len(lam), max(0, 4 - lam.shape[1])))], axis=1)
+    return lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
 
 
 def minor_rows(N):

@@ -45,7 +45,9 @@ from qconc import linalg, mixed
 from qconc.linalg import check_hermitian, hermitian_eig, sqrt_psd
 from qconc.mixed import (
     RANK_EPS,
+    _deficits,
     _factor,
+    _index_deficits,
     _rank_two_support,
     _spectra,
     _support,
@@ -66,7 +68,13 @@ from qconc.sampling import (
 from qconc.spectra import eof_from_spectrum, eof_of_d
 
 from conftest import random_density, random_separable_density
-from oracles import d_bound_dense, lambda_spectra_dense, tau_cores_matmul, wootters_concurrence
+from oracles import (
+    core_deficits_svd,
+    d_bound_dense,
+    lambda_spectra_dense,
+    tau_cores_matmul,
+    wootters_concurrence,
+)
 
 BELL = from_coefficients(np.eye(2) / np.sqrt(2))
 IDX2 = SIndex(1, 1, 2, 2)
@@ -669,6 +677,100 @@ def test_full_rank_spectra_are_bit_identical_to_the_root_route():
             assert [x.hex() for x in lambda_spectrum(rho, idx).values] == [
                 float(x).hex() for x in row
             ]
+
+
+@given(
+    st.integers(2, 6),
+    st.sampled_from((1, 2)),
+    st.sampled_from((None, "A", "B")),
+    st.integers(0, 2**30),
+)
+def test_closed_form_deficits_match_the_svd_of_the_same_cores(n, rank, qubit, seed):
+    rho = random_density(n, rank, seed, qubit=qubit)
+    F = _factor(rho.eig)
+    assert len(F) == rank
+    J = _support_table(n)
+    expect = core_deficits_svd(_tau_cores(np.swapaxes(F.T[J], 1, 2)))
+    np.testing.assert_allclose(_index_deficits(F, J), expect, rtol=0.0, atol=2e-15)
+
+
+def _factor_of_cores(cores):
+    """A factor F (r, 4K) whose K index cores on the rows J = (4k .. 4k + 3) are exactly ``cores`` (K, r, r), r <= 2.
+
+    tau = x0 x1^T + x1 x0^T - x2 x3^T - x3 x2^T for X = [x0 x1 x2 x3]; with
+    x0 = e0, x1 = (a / 2, b), x2 = e1 and x3 = (0, -c / 2) it is [[a, b], [b, c]],
+    and with x0 = 1, x1 = z / 2, x2 = x3 = 0 it is [[z]].
+    """
+    K, r, _ = cores.shape
+    X = np.zeros((K, r, 4), dtype=complex)
+    X[:, 0, 0] = 1.0
+    X[:, 0, 1] = cores[:, 0, 0] / 2.0
+    if r == 2:
+        X[:, 1, 1] = cores[:, 0, 1]
+        X[:, 1, 2] = 1.0
+        X[:, 1, 3] = -cores[:, 1, 1] / 2.0
+    return X.transpose(1, 0, 2).reshape(r, 4 * K), np.arange(4 * K).reshape(K, 4)
+
+
+def test_closed_form_deficits_of_degenerate_cores():
+    """The zero core, f = 0 ([[0, 0], [0, c]]) and sigma1 = sigma2, against the SVD and their exact values."""
+    c = 0.6 - 0.8j
+    pairs = np.array(
+        [
+            [[0, 0], [0, 0]],
+            [[0, 0], [0, c]],
+            [[1, 0], [0, 1j]],
+            [[0, 1], [1, 0]],
+            [[1, 1], [1, 1]],
+            [[1e-300, 0], [0, c]],
+        ],
+        dtype=complex,
+    )
+    singles = np.array([[[0]], [[c]], [[1e-300j]]], dtype=complex)
+    for cores, exact in ((pairs, [0.0, 1.0, 0.0, 0.0, 2.0, 1.0]), (singles, [0.0, 1.0, 1e-300])):
+        F, J = _factor_of_cores(cores)
+        assert np.array_equal(_tau_cores(np.swapaxes(F.T[J], 1, 2)), cores)
+        d = _index_deficits(F, J)
+        np.testing.assert_allclose(d, core_deficits_svd(cores), rtol=0.0, atol=2e-15)
+        np.testing.assert_allclose(d, exact, rtol=1e-15, atol=1e-15)
+
+
+def test_closed_form_bounds_of_product_and_separable_states_vanish():
+    for n in (2, 3, 4, 5, 6):
+        rng = generator(64, n)
+        a, b = random_pure(n, rng).coeffs[0], random_pure(n, rng).coeffs[0]
+        product = pure_density(from_coefficients(np.outer(a, b), renormalize=True))
+        assert len(_factor(product.eig)) == 1
+        separable = random_separable_density(n, 2, 65, n)
+        assert len(_factor(separable.eig)) == 2
+        for rho in (product, separable):
+            assert d_lower_bound(rho, 1, 2) < 1e-12
+
+
+def test_rank_one_and_two_bounds_make_no_svd_call(svd_calls):
+    densities = [random_density(n, rank, 66, n) for n in (2, 3, 6) for rank in (1, 2)]
+    form_a = [random_form_a_mixture(rank, 67, rank) for rank in (1, 2)]
+    svd_calls.clear()
+    for rho in densities + form_a:
+        d_lower_bound(rho, 1, 2)
+    for rho in form_a:
+        example_3x3_bound(rho)
+    assert not svd_calls
+
+
+def test_rank_three_and_above_deficits_stay_on_the_svd_route(svd_calls):
+    for n in (3, 4):
+        for rank in (3, 5, n * n):
+            rho = random_density(n, rank, 68, n)
+            expect = _deficits(_spectra(_factor(rho.eig), _support_table(n)))
+            svd_calls.clear()
+            got = index_deficits(rho)
+            assert len(svd_calls) == 1
+            assert [x.hex() for x in got] == [x.hex() for x in expect]
+    rho = random_form_a_mixture(3, 67, 3)
+    svd_calls.clear()
+    example_3x3_bound(rho)
+    assert len(svd_calls) == 1
 
 
 def test_eigenvalues_near_rank_eps_move_the_bound_by_at_most_1e_11():
