@@ -12,8 +12,11 @@ error, 2 numerical failure (LAPACK failures; non-convergence under
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -83,10 +86,14 @@ def load_state(path: str, expected: str | None = None) -> PureState | DensityMat
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests too deeply to parse") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top level must be an object")
     kind = obj.get("kind")
@@ -380,5 +387,24 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """Process entry of ``qconc`` and ``python -m qconc``: run main() and exit with its code.
+
+    Freezes the garbage collector before the exit, so the interpreter's shutdown
+    collections skip the objects numpy and qconc made at import; main()
+    leaves the collector alone.  A reader that closed stdout early exits 1.
+    """
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when the process started with descriptor 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -1,4 +1,5 @@
 """End-to-end tests for the qconc command line."""
+import gc
 import io
 import json
 import math
@@ -36,6 +37,18 @@ from conftest import random_density
 BELL_FILE = "fixtures/bell.json"
 WERNER_FILE = "fixtures/werner_p05.json"
 FORM_A_FILE = "fixtures/form_a_mix.json"
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# A density file whose data array nests deeper than json.loads can recurse.
+OVERDEEP_STATE = b'{"kind": "density", "dim": 2, "data": ' + b"[" * 990 + b"]" * 990 + b"}"
+
+
+def qconc_process(argv, unbuffered=False, **kwargs):
+    """``python -m qconc *argv`` importing qconc from this tree, stdout buffered unless ``unbuffered``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "qconc", *argv], env=env, timeout=120, **kwargs)
 
 
 def test_fixtures_load():
@@ -600,3 +613,99 @@ def test_cli_exit_contract_on_mutated_state_files(case):
         assert err.getvalue().startswith("error:"), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert not caught, [str(w.message) for w in caught]
+
+
+@st.composite
+def _state_file_bytes(draw):
+    """Arbitrary bytes, or a fixture's bytes with one short span replaced by arbitrary bytes."""
+    noise = draw(st.binary(max_size=64))
+    if draw(st.booleans()):
+        return noise
+    with open(draw(st.sampled_from(_FIXTURES)), "rb") as fh:
+        body = fh.read()
+    i = draw(st.integers(0, len(body)))
+    j = draw(st.integers(i, min(len(body), i + 16)))
+    return body[:i] + noise + body[j:]
+
+
+@given(body=_state_file_bytes(), command=st.sampled_from((["check"], ["bound", "--m", "1", "--n", "2"])))
+@example(body=b"\xff\xfe{}", command=["check"])
+@example(body=OVERDEEP_STATE, command=["check"])
+@example(body=b"[" * 100_000, command=["check"])
+def test_main_on_arbitrary_state_file_bytes_exits_zero_or_one(body, command):
+    """Any bytes as a state file: exit 0, or exit 1 with one "error:" line; nothing raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "wb") as fh:
+            fh.write(body)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(command[:1] + [path] + command[1:])
+    assert code in (0, 1)
+    if code:
+        assert err.getvalue().startswith("error:"), err.getvalue()
+
+
+_PROCESS_CASES = {
+    "check": (["check", FORM_A_FILE, "--json"], 0),
+    "bound-eof": (["bound", WERNER_FILE, "--eof", "--json"], 0),
+    "lemma": (["lemma", "--family", "arith3", "--u", repr(1 / 3 - 0.1), "--v", "0.1", "--json"], 0),
+    "concurrence": (["concurrence", BELL_FILE, "--json"], 0),
+    "bad-flag": (["bound", WERNER_FILE, "--nonsense", "--json"], 1),
+    "strict-roof": (["roof", FORM_A_FILE, "--objective", "D", "--m", "1", "--n", "2",
+                     "--max-sweeps", "1", "--restarts", "1", "--strict", "--json"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", _PROCESS_CASES.values(), ids=_PROCESS_CASES.keys())
+def test_process_entry_prints_and_exits_like_main(argv, code, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    proc = qconc_process(argv, capture_output=True)
+    assert proc.returncode == code
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+
+
+def test_main_leaves_the_garbage_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["check", FORM_A_FILE, "--json"]) == 0
+    assert gc.get_freeze_count() == frozen and gc.isenabled()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_process_entry_exits_one_quietly_when_stdout_is_closed(unbuffered):
+    """A reader that went away (``qconc check ... | true``) costs exit 1, not a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = qconc_process(["check", FORM_A_FILE], unbuffered, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr, proc.stderr
+
+
+def test_process_entry_without_a_stdout_exits_like_main():
+    """Started with descriptor 1 closed, Python has no sys.stdout: the report is dropped, the exit code kept."""
+    for argv, code in ((["check", FORM_A_FILE], 0), (["check", "fixtures/missing.json"], 1)):
+        proc = qconc_process(argv, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE)
+        assert proc.returncode == code and b"Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"kind": "pure", "dim": 2, "data": []}'.encode("utf-16"),
+        OVERDEEP_STATE,
+        b'{"kind": "pure", "dim": ' + b"1" * 5000 + b', "data": []}',
+    ],
+    ids=["utf-16", "overdeep", "long-integer"],
+)
+def test_process_entry_rejects_undecodable_and_unparsable_files(tmp_path, body):
+    path = tmp_path / "state.json"
+    path.write_bytes(body)
+    proc = qconc_process(["check", str(path)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {path}") and proc.stderr.count("\n") == 1, proc.stderr
