@@ -80,11 +80,7 @@ def hermitian_eig(M) -> HermitianEig:
     ConvergenceFailure
         If the underlying iterative solver does not converge.
     """
-    return eigh_descending(check_hermitian(M))
-
-
-def eigh_descending(A: np.ndarray) -> HermitianEig:
-    """``hermitian_eig`` of a complex square array already known to be Hermitian, without the check."""
+    A = check_hermitian(M)
     with lapack_errors():
         w, V = np.linalg.eigh(A)
     # eigh returns ascending order

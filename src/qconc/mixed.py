@@ -32,7 +32,7 @@ the batched SVD of the cores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -48,7 +48,7 @@ from .errors import (
     OutOfRange,
     UnsupportedFamily,
 )
-from .linalg import HermitianEig, check_hermitian, check_psd, eigh_descending, hermitian_eig, psd_root
+from .linalg import HermitianEig, check_hermitian, check_psd, hermitian_eig, psd_root
 from .linalg import takagi as takagi_factor
 from .purestate import PureState, from_coefficients, generalized_concurrence_D
 from .spectra import eof_of_bound
@@ -68,26 +68,17 @@ class DensityMatrix:
 
     ``matrix`` is N^2 x N^2, Hermitian, positive semidefinite and unit
     trace; basis ordering follows the PureState vectorization (row-major
-    over coefficient-matrix indices).  ``eig``, its eigendecomposition, is
-    taken on first use and kept; it tests Hermiticity first (NotHermitian)
-    unless ``hermitian`` is set.  Only ``hermitian_part`` sets it: it is no
-    constructor parameter, so ``DensityMatrix(dim, matrix)`` always tests.
+    over coefficient-matrix indices).  ``eig``, its ``hermitian_eig``, is
+    taken on first use and kept, so a matrix that is not Hermitian raises
+    NotHermitian there.
     """
 
     dim: int
     matrix: np.ndarray
-    hermitian: bool = field(default=False, init=False, repr=False)
-
-    @classmethod
-    def hermitian_part(cls, dim: int, M: np.ndarray) -> "DensityMatrix":
-        """The density (M + M^H) / 2, Hermitian bit for bit, so its ``eig`` needs no Hermiticity test."""
-        rho = cls(dim, 0.5 * (M + M.conj().T))
-        object.__setattr__(rho, "hermitian", True)  # the dataclass is frozen
-        return rho
 
     @cached_property
     def eig(self) -> HermitianEig:
-        return (eigh_descending if self.hermitian else hermitian_eig)(self.matrix)
+        return hermitian_eig(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -167,7 +158,7 @@ class Decomposition:
 def validate_density(M, N: int) -> DensityMatrix:
     """Validate an N^2 x N^2 array as a density matrix.
 
-    Hermiticity is tested once, by ``check_hermitian``, and positivity by
+    Hermiticity is tested by ``check_hermitian``, and positivity by
     ``check_psd`` on the ``eig`` of the returned (A + A^H) / 2, both on A over
     its largest real or imaginary part where that exceeds 1 (as in no
     density), so none overflows.
@@ -186,13 +177,13 @@ def validate_density(M, N: int) -> DensityMatrix:
         raise NonFinite("density matrix has NaN or infinite entries")
     big = max(float(np.abs(A.real).max()), float(np.abs(A.imag).max()), 1.0)
     B = check_hermitian(A / big)
-    rho = DensityMatrix.hermitian_part(N, B)
+    rho = DensityMatrix(N, 0.5 * (B + B.conj().T))
     check_psd(rho.eig)
     tr = sum(A.diagonal().real.tolist())
     if abs(tr - 1.0) > DENSITY_TOL:
         raise BadTrace(f"trace {tr!r} differs from 1 by more than {DENSITY_TOL}")
     # A / 1.0 is A bit for bit; a scaled density can pass only at the trace tolerance's edge.
-    return rho if big == 1.0 else DensityMatrix.hermitian_part(N, A)
+    return rho if big == 1.0 else DensityMatrix(N, 0.5 * (A + A.conj().T))
 
 
 def pure_density(psi: PureState) -> DensityMatrix:
@@ -221,7 +212,7 @@ def mix_pure_states(weights, states) -> DensityMatrix:
         z = psi.vector()
         z = z / np.linalg.norm(z)
         rho += wk * np.outer(z, z.conj())
-    return DensityMatrix.hermitian_part(dim, rho)
+    return DensityMatrix(dim, 0.5 * (rho + rho.conj().T))
 
 
 def eigen_vectors_subnormalized(rho: DensityMatrix) -> np.ndarray:
@@ -322,11 +313,10 @@ def _index_deficits(F: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Signed deficits Lambda1 - Lambda2 - Lambda3 - Lambda4 of the indices with rows J, (K,).
 
     F is the (r, N^2) factor of ``_factor``.  For r <= 2 the deficit is
-    sigma1 - sigma2 of the core tau in the closed form of the module
-    docstring, with no LAPACK call: |tau| = 2 |x0 x1 - x2 x3| over the
-    columns of X = F[:, J] at r = 1, and at r = 2 the Givens form, whose
-    only cancellation, f^2 - |det tau|, keeps the error at about
-    eps ||tau||, as in an SVD.  For r >= 3 it is ``_deficits`` of ``_spectra``.
+    sigma1 - sigma2 of the core tau in the module docstring's closed form,
+    with no LAPACK call; at r = 2 its only cancellation, f^2 - |det tau|,
+    keeps the error at about eps ||tau||, as in an SVD.  For r >= 3 it is
+    ``_deficits`` of ``_spectra``.
     """
     if len(F) == 1:
         x = F[0, J]
@@ -455,11 +445,8 @@ def d_lower_bound(rho: DensityMatrix, m: int, n: int, clamp: bool = True) -> flo
     which reproduces the established closed form at N = 2; disabling it
     evaluates the literal signed expression.  The squared deficits are
     added with compensated summation.  The deficits come from
-    ``index_deficits``: from tau on a rank-deficient rho, in closed form
-    (sigma1 - sigma2 = hypot(f - h, g) over tau's Givens QR [[f, g], [0, h]])
-    at rank <= 2 and from its batched SVD at rank >= 3, and from sqrt(rho)
-    at full rank, with eigenvalues of rho at or below 1e-12 counted as zero,
-    which moves the bound by about that much.
+    ``index_deficits``, with eigenvalues of rho at or below 1e-12 counted
+    as zero, which moves the bound by about that much.
 
     The bound is unchanged by swapping the two subsystems, and by local
     unitaries U (x) V at N = 2 and on pure states.  For mixed states at
@@ -485,11 +472,9 @@ def check_profile(m: int, n: int, N: int) -> None:
 def index_deficits(rho: DensityMatrix) -> np.ndarray:
     """Signed deficits Lambda1 - Lambda2 - Lambda3 - Lambda4, one per canonical index.
 
-    In ``canonical_indices`` order, from rho's ``eig``.  At rank r <= 2 each
-    is sigma1 - sigma2 of the index's core tau in closed form: |tau| at
-    r = 1, and hypot(f^2 - |det tau|, f g) / f at r = 2, from the Givens QR
-    [[f, g], [0, h]] of tau (sigma1 +- sigma2 = hypot(f +- h, g)).  At
-    r >= 3, full rank included, they come from the batched SVD of the cores.
+    In ``canonical_indices`` order, from rho's ``eig``, by the module
+    docstring's closed form at rank <= 2 and the batched SVD of the cores
+    above.
     """
     return _index_deficits(_factor(rho.eig), _support_table(rho.dim))
 
@@ -575,10 +560,7 @@ def example_3x3_bound(rho: DensityMatrix, clamp: bool = True) -> float:
     independently on this class: the row-(1,3) spectra duplicate them and
     the row-(2,3) spectra vanish, collapsing the full canonical sum of
     ``d_lower_bound(rho, 1, 2)`` to this expression.  Both must agree to
-    1e-10.  The deficits come from the kernel of ``index_deficits``: in
-    closed form at rank <= 2 (sigma1 - sigma2 = hypot(f - h, g) over the
-    Givens QR [[f, g], [0, h]] of each tau), from the batched SVD of the
-    cores at rank >= 3.
+    1e-10.  The deficits come from the kernel of ``index_deficits``.
 
     Raises
     ------

@@ -37,7 +37,8 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def _emit(value) -> str:
+def canonical_json(value) -> str:
+    """Canonical JSON text: sorted keys, 17-significant-digit floats."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -53,16 +54,11 @@ def _emit(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in value) + "]"
+        return "[" + ",".join(canonical_json(v) for v in value) + "]"
     if isinstance(value, dict):
         items = sorted(value.items())
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _emit(v) for k, v in items) + "}"
+        return "{" + ",".join(json.dumps(str(k)) + ":" + canonical_json(v) for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def canonical_json(value) -> str:
-    """Canonical JSON text: sorted keys, 17-significant-digit floats."""
-    return _emit(value)
 
 
 def report_to_json(report: Report) -> str:
@@ -103,7 +99,7 @@ def render_text(report: Report) -> str:
     for path, digest in sorted(report.inputs.items()):
         lines.append(f"input: {path} sha256={digest}")
     for key in sorted(report.results):
-        lines.append(f"{key}: {_emit(report.results[key])}")
+        lines.append(f"{key}: {canonical_json(report.results[key])}")
     for key in sorted(report.flags):
-        lines.append(f"{key}: {_emit(report.flags[key])}")
+        lines.append(f"{key}: {canonical_json(report.flags[key])}")
     return "\n".join(lines)

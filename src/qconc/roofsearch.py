@@ -50,8 +50,7 @@ so every member has Schmidt rank <= 2.
   y = Z q / 2 and E = 2 conj(u)^T Z for the unit minor vector u; no
   ``eigh`` and nothing N^2 wide.
 * ``e12_members`` (AverageE on a rank-two support): Wootters' two-level
-  map of the concurrence c = d / p, p H(c) with H(c) = ``eof_of_d(c, 1)``
-  (``spectra.two_level_entropy``),
+  map of the concurrence c = d / p, p H(c) with H(c) = ``eof_of_d(c, 1)``,
   built on ``d12_members``'s d and gradient and the weight p = q G q^H
   (G = V V^H); no ``eigh``.
 * ``e_members`` (AverageE on any other support): one batched ``eigh`` of
@@ -59,7 +58,8 @@ so every member has Schmidt rank <= 2.
   X = (log p - log M) / ln 2 on the range of M, mapped back to
   E = conj(G) V^T.
 
-``Descent.values`` keeps each kernel call's member values and E (``Scored``).
+``Descent.values``, the kernel's one caller, keeps each call's member
+values and E (``Scored``).
 
 The D(1, 2) sum of minor norms has kinks at product members, where the
 entanglement is smooth (its gradient vanishes there), so the kink rule
@@ -92,7 +92,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mixed import _rank_two_support, _support_table, _tau_cores
-from .spectra import two_level_entropy
+from .spectra import eof_of_d
 
 # Eigenvalues of M at or below RANGE_TOL * p are outside the range of M.
 RANGE_TOL = 1e-12
@@ -157,8 +157,8 @@ def e12_members(Qbar: np.ndarray, cores: np.ndarray, gram: np.ndarray):
 
     d and its gradient E_d come from ``d12_members``, the weight
     p = q G q^H from the Gram matrix G = V V^H of the eigenvector rows, and
-    H(c) = ``two_level_entropy(c)`` (``eof_of_d`` unchecked) is Wootters'
-    two-level map (PRL 80, 2245).
+    H(c) = ``eof_of_d(c, 1)``, with c = min(d / p, 1) in [0, 1], is
+    Wootters' two-level map (PRL 80, 2245).
     The gradient is (H - c H') 2 conj(q G) + H' E_d with
     H'(c) = c ln((1 + w) / c) / (w ln 2), w = sqrt((1 - c)(1 + c)); it
     vanishes at product members (c = 0), and H' -> c / ln 2 as w -> 0.
@@ -172,7 +172,7 @@ def e12_members(Qbar: np.ndarray, cores: np.ndarray, gram: np.ndarray):
     values, coef = [], []
     for dk, pk in zip(d.tolist(), p.tolist()):
         c = min(dk / pk, 1.0) if pk > 0.0 else 0.0
-        H = two_level_entropy(c)
+        H = eof_of_d(c, 1)
         w = math.sqrt((1.0 - c) * (1.0 + c))
         if c == 0.0:
             slope = 0.0
@@ -295,10 +295,9 @@ class Descent:
         return list(map(math.fsum, f.tolist())), Scored(f, E.reshape(c, t, r))
 
     def value(self, Q: np.ndarray) -> tuple[float, Scored]:
-        """The objective value and ``Scored`` members of the one isometry Q, as ``values`` gives them for a stack."""
-        self.evaluations += 1
-        f, E = self.members(Q.conj())
-        return math.fsum(f.tolist()), Scored(f, E)
+        """The objective value and ``Scored`` members of the one isometry Q: ``values`` of the stack [Q]."""
+        F, S = self.values(Q[None])
+        return F[0], S.at(0)
 
     def omega(self, Q: np.ndarray, S: Scored) -> np.ndarray:
         """Skew-Hermitian Omega = B - B^H with B = E Q^H, for the member gradients E of S at Q."""

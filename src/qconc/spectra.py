@@ -115,23 +115,14 @@ def eof_of_d(d: float, m: int) -> float:
 
         E = m * (-x log2 x - (1/m - x) log2(1/m - x)).
 
-    E(1, m) = log2(2m) and E is increasing and convex on [0, 1].
+    E(1, m) = log2(2m) and E is increasing and convex on [0, 1].  E is
+    m entropy_bits((x, 1/m - x)) bit for bit.
     """
     if m < 1:
         raise OutOfRange(f"multiplicity must be >= 1, got {m}")
     if not (0.0 <= d <= 1.0):
         raise OutOfRange(f"d = {d!r} outside [0, 1]")
-    return two_level_entropy(d, m)
-
-
-def two_level_entropy(d: float, m: int = 1) -> float:
-    """``eof_of_d`` without its range checks, for d in [0, 1] and m >= 1.
-
-    The larger value x = (1 + sqrt(1 - d^2)) / (2m) is at least 1/(2m), so
-    only the smaller, 1/m - x, can be zero (at d = 0); the terms are taken
-    in ``entropy_bits``' order, so the result is its value bit for bit.
-    """
-    x = (1.0 + math.sqrt(max(1.0 - d * d, 0.0))) / (2.0 * m)
+    x = (1.0 + math.sqrt(1.0 - d * d)) / (2.0 * m)
     y = 1.0 / m - x
     h = 0.0 - x * math.log2(x)
     if y > 0.0:

@@ -27,7 +27,7 @@ from qconc import (
     validate_density,
 )
 from qconc.cli import _build_parser, _search_knobs, dispatch, dumps_state, load_state, main
-from qconc.errors import ParseError, BadTrace, ValidationError
+from qconc.errors import BadTrace, NumericalInconsistency, ParseError, ValidationError
 from qconc.purestate import PureState
 from qconc.report import report_from_json, report_to_json
 from qconc.spectra import eof_of_d
@@ -489,6 +489,17 @@ def test_main_lapack_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     assert main(["check", WERNER_FILE]) == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_main_numerical_inconsistency_exits_two(monkeypatch, capsys):
+    """A NumericalError that is no LAPACK failure exits 2 with one error line and no traceback."""
+    def fail(psi):
+        raise NumericalInconsistency("two routes disagree")
+
+    monkeypatch.setattr("qconc.cli.concurrence_cn", fail)
+    assert main(["concurrence", BELL_FILE, "--which", "cn"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_import_does_not_load_scipy():

@@ -38,11 +38,12 @@ from qconc.errors import (
     NotFormA,
     NotHermitian,
     NotPSD,
+    NumericalInconsistency,
     OutOfRange,
     UnsupportedFamily,
 )
-from qconc import linalg, mixed
-from qconc.linalg import check_hermitian, hermitian_eig, sqrt_psd
+from qconc import mixed
+from qconc.linalg import hermitian_eig, sqrt_psd
 from qconc.mixed import (
     RANK_EPS,
     _deficits,
@@ -107,6 +108,30 @@ def test_validate_density_errors():
     assert rho.dim == 2
 
 
+@given(
+    N=st.integers(2, 4),
+    rank=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    skew=st.floats(0.0, 1e-11),
+    above_one=st.booleans(),
+)
+@example(N=2, rank=1, seed=0, skew=1e-11, above_one=True)
+@example(N=3, rank=5, seed=1, skew=1e-11, above_one=False)
+def test_every_density_qconc_builds_is_exactly_hermitian(N, rank, seed, skew, above_one):
+    """validate_density (entries up to 1 and above 1), mix_pure_states and pure_density store M = M^H bit for bit."""
+    g = generator(seed)
+    mixture = random_density(N, rank, seed)
+    A = mixture.matrix
+    if above_one:
+        A = np.zeros((N * N, N * N), dtype=complex)
+        A[0, 0] = 1.0 + 3e-11
+    E = g.standard_normal((N * N, N * N)) + 1j * g.standard_normal((N * N, N * N))
+    A = A + skew * E / np.linalg.norm(E)
+    assert (np.abs(A).max() > 1.0) == above_one
+    for rho in (validate_density(A, N), mixture, pure_density(random_pure(N, g))):
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+
+
 def test_mix_pure_states_normalizes_weights():
     rho = mix_pure_states([2.0, 2.0], [BELL, BELL])
     np.testing.assert_allclose(rho.matrix, pure_density(BELL).matrix, atol=1e-12)
@@ -145,39 +170,15 @@ def test_validate_density_checks_positivity_on_the_symmetrized_matrix():
     assert abs(rho.eig.eigenvalues[-1] + 0.9e-10) < 1e-15
 
 
-def test_validate_density_tests_hermiticity_once(monkeypatch):
-    """validate_density runs check_hermitian once; the eig of the density it returns runs none."""
-    calls = []
-
-    def counted(M):
-        calls.append(M)
-        return check_hermitian(M)
-
-    monkeypatch.setattr(linalg, "check_hermitian", counted)
-    monkeypatch.setattr(mixed, "check_hermitian", counted)
-    A = random_density(3, 2, 114).matrix
-    for big in (1.0, 1.0 + 5e-11):
-        calls.clear()
-        rho = validate_density(A * big, 3)
-        assert rho.hermitian and len(calls) == 1, big
-        assert rho.eig.eigenvalues[0] > 0.0
-        assert len(calls) == 1, big
-    calls.clear()
-    assert mix_pure_states([0.3, 0.7], [BELL, random_pure(2, generator(114))]).eig.eigenvalues[0] > 0.0
-    assert not calls
-
-
 def test_density_built_from_a_non_hermitian_array_raises_on_eig():
-    """Only hermitian_part (validate_density, mix_pure_states) skips the test; a direct build keeps it."""
+    """A density's ``eig`` tests Hermiticity; no constructor keyword skips the test."""
     A = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     A[0, 1] = 0.25
     rho = DensityMatrix(2, A)
-    assert not rho.hermitian
     with pytest.raises(NotHermitian):
         rho.eig
     with pytest.raises(TypeError):
         DensityMatrix(2, A, hermitian=True)
-    assert DensityMatrix.hermitian_part(2, A).eig.eigenvalues.tolist() == pytest.approx([0.625, 0.375, 0.0, 0.0])
 
 
 def test_validate_density_keeps_an_entry_just_above_one_unscaled():
@@ -284,6 +285,13 @@ def test_d_ipjq_pure_examples():
     assert abs(d_ipjq_pure(BELL, IDX2) - 1.0) < 1e-12
     product = from_coefficients([[1.0, 0.0], [0.0, 0.0]])
     assert d_ipjq_pure(product, IDX2) < 1e-12
+
+
+def test_d_ipjq_pure_raises_when_its_two_routes_disagree(monkeypatch):
+    """A matrix form that no longer matches the minor raises NumericalInconsistency."""
+    monkeypatch.setattr(mixed, "s_matrix", lambda idx, N: 2.0 * s_matrix(idx, N))
+    with pytest.raises(NumericalInconsistency):
+        d_ipjq_pure(BELL, IDX2)
 
 
 def test_d_ipjq_pure_matches_minor_everywhere():

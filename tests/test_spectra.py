@@ -18,7 +18,6 @@ from qconc.spectra import (
     eof_of_bound,
     eof_of_d,
     lemma_value,
-    two_level_entropy,
 )
 from qconc import eof_pure, from_coefficients
 from qconc.errors import BadSpectrum, DegeneratePoint, OutOfRange, UnsupportedFamily
@@ -116,10 +115,9 @@ def test_entropy_bits_reads_arrays_lists_and_tuples_alike(values):
 @example(d=0.0, m=1)
 @example(d=1.0, m=3)
 def test_two_level_entropy_is_the_two_value_entropy_bit_for_bit(d, m):
-    """``two_level_entropy`` and ``eof_of_d`` give m entropy_bits((x, 1/m - x)) bit for bit."""
+    """``eof_of_d`` gives m entropy_bits((x, 1/m - x)) bit for bit."""
     x = (1.0 + math.sqrt(max(1.0 - d * d, 0.0))) / (2.0 * m)
     want = (m * entropy_bits((x, 1.0 / m - x))).hex()
-    assert two_level_entropy(d, m).hex() == want
     assert eof_of_d(d, m).hex() == want
 
 
