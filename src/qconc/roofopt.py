@@ -68,20 +68,22 @@ class AverageD:
 class RoofProblem:
     """Roof-minimization instance.
 
-    t_max caps the decomposition cardinality (None means rank + 2);
-    restarts counts optimization starts per cardinality, the first being
-    the eigendecomposition itself.  tol is the threshold on the Frobenius
-    norm of the Riemannian gradient (at kinks, the minimum-norm
-    subgradient) below which a start has converged.  max_sweeps caps the
-    cycles of a start; a cycle is 2tr - r^2 iterations (the real dimension
-    of the t x r isometries).  For AverageD, whose search takes
-    conjugate-gradient directions, the direction restarts at steepest
-    descent after each cycle; the AverageE search keeps its BFGS inverse
-    Hessian across cycles.  Every AverageD(m, n) runs the one D(1, 2)
-    minor-form search, whose values ``minimize_roof`` scales by mn / 2.
-    restarts or max_sweeps below 1, a negative seed, a tol that is not
-    positive and finite, an AverageD profile with m n > N and an objective
-    other than AverageE or AverageD raise OutOfRange.
+    t_max caps the decomposition cardinality (None means rank + 2); for a
+    rank-r target ``minimize_roof`` takes r <= t_max <= max(r^2, r + 2), as
+    r^2 members reach any convex roof on a rank-r support (Uhlmann's
+    Caratheodory bound).  restarts counts optimization starts per
+    cardinality, the first being the eigendecomposition itself.  tol is the
+    threshold on the Frobenius norm of the Riemannian gradient (at kinks,
+    the minimum-norm subgradient) below which a start has converged.
+    max_sweeps caps the cycles of a start; a cycle is 2tr - r^2 iterations
+    (the real dimension of the t x r isometries).  For AverageD, whose
+    search takes conjugate-gradient directions, the direction restarts at
+    steepest descent after each cycle; the AverageE search keeps its BFGS
+    inverse Hessian across cycles.  Every AverageD(m, n) runs the one
+    D(1, 2) minor-form search, whose values ``minimize_roof`` scales by
+    mn / 2.  restarts or max_sweeps below 1, a negative seed, a tol that is
+    not positive and finite, an AverageD profile with m n > N and an
+    objective other than AverageE or AverageD raise OutOfRange.
     """
 
     target: DensityMatrix
@@ -219,9 +221,9 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
     N = rho.dim
     V = eigen_vectors_subnormalized(rho)
     r = V.shape[0]
-    t_hi = r + 2 if problem.t_max is None else problem.t_max
-    if t_hi < r:
-        raise OutOfRange(f"t_max {t_hi} below the density's rank {r}")
+    t_hi, cap = r + 2 if problem.t_max is None else problem.t_max, max(r * r, r + 2)
+    if not r <= t_hi <= cap:
+        raise OutOfRange(f"t_max {t_hi} outside [rank, max(rank^2, rank + 2)] = [{r}, {cap}]")
     from .roofsearch import Descent, search  # on first use: the CLI's other subcommands never search
 
     objective = problem.objective

@@ -58,8 +58,8 @@ so every member has Schmidt rank <= 2.
   X = (log p - log M) / ln 2 on the range of M, mapped back to
   E = conj(G) V^T.
 
-``Descent.values``, the kernel's one caller, keeps each call's member
-values and E (``Scored``).
+``Descent.values``, the kernel's one caller, scores one isometry or a
+stack in one call and keeps the member values and E (``Scored``).
 
 The D(1, 2) sum of minor norms has kinks at product members, where the
 entanglement is smooth (its gradient vanishes there), so the kink rule
@@ -73,10 +73,10 @@ test), as both the stationarity test and the descent direction; both
 tests read the minor norms f / 2 of the values f the kernel returned.  A
 start's first step scans one period of its geodesic, and a converged
 point is probed along every two-row rotation, so that saddles such as
-the eigendecomposition of a symmetric state are left behind.  The points
-of a scan or a probe are fixed in advance and scored in one kernel call
-(``Descent.values``); each scored point keeps its ``Scored`` members, so
-no decomposition is scored twice.  ``_rotate`` forms every exp(-eta H) Q.
+the eigendecomposition of a symmetric state are left behind; a scan or
+a probe is one ``values`` stack, each of whose points keeps its
+``Scored`` members, so no decomposition is scored twice.
+``_rotate`` forms every exp(-eta H) Q.
 
 Imports run one way: this module imports nothing from ``roofopt``, whose
 ``minimize_roof`` imports it on the first search, since the CLI's other
@@ -128,15 +128,10 @@ def d12_cores(V: np.ndarray, N: int) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(C, 0, 1).reshape(len(V), -1))
 
 
-def _core_jacobians(Qbar: np.ndarray, cores: np.ndarray) -> np.ndarray:
-    """Z (n, K, r) with Z_kx = Qbar_k C_x = d y_kx / d Qbar_k, for the minors y of the rows W = Qbar V."""
-    n, r = Qbar.shape
-    return (Qbar @ cores).reshape(n, -1, r)
-
-
 def _core_minors(Qbar: np.ndarray, cores: np.ndarray):
-    """The minors y (n, K) of the rows W = Qbar V and their ``_core_jacobians`` Z."""
-    Z = _core_jacobians(Qbar, cores)
+    """The minors y (n, K) of the rows W = Qbar V and Z (n, K, r) with Z_kx = Qbar_k C_x = d y_kx / d Qbar_k."""
+    n, r = Qbar.shape
+    Z = (Qbar @ cores).reshape(n, -1, r)
     return 0.5 * (Z @ Qbar[:, :, None])[..., 0], Z
 
 
@@ -147,7 +142,7 @@ def d12_members(Qbar: np.ndarray, cores: np.ndarray):
     bounded as a member nears a product state, where y is mostly rounding.
     """
     y, Z = _core_minors(Qbar, cores)
-    norms = np.linalg.norm(y, axis=1)
+    norms = np.sqrt(np.add.reduce((y.conj() * y).real, axis=1))  # np.linalg.norm(y, axis=1)
     u = y / np.where(norms > 0.0, norms, 1.0)[:, None]
     return 2.0 * norms, 2.0 * (u.conj()[:, None, :] @ Z)[:, 0]
 
@@ -222,20 +217,20 @@ def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
             sc = np.where(live, s * (U.T @ base), 0.0)
             s2 = np.where(live, s * s, 1.0)
             z = -sc / s2
-            if np.linalg.norm(z) > 1.0:
-                lo, hi, lam = 0.0, float(np.linalg.norm(sc)), 0.0
+            if math.sqrt(z.dot(z)) > 1.0:
+                lo, hi, lam = 0.0, math.sqrt(sc.dot(sc)), 0.0
                 for _ in range(100):
                     z = -sc / (s2 + lam)
-                    nz = float(np.linalg.norm(z))
+                    nz = math.sqrt(z.dot(z))
                     if abs(nz - 1.0) <= 1e-14:
                         break
                     lo, hi = (lam, hi) if nz > 1.0 else (lo, lam)
-                    lam += (nz - 1.0) * nz * nz / float(np.sum(sc * sc / (s2 + lam) ** 3))
+                    lam += (nz - 1.0) * nz * nz / float((sc * sc / (s2 + lam) ** 3).sum())
                     if not lo < lam < hi:
                         lam = 0.5 * (lo + hi)
-                z /= max(float(np.linalg.norm(z)), 1.0)
+                z /= max(math.sqrt(z.dot(z)), 1.0)
             x = Vt.T @ z
-            moved = max(moved, float(np.max(np.abs(x - xs[g]))))
+            moved = max(moved, float(np.abs(x - xs[g]).max()))
             xs[g] = x
             res = base + blocks[g] @ x
         if moved <= 1e-13:
@@ -265,10 +260,11 @@ class Descent:
     ``e_members`` elsewhere.  The cored kernels read the ``d12_cores`` and
     the Gram matrix V V^H built here.  ``members`` is the kernel
     contract: conjugated isometry rows conj(Q) in, member values and
-    r-space gradients E = conj(G) V^T out.  ``values`` hands a scored stack on as a
-    ``Scored``, whose points the gradient and the kink rule read instead
-    of scoring them again.  ``evaluations`` counts the decompositions
-    scored so far, one per isometry that reaches the kernel.
+    r-space gradients E = conj(G) V^T out.  ``values``, its one caller,
+    scores one isometry or a stack and hands the members on as a
+    ``Scored``, which the gradient and the kink rule read instead of
+    scoring them again.  ``evaluations`` counts the decompositions scored
+    so far, one per isometry that reaches the kernel.
     """
 
     def __init__(self, V: np.ndarray, N: int, kinked: bool):
@@ -286,18 +282,17 @@ class Descent:
         """Values (n,) and r-space gradients E (n, r) of the members whose isometry rows are conj(Qbar)."""
         return self.kernel(Qbar, *self.inputs)
 
-    def values(self, Qs: np.ndarray) -> tuple[list[float], Scored]:
-        """Objective values and the ``Scored`` stack of a stack of isometries (c, t, r), from one kernel call."""
+    def values(self, Qs: np.ndarray) -> tuple[float | list[float], Scored]:
+        """(F, Scored) of one isometry (t, r), or ([F_1 ... F_c], stacked Scored) of a stack (c, t, r), from one kernel call."""
+        if Qs.ndim == 2:
+            self.evaluations += 1
+            f, E = self.members(Qs.conj())
+            return math.fsum(f.tolist()), Scored(f, E)
         c, t, r = Qs.shape
         self.evaluations += c
         f, E = self.members(Qs.reshape(c * t, r).conj())
         f = f.reshape(c, t)
         return list(map(math.fsum, f.tolist())), Scored(f, E.reshape(c, t, r))
-
-    def value(self, Q: np.ndarray) -> tuple[float, Scored]:
-        """The objective value and ``Scored`` members of the one isometry Q: ``values`` of the stack [Q]."""
-        F, S = self.values(Q[None])
-        return F[0], S.at(0)
 
     def omega(self, Q: np.ndarray, S: Scored) -> np.ndarray:
         """Skew-Hermitian Omega = B - B^H with B = E Q^H, for the member gradients E of S at Q."""
@@ -314,10 +309,10 @@ class Descent:
         """
         kinks, loose = [], []
         if self.kinked:
-            p = np.sum((Q.conj() @ self.gram) * Q, axis=1).real
-            norms = 0.5 * S.f
-            kinks = np.flatnonzero(norms <= KINK_TOL * p).tolist()
-            loose = np.flatnonzero((norms <= SNAP_TOL * p) & (norms > SNAP_FLOOR * p)).tolist()
+            p = ((Q.conj() @ self.gram) * Q).sum(axis=1).real
+            norms = list(enumerate(zip((0.5 * S.f).tolist(), p.tolist())))
+            kinks = [k for k, (y, pk) in norms if y <= KINK_TOL * pk]
+            loose = [k for k, (y, pk) in norms if SNAP_FLOOR * pk < y <= SNAP_TOL * pk]
         if not kinks:
             return self.omega(Q, S), [], loose
         E = S.E.copy()
@@ -326,7 +321,7 @@ class Descent:
         # Along exp(-eta B) Q, the kink term 2 Re<u, minors_k> changes at
         # rate 2 Re<u, dy>, which is -1/2 <B, Omega>: Omega's coordinates
         # are -4 (Re dy, Im dy) (Re u, Im u).
-        Z = _core_jacobians(Q.conj(), self.cores)
+        Z = _core_minors(Q.conj(), self.cores)[1]
         blocks = [-4.0 * np.concatenate([dy.real, dy.imag], axis=1) for dy, _ in self._changes(Q, Z, kinks)]
         xs = _ball_lsq(a, blocks)
         return _from_coordinates(a + sum(B @ x for B, x in zip(blocks, xs)), len(Q)), kinks, loose
@@ -404,7 +399,7 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
     """
     t, r = Q.shape
     cycle = 2 * t * r - r * r
-    F, S = problem.value(Q)
+    F, S = problem.values(Q)
     trace = [F]
     grad, kinks, _ = problem.gradient(Q, S)
     H = grad
@@ -441,7 +436,7 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
         new, kinks, loose = problem.gradient(Q, S)
         if loose:
             Qs = problem.snap(Q, loose)
-            Fs, Ss = problem.value(Qs)
+            Fs, Ss = problem.values(Qs)
             if Fs <= F + FLAT * abs(F):
                 Q, F, S = Qs, Fs, Ss
                 new, kinks, loose = problem.gradient(Q, S)
@@ -576,7 +571,7 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     the nearest basin.
     """
     theta, U = np.linalg.eigh(1j * H)
-    top = float(np.max(np.abs(theta)))
+    top = float(np.abs(theta).max())
     if top == 0.0:
         return None
     cap = math.pi / top
@@ -587,7 +582,7 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
 
     def at(eta):
         Qn = _rotate(theta, U, UhQ, eta)
-        return point(eta, Qn, *problem.value(Qn))
+        return point(eta, Qn, *problem.values(Qn))
 
     noise = FLAT * abs(F0)
 

@@ -402,6 +402,17 @@ def test_roof_command_converges_without_strict():
     assert abs(report.results["value"] - eof_of_d(0.25, 1)) < 5e-4
 
 
+@pytest.mark.parametrize("command", ["roof", "certify"])
+def test_search_commands_reject_t_max_above_the_caratheodory_cap(command, capsys):
+    """A rank-1 state takes --t-max up to max(1, 1 + 2) = 3: 32 exits 1 with the cap named, no traceback."""
+    argv = [command, BELL_FILE, "--t-max", "32", "--json"]
+    argv[2:2] = ["--objective", "D"] if command == "roof" else []
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "[1, 3]" in captured.err and "Traceback" not in captured.err
+
+
 def test_certify_form_a_converges_with_default_search(capsys):
     assert main(["certify", FORM_A_FILE, "--m", "1", "--n", "2", "--strict", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -665,6 +676,7 @@ _PROCESS_CASES = {
     "bad-flag": (["bound", WERNER_FILE, "--nonsense", "--json"], 1),
     "strict-roof": (["roof", FORM_A_FILE, "--objective", "D", "--m", "1", "--n", "2",
                      "--max-sweeps", "1", "--restarts", "1", "--strict", "--json"], 2),
+    "t-max-cap": (["roof", BELL_FILE, "--objective", "D", "--t-max", "32", "--json"], 1),
 }
 
 

@@ -155,6 +155,19 @@ def test_roof_problem_validation():
     RoofProblem(target=random_form_a_mixture(2, 94), objective=AverageD(1, 3), max_sweeps=1)
 
 
+def test_t_max_above_the_caratheodory_cap_raises():
+    """t_max runs from the rank r to max(r^2, r + 2); r^2 members reach any roof on a rank-r support."""
+    cases = ((pure_density(BELL), 1, 3), (random_form_a_mixture(2, 104, 0), 2, 4), (random_form_a_mixture(3, 104, 1), 3, 9))
+    for rho, rank, cap in cases:
+        for objective in (AverageD(1, 2), AverageE()):
+            with pytest.raises(OutOfRange, match=rf"\[{rank}, {cap}\]"):
+                minimize_roof(RoofProblem(target=rho, objective=objective, t_max=cap + 1))
+    for rho, rank, cap in cases[:2]:
+        result = minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=rank * rank, restarts=1, max_sweeps=1))
+        assert [start.t for start in result.starts] == list(range(rank, rank * rank + 1))
+        assert math.isfinite(result.value)
+
+
 def test_minimize_roof_eigendecomposes_rho_once(eigh_calls):
     """The D(1, 2) route is chosen from the rows the search already has."""
     rho = random_form_a_mixture(3, 95)
@@ -294,7 +307,7 @@ def test_e12_gradient_matches_central_differences(N, theta, grow, seed, directio
     assert problem.kernel is e12_members
     t = 2 + grow
     Q = np.eye(t, 2, dtype=complex)
-    F, S = problem.value(Q)
+    F, S = problem.values(Q)
     if theta == 0.0:
         assert S.f[0] == 0.0 and not S.E[0].any()
     H = _skew(direction[0, :t, :t] + 1j * direction[1, :t, :t])
@@ -303,7 +316,7 @@ def test_e12_gradient_matches_central_differences(N, theta, grow, seed, directio
     theta_H, U = np.linalg.eigh(1j * H)
 
     def along(eta):
-        return problem.value((U * np.exp(1j * eta * theta_H)) @ U.conj().T @ Q)[0]
+        return problem.values((U * np.exp(1j * eta * theta_H)) @ U.conj().T @ Q)[0]
 
     h = 1e-5
     fd = (along(h) - along(-h)) / (2.0 * h)
@@ -702,13 +715,13 @@ def test_member_gradients_match_central_differences(case, grow, iso, direction):
     H = _skew(direction[0, :t, :t] + 1j * direction[1, :t, :t])
     assume(np.linalg.norm(H) > 0.1)
     problem = Descent(V, rho.dim, profile)
-    F, G = problem.value(Q)
+    F, G = problem.values(Q)
     assume(math.isfinite(F))
     omega = problem.omega(Q, G)
     theta, U = np.linalg.eigh(1j * H)
 
     def along(eta):
-        return problem.value((U * np.exp(1j * eta * theta)) @ U.conj().T @ Q)[0]
+        return problem.values((U * np.exp(1j * eta * theta)) @ U.conj().T @ Q)[0]
 
     h = 1e-5
     fd = (along(h) - along(-h)) / (2.0 * h)
@@ -806,7 +819,7 @@ _KERNEL_CASES = [
 
 
 def test_batched_scores_match_one_value_call_per_candidate():
-    """``Descent.values`` on a stack equals ``Descent.value`` per isometry, every value finite."""
+    """``Descent.values`` on a stack equals ``Descent.values`` of each isometry alone, every value finite."""
     kernels = set()
     for i, (rho, profile) in enumerate(_KERNEL_CASES):
         V = eigen_vectors_subnormalized(rho)
@@ -819,7 +832,7 @@ def test_batched_scores_match_one_value_call_per_candidate():
                 _rotate(theta, U, U.conj().T @ Q, np.linspace(0.1, 4.0, 5))
                 for Q in isos for theta, U in _pair_rotations(t)])
             batched, _ = problem.values(stack)
-            single = [problem.value(q)[0] for q in stack]
+            single = [problem.values(q)[0] for q in stack]
             for got, want in zip(batched, single):
                 assert math.isfinite(want) and abs(got - want) <= 1e-13 * abs(want), (i, got, want)
     assert kernels == {"d12_members", "e12_members", "e_members"}
@@ -835,12 +848,12 @@ def test_batched_scan_and_probe_pick_the_loop_winner():
             problem = Descent(V, 3, profile)
 
             def value(Q):
-                return problem.value(Q)[0]
+                return problem.values(Q)[0]
 
             starts = [np.eye(rank, dtype=complex), haar_isometry(rank, rank, generator(0, rank, 1))]
             ends = [search(problem, Q, 1e-7, 30)[0] for Q in starts]
             for Q in starts + ends:
-                F, G = problem.value(Q)
+                F, G = problem.values(Q)
                 H = problem.gradient(Q, G)[0]
                 theta, U = np.linalg.eigh(1j * H)
                 etas = 2.0 * (math.pi / float(np.max(np.abs(theta)))) * np.arange(SCAN) / SCAN
@@ -953,8 +966,8 @@ def test_svd_step_moves_the_corpus_d_isometries_at_rounding_level_and_keeps_kink
         problem = Descent(eigen_vectors_subnormalized(rho), rho.dim, True)
         for before, after in steps:
             assert np.linalg.norm(after - before) <= 1e-13, k
-            _, kinks, loose = problem.gradient(after, problem.value(before)[1])
-            assert problem.gradient(after, problem.value(after)[1])[1:] == (kinks, loose), k
+            _, kinks, loose = problem.gradient(after, problem.values(before)[1])
+            assert problem.gradient(after, problem.values(after)[1])[1:] == (kinks, loose), k
             flagged += bool(kinks or loose)
         total += len(steps)
         steps.clear()
@@ -1008,3 +1021,88 @@ def test_ball_lsq_with_an_active_ball_matches_projected_gradient():
             assert any(abs(np.linalg.norm(x) - 1.0) <= 1e-12 for x in got)
             for x, y in zip(got, want):
                 np.testing.assert_allclose(x, y, rtol=0.0, atol=1e-9)
+
+
+# Each entry of a complex (n, K) minor array: zero, or a real and an
+# imaginary part of up to 10 at one of the magnitudes the search meets,
+# near underflow and far above one.
+_MINOR_ENTRIES = st.builds(
+    lambda re, im, scale: complex(re * scale, im * scale),
+    st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.sampled_from([0.0, 1.0, 1e-300, 3e-308, 1e150]),
+)
+
+
+@given(
+    arrays(np.complex128, st.tuples(st.integers(1, 6), st.integers(1, 10)), elements=_MINOR_ENTRIES),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+    arrays(np.float64, st.integers(1, 10), elements=_MINOR_ENTRIES.map(lambda z: z.real)),
+)
+def test_inlined_norms_are_numpys_norms_bit_for_bit(y, zero_rows, z):
+    """The search's row norm (``d12_members``) and 1-D norm (``_ball_lsq``) are numpy's own expressions.
+
+    Complex (n, K) minors, some rows zero, and real vectors, with entries
+    near 1e-300 and 1e150; equality is by bytes, so a numpy whose
+    ``linalg.norm`` evaluates them differently fails here.
+    """
+    y[np.array(zero_rows[: len(y)])] = 0.0
+    rows = np.sqrt(np.add.reduce((y.conj() * y).real, axis=1))
+    assert rows.dtype == np.float64 and rows.tobytes() == np.linalg.norm(y, axis=1).tobytes()
+    assert math.sqrt(z.dot(z)).hex() == float(np.linalg.norm(z)).hex()
+
+
+def test_d12_members_scores_numpys_row_norm_of_the_minors():
+    """On the corpus, ``d12_members`` reads 2 np.linalg.norm(y, axis=1) of its minors y bit for bit."""
+    for k in range(5):
+        rho = random_form_a_mixture(2 + k % 2, 104, k)
+        V = eigen_vectors_subnormalized(rho)
+        cores = d12_cores(V, rho.dim)
+        for seed in range(4):
+            Qbar = haar_isometry(len(V) + seed % 2, len(V), generator(111, k, seed)).conj()
+            f, _ = d12_members(Qbar, cores)
+            y, _ = roofsearch._core_minors(Qbar, cores)
+            assert f.tobytes() == (2.0 * np.linalg.norm(y, axis=1)).tobytes(), (k, seed)
+
+
+# Per start (t, start, iterations, evaluations, kinks), the start values and
+# the roof value of the five benchmark corpus mixtures at criterion 4's
+# settings: 955 D and 533 E evaluations, 185 D and 94 E iterations.
+_CORPUS_RECORDS = {
+    "D": (
+        ([(2, 0, 7, 44, 0), (2, 1, 6, 41, 0)], [0.592466555981393, 0.5924665559813921], 0.5924665559813923),
+        ([(3, 0, 34, 140, 0), (3, 1, 34, 138, 0)], [0.3868733436484864, 0.3868733436484888], 0.3868733436484873),
+        ([(2, 0, 5, 43, 0), (2, 1, 6, 46, 0)], [0.44016000466751226, 0.44016000466751193], 0.44016000466751165),
+        ([(3, 0, 43, 207, 1), (3, 1, 38, 211, 1)], [0.7888215972291945, 0.7888215972290237], 0.7888215979992744),
+        ([(2, 0, 7, 45, 0), (2, 1, 5, 40, 0)], [0.6809871501111722, 0.6809871501111726], 0.680987150111172),
+    ),
+    "E": (
+        ([(2, 0, 7, 35, 0), (2, 1, 6, 33, 0)], [0.46091294306301184, 0.46091294306301167], 0.4609129430630118),
+        ([(3, 0, 13, 81, 0), (3, 1, 17, 85, 0)], [0.2469974142907892, 0.24699741429078914], 0.24699741429078872),
+        ([(2, 0, 4, 31, 0), (2, 1, 4, 29, 0)], [0.29242852992161383, 0.2924285299216144], 0.2924285299216159),
+        ([(3, 0, 18, 90, 0), (3, 1, 14, 84, 0)], [0.7291504732956692, 0.7291504732956702], 0.729150473295668),
+        ([(2, 0, 6, 33, 0), (2, 1, 5, 32, 0)], [0.5679567773994223, 0.5679567773994221], 0.5679567773994232),
+    ),
+}
+
+
+@pytest.mark.parametrize("objective", ["D", "E"])
+def test_corpus_roofs_keep_their_search_record(objective):
+    """The corpus searches keep every start's trajectory: its counts exactly, its values within 1e-15 relative.
+
+    A change that claims to score the same points faster must leave
+    these as they are; one that moves the trajectory changes the counts.
+    """
+    evaluations = iterations = 0
+    for k, (records, values, value) in enumerate(_CORPUS_RECORDS[objective]):
+        rank = 2 + k % 2
+        result = minimize_roof(RoofProblem(
+            target=random_form_a_mixture(rank, 104, k), objective=AverageD(1, 2) if objective == "D" else AverageE(),
+            t_max=rank, restarts=2, tol=1e-7, max_sweeps=30,
+        ))
+        got = [(s.t, s.start, s.iterations, s.evaluations, s.kinks) for s in result.starts]
+        assert got == records, (k, got)
+        assert all(s.converged for s in result.starts), k
+        for got, want in zip([s.value for s in result.starts] + [result.value], values + [value]):
+            assert abs(got - want) <= 1e-15 * want, (k, got, want)
+        evaluations += sum(s.evaluations for s in result.starts)
+        iterations += result.iterations
+    assert (evaluations, iterations) == {"D": (955, 185), "E": (533, 94)}[objective]
