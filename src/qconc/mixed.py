@@ -19,14 +19,29 @@ from the 4 x 4 QR core of sqrt(rho)[:, J].  Eigenvalues at or below
 RANK_EPS = 1e-12 count as zero, which moves the bound by about that much.
 
 The bound needs only each index's deficit Lambda1 - Lambda2 - Lambda3 -
-Lambda4, and for r <= 2 that is a closed form in tau's entries
+Lambda4, and for r <= 3 that is a closed form in tau's entries
 (``_index_deficits``): |tau| at r = 1, and at r = 2, for tau = [[a, b],
 [b, c]] with f^2 = |a|^2 + |b|^2, sigma1 - sigma2 =
 hypot(f^2 - |ac - b^2|, |conj(a) b + conj(b) c|) / f (|c| when f = 0),
 because a Givens QR of tau's first column leaves [[f, g], [0, h]] with
 f g = |conj(a) b + conj(b) c|, f h = |det tau| and sigma1 +- sigma2 =
-hypot(f +- h, g).  For r >= 3, full rank included, the deficits come from
-the batched SVD of the cores.
+hypot(f +- h, g).  At r = 3, with m = ||tau||^2 / 3, A = ||adj tau||^2
+(sum of sigma_i^2 sigma_j^2, i < j) and D2 = |det tau|^2 = ||adj adj
+tau||^2 / (3 m) (adj adj tau = det(tau) tau), lambda1 = sigma1^2 is the
+largest root of x^3 - 3m x^2 + A x - D2, by the trigonometric cubic
+(Smith, Commun. ACM 4, 168, 1961) m + 2 sqrt(p) cos(arccos(q / p^(3/2)) / 3),
+with p = m^2 - A/3 and q = m (p - A/6) + D2/2; then (sigma2 + sigma3)^2 =
+(A - D2/lambda1) / lambda1 + 2 sqrt(D2/lambda1).  |det tau| from adj adj
+tau errs by about eps sigma1^2 sigma2 (by a cofactor expansion, eps
+sigma1^3), which keeps near-rank-one cores accurate.  arccos loses
+accuracy on a clustered spectrum and near lambda1 = lambda2 (Kopp, Int. J.
+Mod. Phys. C 19, 523, 2008), so a core with p <= 0.1 m^2,
+lambda2 >= 0.9 lambda1 or 0 < m <= 1e-60 gets the batched SVD, as does
+every core of a stack of at most 16 (N = 3), where one SVD is faster; on
+the other cores the deficit is within about 1.3e-14 sigma1 of the SVD's,
+and it is 0 where ||tau||^2 underflows to 0 (tau = 0, or every entry
+below about 1e-162).  For r >= 4, full rank included, the deficits come
+from the batched SVD of the cores.
 """
 
 from __future__ import annotations
@@ -312,24 +327,81 @@ def _deficits(lam: np.ndarray) -> np.ndarray:
 def _index_deficits(F: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Signed deficits Lambda1 - Lambda2 - Lambda3 - Lambda4 of the indices with rows J, (K,).
 
-    F is the (r, N^2) factor of ``_factor``.  For r <= 2 the deficit is
-    sigma1 - sigma2 of the core tau in the module docstring's closed form,
-    with no LAPACK call; at r = 2 its only cancellation, f^2 - |det tau|,
-    keeps the error at about eps ||tau||, as in an SVD.  For r >= 3 it is
-    ``_deficits`` of ``_spectra``.
+    F is the (r, N^2) factor of ``_factor``.  For r <= 3 the deficit is
+    sigma1 - ... - sigma_r of the core tau in the module docstring's closed
+    forms, with no LAPACK call (at r = 3, none for the cores the closed
+    form resolves); at r = 2 the only cancellation,
+    f^2 - |det tau|, keeps the error at about eps ||tau||, as in an SVD.
+    For r >= 4 it is ``_deficits`` of ``_spectra``.
     """
     if len(F) == 1:
         x = F[0, J]
         return 2.0 * np.abs(x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3])
-    if len(F) > 2:
+    if len(F) > 3:
         return _deficits(_spectra(F, J))
     T = _tau_cores(np.swapaxes(F.T[J], 1, 2))
+    if len(F) == 3:
+        return _rank_three_deficits(T)
     a, b, c = T[:, 0, 0], T[:, 0, 1], T[:, 1, 1]
     f = np.hypot(np.abs(a), np.abs(b))
     fg = np.abs(a.conj() * b + b.conj() * c)
     fh = np.abs(a * c - b * b)
     d = np.abs(c)  # f = 0: tau = [[0, 0], [0, c]]
     np.divide(np.hypot(f * f - fh, fg), f, out=d, where=f > 0.0)
+    return d
+
+
+# Row-major positions of M[i+1, j+1], M[i+2, j+2], M[i+1, j+2] and M[i+2, j+1]
+# (indices mod 3) for each (i, j) of a 3 x 3 matrix M: the cofactor C_ij is
+# the first product minus the second.
+_COFACTOR_TERMS = np.array(
+    [[3 * ((i + u) % 3) + (j + v) % 3 for i in range(3) for j in range(3)] for u, v in ((1, 1), (2, 2), (1, 2), (2, 1))]
+)
+
+
+def _cofactors(M: np.ndarray) -> np.ndarray:
+    """Cofactor matrices of the row-major 3 x 3 matrices M, (K, 9)."""
+    G = M[:, _COFACTOR_TERMS]
+    return G[:, 0] * G[:, 1] - G[:, 2] * G[:, 3]
+
+
+def _sq_norms(M: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of the rows of M, (K,)."""
+    return np.einsum("ki,ki->k", M, M.conj()).real
+
+
+def _rank_three_deficits(T: np.ndarray) -> np.ndarray:
+    """sigma1 - sigma2 - sigma3 of each 3 x 3 core in T, (K,), by the module docstring's closed form.
+
+    A core that form cannot resolve, and every core of a stack of at most
+    16, where one SVD is faster, gets the batched SVD instead.
+    """
+    K = len(T)
+    if K <= 16:
+        lam = np.linalg.svd(T, compute_uv=False)
+        return lam[:, 0] - lam[:, 1] - lam[:, 2]
+    T9 = T.reshape(K, 9)
+    C = _cofactors(T9)
+    m = _sq_norms(T9) / 3.0
+    A = _sq_norms(C)
+    live = m > 1e-60  # below it, m^3 and p^(3/2) leave the normal floats
+    D2 = np.divide(_sq_norms(_cofactors(C)), 3.0 * m, out=np.zeros(K), where=live)
+    mm = m * m
+    p = mm - A / 3.0
+    pc = np.maximum(p, 0.1 * mm)  # p on every core kept below
+    sp = np.sqrt(pc)
+    x = np.divide(m * (p - A / 6.0) + 0.5 * D2, pc * sp, out=np.zeros(K), where=live)
+    lam1 = m + 2.0 * sp * np.cos(np.arccos(np.clip(x, -1.0, 1.0)) / 3.0)
+    u = np.divide(1.0, lam1, out=np.zeros(K), where=live)
+    s2 = np.maximum(u * (A - D2 * u) + 2.0 * np.sqrt(D2 * u), 0.0)  # (sigma2 + sigma3)^2
+    d = np.sqrt(lam1) - np.sqrt(s2)
+    mu = 0.9 * lam1  # given the p test, the cubic is negative at mu iff lambda2 < mu
+    # d = 0 where m underflows to 0, as at tau = 0.
+    ok = (live & (p > 0.1 * mm) & (((mu - 3.0 * m) * mu + A) * mu < D2)) | (m == 0.0)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        lam = np.linalg.svd(T[bad], compute_uv=False)
+        d[bad] = lam[:, 0] - lam[:, 1] - lam[:, 2]
     return d
 
 
@@ -445,8 +517,9 @@ def d_lower_bound(rho: DensityMatrix, m: int, n: int, clamp: bool = True) -> flo
     which reproduces the established closed form at N = 2; disabling it
     evaluates the literal signed expression.  The squared deficits are
     added with compensated summation.  The deficits come from
-    ``index_deficits``, with eigenvalues of rho at or below 1e-12 counted
-    as zero, which moves the bound by about that much.
+    ``index_deficits`` (closed forms at rank <= 3, see the module
+    docstring), with eigenvalues of rho at or below 1e-12 counted as zero,
+    which moves the bound by about that much.
 
     The bound is unchanged by swapping the two subsystems, and by local
     unitaries U (x) V at N = 2 and on pure states.  For mixed states at
@@ -473,7 +546,8 @@ def index_deficits(rho: DensityMatrix) -> np.ndarray:
     """Signed deficits Lambda1 - Lambda2 - Lambda3 - Lambda4, one per canonical index.
 
     In ``canonical_indices`` order, from rho's ``eig``, by the module
-    docstring's closed form at rank <= 2 and the batched SVD of the cores
+    docstring's closed forms at rank <= 3 (with the batched SVD for the
+    rank-3 cores they leave, and at N = 3) and the batched SVD of the cores
     above.
     """
     return _index_deficits(_factor(rho.eig), _support_table(rho.dim))

@@ -7,8 +7,8 @@ binary-entropy formula, roof members are scored one at a time through
 their own Schmidt spectra, the D(1, 2) roof kernel is rebuilt on the
 members' N^2-wide rows instead of the r x r cores, the tau cores
 come from two batched matmuls with S4 instead of outer products, and the
-deficits of rank-one and rank-two cores come from a batched SVD instead
-of the closed form.
+deficits of rank-one to rank-three cores come from a batched SVD instead
+of the closed forms.
 """
 import math
 

@@ -124,13 +124,13 @@ def test_bound_eof_computes_the_lambda_spectra_once(monkeypatch):
     import qconc.mixed as mixed
 
     calls = []
-    spectra = mixed._spectra
+    deficits = mixed._index_deficits
 
-    def counting(R, J):
+    def counting(F, J):
         calls.append(J.shape)
-        return spectra(R, J)
+        return deficits(F, J)
 
-    monkeypatch.setattr(mixed, "_spectra", counting)
+    monkeypatch.setattr(mixed, "_index_deficits", counting)
     rho = load_state(FORM_A_FILE)
     for extra in ([], ["--no-clamp"]):
         calls.clear()

@@ -743,6 +743,79 @@ def test_closed_form_deficits_of_degenerate_cores():
         np.testing.assert_allclose(d, exact, rtol=1e-15, atol=1e-15)
 
 
+@given(st.integers(4, 6), st.sampled_from((None, "A", "B", "separable")), st.integers(0, 2**30))
+@example(4, None, 68)
+def test_rank_three_closed_form_deficits_match_the_svd_of_the_same_cores(n, kind, seed):
+    if kind == "separable":
+        rho = random_separable_density(n, 3, seed, n)
+    else:
+        rho = random_density(n, 3, seed, n, qubit=kind)
+    F = _factor(rho.eig)
+    assert len(F) == 3
+    J = _support_table(n)
+    cores = _tau_cores(np.swapaxes(F.T[J], 1, 2))
+    tol = 2e-14 * np.linalg.svd(cores, compute_uv=False)[:, 0].max()
+    np.testing.assert_allclose(_index_deficits(F, J), core_deficits_svd(cores), rtol=0.0, atol=tol)
+
+
+def _cores_of_spectra(sigmas, seed):
+    """Symmetric 3 x 3 cores U diag(sigma) U^T, one Haar U per core, for the rows of ``sigmas``."""
+    rng = generator(seed)
+    T = np.array([(U * s) @ U.T for U, s in ((haar_unitary(3, rng), s) for s in sigmas)])
+    return 0.5 * (T + np.swapaxes(T, 1, 2))
+
+
+def test_rank_three_closed_form_on_hand_built_cores(svd_calls):
+    """Degenerate cores and cores either side of each test, at three scales, against the SVD and their exact deficits.
+
+    The closed form keeps a core when p > 0.1 m^2 (for the spectrum
+    (1, t, t), when t < t_p below), lambda2 < 0.9 lambda1 and
+    m = ||tau||^2 / 3 > 1e-60, or when tau = 0; the SVD gets exactly the others.
+    """
+    t_p = (1.0 - math.sqrt(0.1)) / (1.0 + 2.0 * math.sqrt(0.1))
+    kept = [
+        (0.0, 0.0, 0.0),
+        (1.0, 0.0, 0.0),  # rank one
+        (1.0, 0.5, 0.0),  # rank two
+        (1.0, 1e-8, 1e-9),  # near rank one: sigma2 sigma3 is far below a cofactor expansion's roundoff
+        (1.0, 0.3, 0.3),  # sigma2 = sigma3
+        (1.0, 0.6, 0.4),  # sigma1 = sigma2 + sigma3
+        (1.0, 0.7, 0.5),
+        (0.8, 0.3, 0.25),
+        (1.0, 0.04, 0.01),
+        (1.0, math.sqrt(0.999 * t_p), math.sqrt(0.999 * t_p)),  # p just above 0.1 m^2
+        (1.0, math.sqrt(0.999 * 0.9), 0.1),  # lambda2 just below 0.9 lambda1
+    ]
+    rejected = [
+        (1.0, 1.0, 0.3),  # sigma1 = sigma2
+        (1.0, 0.99, 0.98),  # clustered
+        (1.0, math.sqrt(1.001 * t_p), math.sqrt(1.001 * t_p)),
+        (1.0, math.sqrt(1.001 * 0.9), 0.1),
+    ]
+    # m = 1e-60 (1 +- 1e-3) for the spectrum c (1, 0.5, 0.3): just kept, just rejected.
+    floor = [tuple(math.sqrt(3e-60 * g / 1.34) * x for x in (1.0, 0.5, 0.3)) for g in (1.001, 0.999)]
+    for scale in (1.0, 1e3, 1e-150):
+        sigmas = np.concatenate([np.array(kept + rejected) * scale, floor])
+        cores = _cores_of_spectra(sigmas, 69)
+        svd_calls.clear()
+        d = mixed._rank_three_deficits(cores)
+        assert len(svd_calls) == 1
+        on_svd = [any(np.array_equal(s, c) for s in svd_calls[0]) for c in cores]
+        assert on_svd == [scale < 1e-100 and k > 0 for k in range(len(kept))] + [True] * len(rejected) + [False, True]
+        tol = 2e-14 * sigmas[:, 0] + 1e-300
+        np.testing.assert_array_less(np.abs(d - core_deficits_svd(cores)), tol)
+        np.testing.assert_array_less(np.abs(d - (sigmas[:, 0] - sigmas[:, 1] - sigmas[:, 2])), tol)
+
+
+def test_rank_three_bounds_above_n3_take_most_cores_off_the_svd(svd_calls):
+    for n in (4, 5, 6):
+        rho = random_density(n, 3, 68, n)
+        svd_calls.clear()
+        index_deficits(rho)
+        assert len(svd_calls) <= 1
+        assert sum(len(a) for a in svd_calls) < len(_support_table(n)) // 2
+
+
 def test_closed_form_bounds_of_product_and_separable_states_vanish():
     for n in (2, 3, 4, 5, 6):
         rng = generator(64, n)
@@ -767,14 +840,14 @@ def test_rank_one_and_two_bounds_make_no_svd_call(svd_calls):
 
 
 def test_rank_three_and_above_deficits_stay_on_the_svd_route(svd_calls):
-    for n in (3, 4):
-        for rank in (3, 5, n * n):
-            rho = random_density(n, rank, 68, n)
-            expect = _deficits(_spectra(_factor(rho.eig), _support_table(n)))
-            svd_calls.clear()
-            got = index_deficits(rho)
-            assert len(svd_calls) == 1
-            assert [x.hex() for x in got] == [x.hex() for x in expect]
+    """Rank 3 at N = 3 (K = 9, a stack of at most 16 cores) and ranks above 3 take one SVD, bit for bit."""
+    for n, rank in ((3, 3), (3, 5), (3, 9), (4, 5), (4, 16)):
+        rho = random_density(n, rank, 68, n)
+        expect = _deficits(_spectra(_factor(rho.eig), _support_table(n)))
+        svd_calls.clear()
+        got = index_deficits(rho)
+        assert len(svd_calls) == 1
+        assert [x.hex() for x in got] == [x.hex() for x in expect]
     rho = random_form_a_mixture(3, 67, 3)
     svd_calls.clear()
     example_3x3_bound(rho)
