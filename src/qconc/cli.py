@@ -153,7 +153,7 @@ def _build_parser() -> _Parser:
     search.add_argument("--tol", type=float, help="converged once the Riemannian gradient norm is below this")
     search.add_argument("--max-sweeps", type=int, dest="max_sweeps",
                         help="cap on search cycles of 2tr - r^2 iterations per start "
-                             "(BFGS steps for E, conjugate-gradient steps for D)")
+                             "(BFGS steps, conjugate-gradient steps once a D start meets a kink)")
 
     parser = _Parser(prog="qconc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

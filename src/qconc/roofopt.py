@@ -4,7 +4,7 @@ Any decomposition of a rank-r density matrix into t >= r pure states is
 parametrized by a t x r isometry Q acting on the subnormalized
 eigenvectors: |w_k> = sum_l conj(Q_kl) |v_l>.  ``minimize_roof`` searches
 these isometries from several starts (the Riemannian search of
-``roofsearch``: BFGS on E, conjugate gradients on D) and recomputes the
+``roofsearch``: BFGS, conjugate gradients past a D kink) and recomputes the
 winner's value through ``average_objective`` from the member states.
 Average D is the 2x2-minor form that the closed-form bound bounds, on
 every support.
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotIsometry, OutOfRange
+from .linalg import lapack_errors
 from .mixed import (
     DensityMatrix,
     Decomposition,
@@ -76,10 +77,10 @@ class RoofProblem:
     threshold on the Frobenius norm of the Riemannian gradient (at kinks,
     the minimum-norm subgradient) below which a start has converged.
     max_sweeps caps the cycles of a start; a cycle is 2tr - r^2 iterations
-    (the real dimension of the t x r isometries).  For AverageD, whose
-    search takes conjugate-gradient directions, the direction restarts at
-    steepest descent after each cycle; the AverageE search keeps its BFGS
-    inverse Hessian across cycles.  Every AverageD(m, n) runs the one
+    (the real dimension of the t x r isometries).  A start keeps its BFGS
+    inverse Hessian across cycles; an AverageD start that has met a kink
+    takes conjugate-gradient directions, which restart at steepest descent
+    after each cycle.  Every AverageD(m, n) runs the one
     D(1, 2) minor-form search, whose values ``minimize_roof`` scales by
     mn / 2.  restarts or max_sweeps below 1, a negative seed, a tol that is
     not positive and finite, an AverageD profile with m n > N and an
@@ -206,16 +207,17 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
     isometry); later starts use ``sampling.haar_isometry`` drawn from
     ``generator(seed, cardinality, start)``, so results are reproducible
     bit for bit and independent of evaluation order.  Each start runs the
-    search (BFGS directions for AverageE; for AverageD conjugate-gradient
-    directions, restarted at steepest descent every cycle) until the
-    gradient norm falls below tol, a line search fails, or the cycle cap
-    is hit; the objective trace does not increase beyond rounding.  Every
+    search (BFGS directions until a step ends with an AverageD member at
+    a kink or near a product state, then conjugate-gradient directions,
+    restarted at steepest descent every cycle) until the gradient norm
+    falls below tol, a line search fails, or the cycle cap is hit; the
+    objective trace does not increase beyond rounding.  Every
     AverageD(m, n) runs the D(1, 2) search, and its trace and start
     values are multiplied here by mn / 2 (exactly 1.0 at (1, 2)).  A
     result is always returned; a winning start that did not converge is
-    reported with converged=False rather than raised.  The value is
-    recomputed from the winning decomposition's members by
-    ``average_objective``.
+    reported with converged=False rather than raised; a LAPACK failure
+    inside the search raises ConvergenceFailure.  The value is recomputed
+    from the winning decomposition's members by ``average_objective``.
     """
     rho = problem.target
     N = rho.dim
@@ -240,7 +242,8 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
             else:
                 iso = haar_isometry(t, r, generator(problem.seed, t, k))
             scored = descent.evaluations
-            Q, trace, converged, kinks = search(descent, iso, problem.tol, problem.max_sweeps)
+            with lapack_errors():
+                Q, trace, converged, kinks = search(descent, iso, problem.tol, problem.max_sweeps)
             trace = [scale * F for F in trace]
             starts.append(RoofStart(t, k, trace[-1], len(trace) - 1, converged, kinks,
                                     descent.evaluations - scored))

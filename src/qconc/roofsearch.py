@@ -14,23 +14,25 @@ Riemannian gradient is Omega = B - B^H with
 B = E Q^H, where row k of E = conj(G) V^T is member k's Euclidean
 gradient with respect to conj(Q_k).
 
-The direction rule is the one thing that depends on the objective
-(``Descent.quasi_newton``).  E is smooth, and its search takes BFGS
-directions (Riemannian BFGS in the Lie-algebra coordinates, Huang,
-Gallivan and Absil, SIAM J. Optim. 25, 1660, 2015): with w the
-coordinates of Omega in the orthonormal ``_skew_basis``, in its element
-order (``_coordinates`` and ``_from_coordinates`` are products with the
-basis reshaped to t^2 x t^2, the same maps the kink rule and the snap use),
-the gradient in the coordinates x of exp(-X) Q is g = -w / 2, the step is
-p = -Hinv g with a first guess eta = 1, and after it ``_bfgs_update``
-takes s = eta p and y = g_new - g when s . y > 0.  Hinv starts empty at
-each start, and is emptied again by an accepted probe rotation or a
-failed line search, which is retried along Omega from a scan; while it
-is empty the step follows Omega.  D has kinks at product members, where
-BFGS takes more evaluations than CG; D searches take Polak-Ribiere+
-conjugate-gradient directions, restarted at Omega every 2tr - r^2
-iterations.  Everything else (line search, first-step scan, probe, snap,
-kink rule, stopping test and iteration cap) is shared.
+The direction rule depends on the state of the start, not on the
+objective.  Every start takes BFGS directions first (Riemannian BFGS in
+the Lie-algebra coordinates, Huang, Gallivan and Absil, SIAM J. Optim.
+25, 1660, 2015): with w the coordinates of Omega in the orthonormal
+``_skew_basis``, in its element order (``_coordinates`` and
+``_from_coordinates`` are products with the basis reshaped to t^2 x t^2,
+the same maps the kink rule and the snap use), the gradient in the
+coordinates x of exp(-X) Q is g = -w / 2, the step is p = -Hinv g with a
+first guess eta = 1, and after it ``_bfgs_update`` takes s = eta p and
+y = g_new - g when s . y > 0.  Hinv starts empty at each start, and is
+emptied again by an accepted probe rotation or a failed line search,
+which is retried along Omega from a scan; while it is empty the step
+follows Omega.  D has kinks at product members, where BFGS can take
+twenty times the evaluations of CG.  So the first step that ends (after
+its snap) with a member at a kink or loose drops Hinv, and the start
+takes Polak-Ribiere+ conjugate-gradient directions from then on,
+restarted at Omega every 2tr - r^2 iterations.  E has no kinks, and its
+starts stay BFGS throughout.  Everything else (line search, first-step
+scan, probe, snap, kink rule, stopping test and iteration cap) is shared.
 
 The kernel contract (``Descent.members``): conjugated isometry rows
 conj(Q) (n, r) in; every member's value p f(psi) and its r-space gradient
@@ -196,7 +198,7 @@ def e_members(Qbar: np.ndarray, V: np.ndarray, N: int):
     return values, (2.0 * (X @ A)).reshape(len(A), -1).conj() @ V.T
 
 
-# -- the Riemannian search: BFGS on E, conjugate gradients on D --------
+# -- the Riemannian search: BFGS, conjugate gradients past a kink ------
 
 
 def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -254,22 +256,22 @@ class Descent:
 
     ``kinked`` is true for an AverageD search (any true value, such as its
     (m, n), will do) and false for AverageE.  ``__init__`` is the one place
-    that picks the kernel and the direction rule: D takes ``d12_members``,
-    its kink rule and conjugate gradients; E takes BFGS (``quasi_newton``)
-    and ``e12_members`` where ``_rank_two_support(V, N)`` holds,
-    ``e_members`` elsewhere.  The cored kernels read the ``d12_cores`` and
-    the Gram matrix V V^H built here.  ``members`` is the kernel
-    contract: conjugated isometry rows conj(Q) in, member values and
-    r-space gradients E = conj(G) V^T out.  ``values``, its one caller,
-    scores one isometry or a stack and hands the members on as a
-    ``Scored``, which the gradient and the kink rule read instead of
-    scoring them again.  ``evaluations`` counts the decompositions scored
-    so far, one per isometry that reaches the kernel.
+    that picks the kernel: D takes ``d12_members`` and its kink rule; E
+    takes ``e12_members`` where ``_rank_two_support(V, N)`` holds,
+    ``e_members`` elsewhere.  The direction rule is ``search``'s, and
+    reads only the kink and loose members that ``gradient`` reports.  The
+    cored kernels read the ``d12_cores`` and the Gram matrix V V^H built
+    here.  ``members`` is the kernel contract: conjugated isometry rows
+    conj(Q) in, member values and r-space gradients E = conj(G) V^T out.
+    ``values``, its one caller, scores one isometry or a stack and hands
+    the members on as a ``Scored``, which the gradient and the kink rule
+    read instead of scoring them again.  ``evaluations`` counts the
+    decompositions scored so far, one per isometry that reaches the
+    kernel.
     """
 
     def __init__(self, V: np.ndarray, N: int, kinked: bool):
         self.kinked = bool(kinked)
-        self.quasi_newton = not self.kinked
         if self.kinked or _rank_two_support(V, N):
             self.cores, self.gram = d12_cores(V, N), V @ V.conj().T
             self.kernel = d12_members if self.kinked else e12_members
@@ -390,12 +392,15 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> float:
 def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
     """Riemannian descent from Q; returns (Q, trace, converged, kinks).
 
-    The direction is BFGS's where ``problem.quasi_newton`` holds (E, which
-    is smooth) and Polak-Ribiere+ CG's otherwise (D, with its kinks).
     After each step, members near a product state are snapped onto it
-    when that does not raise the objective.  Every cycle, Q is replaced
-    by ``_nearest_isometry(Q)``, a move at rounding level, and keeps the
-    ``Scored`` members of the point the step reached.
+    when that does not raise the objective.  The direction is BFGS's
+    until the first step whose end point, after the snap, has a member
+    at a kink or loose (``_nonsmooth``); from that step on, Hinv is
+    dropped and the direction is Polak-Ribiere+ CG's, which takes that
+    step as a steepest-descent one and restarts at the gradient every
+    cycle.  E never reports such members and stays BFGS.  Every cycle, Q
+    is replaced by ``_nearest_isometry(Q)``, a move at rounding level, and
+    keeps the ``Scored`` members of the point the step reached.
     """
     t, r = Q.shape
     cycle = 2 * t * r - r * r
@@ -404,6 +409,7 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
     grad, kinks, _ = problem.gradient(Q, S)
     H = grad
     eta = slope = Hinv = None
+    smooth = True
     for it in range(max_cycles * cycle):
         gnorm2 = _inner(grad, grad)
         if math.sqrt(gnorm2) < tol:
@@ -415,7 +421,7 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
             H, eta, Hinv = grad, None, None
             trace.append(F)
             continue
-        if it % cycle == 0 and not problem.quasi_newton:
+        if it % cycle == 0 and not smooth:
             H = grad
         last = slope
         slope = 0.5 * _inner(H, grad)
@@ -440,7 +446,10 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
             if Fs <= F + FLAT * abs(F):
                 Q, F, S = Qs, Fs, Ss
                 new, kinks, loose = problem.gradient(Q, S)
-        if problem.quasi_newton:
+        if smooth and _nonsmooth(kinks, loose):
+            # CG takes over as if this step had followed the gradient.
+            smooth, H, Hinv = False, grad, None
+        if smooth:
             # In the coordinates of exp(-X) Q the gradient is g = -w / 2.
             w = _coordinates(new)
             Hinv = _bfgs_update(Hinv, eta * _coordinates(H), 0.5 * (_coordinates(grad) - w))
@@ -462,6 +471,11 @@ def _coordinates(A: np.ndarray) -> np.ndarray:
 def _from_coordinates(x: np.ndarray, t: int) -> np.ndarray:
     """The t x t skew-Hermitian matrix sum_i x_i B_i whose ``_coordinates`` are x."""
     return (x @ _skew_basis(t).reshape(t * t, -1)).reshape(t, t)
+
+
+def _nonsmooth(kinks: list[int], loose: list[int]) -> bool:
+    """Whether a step ended with a member at a kink or loose, which ends a start's BFGS directions."""
+    return bool(kinks or loose)
 
 
 def _bfgs_update(Hinv: np.ndarray | None, s: np.ndarray, y: np.ndarray) -> np.ndarray | None:

@@ -502,6 +502,20 @@ def test_main_lapack_failure_exits_two(monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["roof", "--objective", "D"], ["roof", "--objective", "E"], ["certify"]])
+def test_main_lapack_failure_in_the_roof_search_exits_two(monkeypatch, capsys, command):
+    """An ``eigh`` that fails inside the roof search's line search exits 2 with one error line and no traceback."""
+    from qconc import roofsearch
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(roofsearch, "_line_search", fail)
+    assert main([command[0], FORM_A_FILE, *command[1:], "--m", "1", "--n", "2", "--restarts", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Eigenvalues did not converge\n"
+
+
 def test_main_numerical_inconsistency_exits_two(monkeypatch, capsys):
     """A NumericalError that is no LAPACK failure exits 2 with one error line and no traceback."""
     def fail(psi):

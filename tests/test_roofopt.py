@@ -1,4 +1,4 @@
-"""Tests for the convex-roof optimizer: BFGS on E, Polak-Ribiere+ conjugate gradients on D."""
+"""Tests for the convex-roof optimizer: BFGS, then Polak-Ribiere+ conjugate gradients once a D start meets a kink."""
 import itertools
 import math
 
@@ -18,7 +18,7 @@ from qconc import (
     random_form_a_mixture,
 )
 from qconc.cli import load_state
-from qconc.errors import NotIsometry, OutOfRange, ProfileMismatch
+from qconc.errors import ConvergenceFailure, NotIsometry, OutOfRange, ProfileMismatch
 from qconc.mixed import (
     Decomposition,
     d_lower_bound,
@@ -424,7 +424,9 @@ def test_bfgs_e_roofs_agree_with_conjugate_gradients_in_fewer_iterations(monkeyp
 
     The five benchmark corpus mixtures take ``e12_members``, the three
     generic N = 3 rank-3 mixtures ``e_members``; both kernels' searches
-    take BFGS directions.
+    take BFGS directions.  CG is forced by making ``_nonsmooth`` read
+    every step's end as a kink, so that each start switches after its
+    first step, which follows the gradient either way.
     """
     knobs = dict(restarts=2, tol=1e-7, max_sweeps=30)
     targets = [(random_form_a_mixture(2 + k % 2, 104, k), 2 + k % 2) for k in range(5)]
@@ -433,18 +435,23 @@ def test_bfgs_e_roofs_agree_with_conjugate_gradients_in_fewer_iterations(monkeyp
     assert kernels == [e12_members] * 5 + [e_members] * 3
     problems = [RoofProblem(target=rho, objective=AverageE(), t_max=t, **knobs) for rho, t in targets]
     bfgs = [minimize_roof(problem) for problem in problems]
-    init = Descent.__init__
-
-    def conjugate_gradients(self, *args):
-        init(self, *args)
-        self.quasi_newton = False
-
-    monkeypatch.setattr(Descent, "__init__", conjugate_gradients)
+    monkeypatch.setattr(roofsearch, "_nonsmooth", lambda kinks, loose: True)
     cg = [minimize_roof(problem) for problem in problems]
     for k, (got, want) in enumerate(zip(bfgs, cg)):
         assert got.converged and want.converged, k
         assert abs(got.value - want.value) <= 1e-12, (k, got.value, want.value)
     assert sum(r.iterations for r in bfgs) < sum(r.iterations for r in cg)
+
+
+def test_a_lapack_failure_in_the_search_raises_convergence_failure(monkeypatch):
+    """A LinAlgError inside ``search`` (here the line search's ``eigh``) leaves ``minimize_roof`` as ConvergenceFailure."""
+    def fail(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(roofsearch, "_line_search", fail)
+    for objective in (AverageD(1, 2), AverageE()):
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            minimize_roof(RoofProblem(target=random_form_a_mixture(2, 104, 0), objective=objective, restarts=1))
 
 
 def test_a_failed_bfgs_line_search_retries_along_the_gradient_from_a_scan(monkeypatch):
@@ -471,26 +478,53 @@ def test_a_failed_bfgs_line_search_retries_along_the_gradient_from_a_scan(monkey
     assert converged and all(b <= a + 1e-13 * abs(a) for a, b in zip(trace, trace[1:]))
 
 
-def test_d_searches_never_update_the_inverse_hessian(monkeypatch):
-    """D(1, 2) on the corpus and D(1, 3) on a generic mixture keep CG; the E roofs beside them run BFGS."""
-    updates = []
+def test_d_starts_update_the_inverse_hessian_only_before_their_first_kink(monkeypatch):
+    """A D start makes BFGS updates until a step ends with a kink or loose member, and none after; E starts update throughout.
 
-    def counted(*args):
-        updates.append(args)
+    D(1, 2) on the corpus and D(1, 3) on a generic mixture, then the E roof
+    of that mixture.  Per start, each step's end is read as smooth or
+    kinked from the kink and loose lists of the last ``Descent.gradient``
+    call, the one after the snap; the start's events must be (smooth,
+    update) pairs, ended by at most one kinked reading.
+    """
+    starts, last = [], []
+    search, gradient, nonsmooth = roofsearch.search, Descent.gradient, roofsearch._nonsmooth
+
+    def started(*args):
+        starts.append([])
+        return search(*args)
+
+    def graded(self, Q, S):
+        last[:] = [gradient(self, Q, S)]
+        return last[0]
+
+    def read(kinks, loose):
+        assert kinks is last[0][1] and loose is last[0][2]
+        starts[-1].append("kinked" if kinks or loose else "smooth")
+        return nonsmooth(kinks, loose)
+
+    def updated(*args):
+        starts[-1].append("update")
         return _bfgs_update(*args)
 
-    monkeypatch.setattr(roofsearch, "_bfgs_update", counted)
+    monkeypatch.setattr(roofsearch, "search", started)
+    monkeypatch.setattr(Descent, "gradient", graded)
+    monkeypatch.setattr(roofsearch, "_nonsmooth", read)
+    monkeypatch.setattr(roofsearch, "_bfgs_update", updated)
     knobs = dict(restarts=2, tol=1e-7, max_sweeps=30)
     for k in range(5):
         rho = random_form_a_mixture(2 + k % 2, 104, k)
         minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=2 + k % 2, **knobs))
     rho = random_density(3, 3, 900, 0)
     minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 3), t_max=4, **knobs))
-    assert not updates
-    V = eigen_vectors_subnormalized(rho)
-    assert not Descent(V, 3, (1, 3)).quasi_newton and Descent(V, 3, None).quasi_newton
+    d_starts, starts[:] = starts[:], []
     minimize_roof(RoofProblem(target=rho, objective=AverageE(), t_max=4, **knobs))
-    assert updates
+    for events in d_starts + starts:
+        updates = events.count("update")
+        assert events in (["smooth", "update"] * updates, ["smooth", "update"] * updates + ["kinked"]), events
+    assert all(events and events[-1] == "update" for events in starts)
+    switched = [events.count("update") for events in d_starts if events[-1:] == ["kinked"]]
+    assert min(switched) == 0 < max(switched) and len(switched) < len(d_starts), (switched, len(d_starts))
 
 
 @given(rank=st.integers(1, 6), grow=st.integers(0, 2), seed=st.integers(0, 2**16))
@@ -1065,14 +1099,14 @@ def test_d12_members_scores_numpys_row_norm_of_the_minors():
 
 # Per start (t, start, iterations, evaluations, kinks), the start values and
 # the roof value of the five benchmark corpus mixtures at criterion 4's
-# settings: 955 D and 533 E evaluations, 185 D and 94 E iterations.
+# settings: 778 D and 533 E evaluations, 143 D and 94 E iterations.
 _CORPUS_RECORDS = {
     "D": (
-        ([(2, 0, 7, 44, 0), (2, 1, 6, 41, 0)], [0.592466555981393, 0.5924665559813921], 0.5924665559813923),
-        ([(3, 0, 34, 140, 0), (3, 1, 34, 138, 0)], [0.3868733436484864, 0.3868733436484888], 0.3868733436484873),
-        ([(2, 0, 5, 43, 0), (2, 1, 6, 46, 0)], [0.44016000466751226, 0.44016000466751193], 0.44016000466751165),
-        ([(3, 0, 43, 207, 1), (3, 1, 38, 211, 1)], [0.7888215972291945, 0.7888215972290237], 0.7888215979992744),
-        ([(2, 0, 7, 45, 0), (2, 1, 5, 40, 0)], [0.6809871501111722, 0.6809871501111726], 0.680987150111172),
+        ([(2, 0, 6, 34, 0), (2, 1, 6, 33, 0)], [0.5924665559813922, 0.5924665559813922], 0.5924665559813929),
+        ([(3, 0, 17, 89, 0), (3, 1, 20, 98, 0)], [0.38687334364848674, 0.38687334364848613], 0.3868733436484878),
+        ([(2, 0, 4, 31, 0), (2, 1, 5, 30, 0)], [0.44016000466751315, 0.44016000466751204], 0.44016000466751265),
+        ([(3, 0, 41, 208, 1), (3, 1, 32, 190, 1)], [0.7888215972296988, 0.7888215972290885], 0.78882159927985),
+        ([(2, 0, 7, 35, 0), (2, 1, 5, 30, 0)], [0.6809871501111726, 0.6809871501111722], 0.6809871501111724),
     ),
     "E": (
         ([(2, 0, 7, 35, 0), (2, 1, 6, 33, 0)], [0.46091294306301184, 0.46091294306301167], 0.4609129430630118),
@@ -1105,4 +1139,24 @@ def test_corpus_roofs_keep_their_search_record(objective):
             assert abs(got - want) <= 1e-15 * want, (k, got, want)
         evaluations += sum(s.evaluations for s in result.starts)
         iterations += result.iterations
-    assert (evaluations, iterations) == {"D": (955, 185), "E": (533, 94)}[objective]
+    assert (evaluations, iterations) == {"D": (778, 143), "E": (533, 94)}[objective]
+
+
+def test_generic_d12_roof_converges_at_every_start():
+    """The D(1, 2) roof of a generic N = 3 rank-4 density converges at every start, at or below its old minimum.
+
+    With CG directions from the first step, start (t = 6, start 1) ran
+    its 960 iterations without converging and ended at 0.658801966203576.
+    """
+    rho = random_density(3, 4, 900, 1)
+    result = minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), restarts=2, tol=1e-7, max_sweeps=30))
+    assert all(start.converged for start in result.starts), [(s.t, s.start, s.iterations) for s in result.starts]
+    assert result.value <= 0.658801966203576 + 1e-12, result.value
+
+
+def test_criterion_4_mixture_39_d_roof_keeps_its_minimum_in_fewer_iterations():
+    """Criterion-4 mixture 39's D roof stays within 1e-12 of its CG-only minimum, in at most 200 iterations (326 before)."""
+    rho = random_form_a_mixture(3, 104, 39)
+    result = minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=3, restarts=2, tol=1e-7, max_sweeps=30))
+    assert result.converged and abs(result.value - 0.3109793666280465) <= 1e-12, result.value
+    assert result.iterations <= 200, result.iterations
