@@ -15,8 +15,11 @@ density taken on first use (validation's, for a density read from a file).
 On a rank-deficient rho (rank r < N^2) it is the singular values of the
 r x r matrix tau_x = V[J]^H S4 conj(V[J]) over the subnormalized
 eigenvectors V (through its 4 x 4 QR core when r > 4); at full rank it comes
-from the 4 x 4 QR core of sqrt(rho)[:, J].  Eigenvalues at or below
-RANK_EPS = 1e-12 count as zero, which moves the bound by about that much.
+from the 4 x 4 QR core of sqrt(rho)[:, J].  The cores are built
+index-major: one gather F.take(J.T, axis=1) gives X = F[:, J] for all K
+indices as (r, 4, K), ``_tau_cores`` returns (r, r, K), and every product
+runs along the K indices.  Eigenvalues at or below RANK_EPS = 1e-12 count
+as zero, which moves the bound by about that much.
 
 The bound needs only each index's deficit Lambda1 - Lambda2 - Lambda3 -
 Lambda4, and for r <= 3 that is a closed form in tau's entries
@@ -291,14 +294,16 @@ def _support_table(N: int) -> np.ndarray:
 
 
 def _tau_cores(X: np.ndarray) -> np.ndarray:
-    """X S4 X^T for one (r, 4) matrix X or a stack of them; tau for X = conj(V[:, J]).
+    """X S4 X^T, index-major: X is (r, 4, ...) and the cores are (r, r, ...); tau for X = conj(V[:, J]).
 
-    Formed elementwise as A + A^T with A = x0 x1^T - x2 x3^T over the
-    columns x0 .. x3 of X, so the result is exactly symmetric.
+    The axes after the first two are index axes, such as the K indices of
+    the one gather ``F.take(J.T, axis=1)``, so every product runs along
+    them.  Formed elementwise as A + A^T with A = x0 x1^T - x2 x3^T over
+    the columns x0 .. x3 of X, so the result is exactly symmetric.
     """
-    x0, x1, x2, x3 = (X[..., i] for i in range(4))
-    A = x0[..., :, None] * x1[..., None, :] - x2[..., :, None] * x3[..., None, :]
-    return A + np.swapaxes(A, -1, -2)
+    x0, x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
+    A = x0[:, None] * x1[None] - x2[:, None] * x3[None]
+    return A + A.swapaxes(0, 1)
 
 
 def _spectra(F: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -309,12 +314,14 @@ def _spectra(F: np.ndarray, J: np.ndarray) -> np.ndarray:
     whose nonzero singular values are the spectrum (Mintert, Kus,
     Buchleitner, PRL 92, 167902).  For r <= 4 the r x r core X S4 X^T is
     tau itself (F = conj(V)); for r > 4 the QR factorization X = Q Rx leaves
-    the 4 x 4 core Rx S4 Rx^T.  Fewer than four values are padded with zeros.
+    the 4 x 4 core Rx S4 Rx^T.  X is one index-major gather (r, 4, K); the
+    batched QR and SVD take its (K, ...) transposes.  Fewer than four values
+    are padded with zeros.
     """
-    X = np.swapaxes(F.T[J], 1, 2)  # X[k] = F[:, J[k]]
-    if X.shape[1] > 4:
-        X = np.linalg.qr(X, mode="r")
-    lam = np.linalg.svd(_tau_cores(X), compute_uv=False)
+    X = F.take(J.T, axis=1)  # X[:, :, k] = F[:, J[k]]
+    if len(X) > 4:
+        X = np.linalg.qr(X.transpose(2, 0, 1), mode="r").transpose(1, 2, 0)
+    lam = np.linalg.svd(_tau_cores(X).transpose(2, 0, 1), compute_uv=False)
     if lam.shape[1] < 4:
         lam = np.concatenate([lam, np.zeros((len(lam), 4 - lam.shape[1]))], axis=1)
     return lam
@@ -330,19 +337,21 @@ def _index_deficits(F: np.ndarray, J: np.ndarray) -> np.ndarray:
     F is the (r, N^2) factor of ``_factor``.  For r <= 3 the deficit is
     sigma1 - ... - sigma_r of the core tau in the module docstring's closed
     forms, with no LAPACK call (at r = 3, none for the cores the closed
-    form resolves); at r = 2 the only cancellation,
+    form resolves), on the index-major cores of one gather, where a, b
+    and c are contiguous K-vectors at r = 2; there the only cancellation,
     f^2 - |det tau|, keeps the error at about eps ||tau||, as in an SVD.
     For r >= 4 it is ``_deficits`` of ``_spectra``.
     """
-    if len(F) == 1:
-        x = F[0, J]
-        return 2.0 * np.abs(x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3])
     if len(F) > 3:
         return _deficits(_spectra(F, J))
-    T = _tau_cores(np.swapaxes(F.T[J], 1, 2))
+    X = F.take(J.T, axis=1)
+    if len(F) == 1:
+        x = X[0]
+        return 2.0 * np.abs(x[0] * x[1] - x[2] * x[3])
+    T = _tau_cores(X)
     if len(F) == 3:
-        return _rank_three_deficits(T)
-    a, b, c = T[:, 0, 0], T[:, 0, 1], T[:, 1, 1]
+        return _rank_three_deficits(T.transpose(2, 0, 1))
+    a, b, c = T[0, 0], T[0, 1], T[1, 1]
     f = np.hypot(np.abs(a), np.abs(b))
     fg = np.abs(a.conj() * b + b.conj() * c)
     fh = np.abs(a * c - b * b)

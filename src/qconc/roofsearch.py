@@ -124,10 +124,11 @@ LN2 = math.log(2.0)
 def d12_cores(V: np.ndarray, N: int) -> np.ndarray:
     """The bound's cores C_x = V[:, J_x] S4 V[:, J_x]^T = conj(tau_x) as one (r, K r) matrix [C_1 ... C_K].
 
-    The 2x2 minor x of the row w = q V is y_x = q C_x q^T / 2.
+    The 2x2 minor x of the row w = q V is y_x = q C_x q^T / 2.  The cores
+    come index-major, (r, r, K), from one gather.
     """
-    C = _tau_cores(np.swapaxes(V.T[_support_table(N)], 1, 2))
-    return np.ascontiguousarray(np.swapaxes(C, 0, 1).reshape(len(V), -1))
+    C = _tau_cores(V.take(_support_table(N).T, axis=1))
+    return C.transpose(0, 2, 1).reshape(len(V), -1)
 
 
 def _core_minors(Qbar: np.ndarray, cores: np.ndarray):
@@ -355,7 +356,7 @@ class Descent:
         return _rotate(theta, U, U.conj().T @ Q, 1.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _skew_basis(t: int) -> np.ndarray:
     """An orthonormal real basis of the t x t skew-Hermitian matrices, (t^2, t, t), in the order of ``_coordinates``.
 
@@ -518,7 +519,7 @@ def _probe(problem: Descent, Q, F0: float):
     return Qs[j], scores[j], S.at(j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _pair_rotations(t: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """eigh of i B for each two-row element B of ``_skew_basis(t)``: the probe's rotation axes."""
     return [np.linalg.eigh(1j * B) for B in _skew_basis(t) if not B.diagonal().any()]

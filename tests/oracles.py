@@ -6,13 +6,17 @@ rho @ rho_tilde, the entanglement of formation goes through the
 binary-entropy formula, roof members are scored one at a time through
 their own Schmidt spectra, the D(1, 2) roof kernel is rebuilt on the
 members' N^2-wide rows instead of the r x r cores, the tau cores
-come from two batched matmuls with S4 instead of outer products, and the
+come from two batched matmuls with S4 instead of outer products, the
 deficits of rank-one to rank-three cores come from a batched SVD instead
-of the closed forms.
+of the closed forms, and the Lambda deficits and D(1, 2) cores are rebuilt
+index by index on the (K, r, r) stacks the package used before it built
+its cores index-major.
 """
 import math
 
 import numpy as np
+
+from qconc.mixed import _rank_three_deficits
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 YY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -93,6 +97,47 @@ def core_deficits_svd(T):
     lam = np.linalg.svd(T, compute_uv=False)
     lam = np.concatenate([lam, np.zeros((len(lam), max(0, 4 - lam.shape[1])))], axis=1)
     return lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+
+
+def tau_cores_stacked(X):
+    """X S4 X^T for a (K, r, 4) stack X, (K, r, r), by the package's old elementwise A + A^T over the last two axes."""
+    x0, x1, x2, x3 = (X[..., i] for i in range(4))
+    A = x0[..., :, None] * x1[..., None, :] - x2[..., :, None] * x3[..., None, :]
+    return A + np.swapaxes(A, -1, -2)
+
+
+def index_deficits_stacked(F, J):
+    """The Lambda deficits of ``mixed._index_deficits`` on the (K, r, 4) gather F.T[J] and (K, r, r) cores.
+
+    The same products and sums as the package, one index per stack entry:
+    |tau| at rank 1, the rank-2 Givens closed form, ``_rank_three_deficits``
+    at rank 3 and the batched SVD (after the 4 x 4 QR core above rank 4).
+    """
+    if len(F) == 1:
+        x = F[0, J]
+        return 2.0 * np.abs(x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3])
+    X = np.swapaxes(F.T[J], 1, 2)
+    if len(F) > 4:
+        X = np.linalg.qr(X, mode="r")
+    T = tau_cores_stacked(X)
+    if len(F) == 3:
+        return _rank_three_deficits(T)
+    if len(F) >= 4:
+        lam = np.linalg.svd(T, compute_uv=False)
+        return lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    a, b, c = T[:, 0, 0], T[:, 0, 1], T[:, 1, 1]
+    f = np.hypot(np.abs(a), np.abs(b))
+    fg = np.abs(a.conj() * b + b.conj() * c)
+    fh = np.abs(a * c - b * b)
+    d = np.abs(c)
+    np.divide(np.hypot(f * f - fh, fg), f, out=d, where=f > 0.0)
+    return d
+
+
+def d12_cores_stacked(V, J):
+    """The roof search's (r, K r) matrix [C_1 ... C_K] of cores C_x = V[:, J_x] S4 V[:, J_x]^T, from (K, r, r) stacks."""
+    C = tau_cores_stacked(np.swapaxes(V.T[J], 1, 2))
+    return np.ascontiguousarray(np.swapaxes(C, 0, 1).reshape(len(V), -1))
 
 
 def minor_rows(N):

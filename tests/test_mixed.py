@@ -59,6 +59,7 @@ from qconc.mixed import (
     s_matrix_raw,
 )
 from qconc.roofopt import transform_decomposition
+from qconc.roofsearch import d12_cores
 from qconc.sampling import (
     generator,
     haar_unitary,
@@ -71,7 +72,9 @@ from qconc.spectra import eof_from_spectrum, eof_of_d
 from conftest import random_density, random_separable_density
 from oracles import (
     core_deficits_svd,
+    d12_cores_stacked,
     d_bound_dense,
+    index_deficits_stacked,
     lambda_spectra_dense,
     tau_cores_matmul,
     wootters_concurrence,
@@ -366,11 +369,11 @@ def test_tau_cores_match_the_matmul_oracle_and_are_exactly_symmetric(N, rank, se
     """The elementwise A + A^T cores equal X S4 X^T by matmuls to 1e-15, at ranks 1, 2, 3 and N^2."""
     rho = random_density(N, rank or N * N, seed)
     V = eigen_vectors_subnormalized(rho)
-    X = np.swapaxes(V.T[_support_table(N)], 1, 2).conj()
+    X = V.take(_support_table(N).T, axis=1).conj()
     tau = _tau_cores(X)
-    np.testing.assert_allclose(tau, tau_cores_matmul(X), rtol=0.0, atol=1e-15)
-    assert np.array_equal(tau, np.swapaxes(tau, 1, 2))
-    np.testing.assert_array_equal(tau_matrix(rho, canonical_indices(N)[-1]), tau[-1])
+    np.testing.assert_allclose(tau.transpose(2, 0, 1), tau_cores_matmul(X.transpose(2, 0, 1)), rtol=0.0, atol=1e-15)
+    assert np.array_equal(tau, tau.swapaxes(0, 1))
+    np.testing.assert_array_equal(tau_matrix(rho, canonical_indices(N)[-1]), tau[:, :, -1])
 
 
 def test_tau_matrix_maximally_mixed_entries():
@@ -698,8 +701,20 @@ def test_closed_form_deficits_match_the_svd_of_the_same_cores(n, rank, qubit, se
     F = _factor(rho.eig)
     assert len(F) == rank
     J = _support_table(n)
-    expect = core_deficits_svd(_tau_cores(np.swapaxes(F.T[J], 1, 2)))
+    expect = core_deficits_svd(_tau_cores(F.take(J.T, axis=1)).transpose(2, 0, 1))
     np.testing.assert_allclose(_index_deficits(F, J), expect, rtol=0.0, atol=2e-15)
+
+
+@given(st.integers(2, 6), st.integers(0, 4), st.sampled_from((None, "A", "B")), st.integers(0, 2**30))
+@example(6, 2, None, 7)
+@example(6, 3, None, 7)
+def test_index_major_cores_give_the_stacked_route_bit_for_bit(n, rank, qubit, seed):
+    """``_index_deficits`` and ``d12_cores`` equal the (K, r, r) stacked route byte for byte, at ranks 1 to 4 and N^2 (0)."""
+    rho = random_density(n, rank or n * n, seed, n, qubit=qubit if rank else None)
+    F, V, J = _factor(rho.eig), eigen_vectors_subnormalized(rho), _support_table(n)
+    assert len(F) == (rank or n * n)
+    assert _index_deficits(F, J).tobytes() == index_deficits_stacked(F, J).tobytes()
+    assert d12_cores(V, n).tobytes() == d12_cores_stacked(V, J).tobytes()
 
 
 def _factor_of_cores(cores):
@@ -737,7 +752,7 @@ def test_closed_form_deficits_of_degenerate_cores():
     singles = np.array([[[0]], [[c]], [[1e-300j]]], dtype=complex)
     for cores, exact in ((pairs, [0.0, 1.0, 0.0, 0.0, 2.0, 1.0]), (singles, [0.0, 1.0, 1e-300])):
         F, J = _factor_of_cores(cores)
-        assert np.array_equal(_tau_cores(np.swapaxes(F.T[J], 1, 2)), cores)
+        assert np.array_equal(_tau_cores(F.take(J.T, axis=1)).transpose(2, 0, 1), cores)
         d = _index_deficits(F, J)
         np.testing.assert_allclose(d, core_deficits_svd(cores), rtol=0.0, atol=2e-15)
         np.testing.assert_allclose(d, exact, rtol=1e-15, atol=1e-15)
@@ -753,7 +768,7 @@ def test_rank_three_closed_form_deficits_match_the_svd_of_the_same_cores(n, kind
     F = _factor(rho.eig)
     assert len(F) == 3
     J = _support_table(n)
-    cores = _tau_cores(np.swapaxes(F.T[J], 1, 2))
+    cores = _tau_cores(F.take(J.T, axis=1)).transpose(2, 0, 1)
     tol = 2e-14 * np.linalg.svd(cores, compute_uv=False)[:, 0].max()
     np.testing.assert_allclose(_index_deficits(F, J), core_deficits_svd(cores), rtol=0.0, atol=tol)
 

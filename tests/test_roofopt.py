@@ -197,6 +197,20 @@ def test_minimize_roof_builds_the_d12_cores_once(monkeypatch):
     assert calls == {"_tau_cores": 1, "_support_table": 1}
 
 
+def test_roof_search_caches_keep_two_cardinalities():
+    """A roof over t = 2, 3, 4 leaves two bases and two rotation sets cached, and a rerun that rebuilds them finds the same roof."""
+    problem = RoofProblem(target=random_form_a_mixture(2, 104, 0), objective=AverageD(1, 2), t_max=4, restarts=1)
+    _skew_basis.cache_clear()
+    _pair_rotations.cache_clear()
+    first = minimize_roof(problem)
+    for cache in (_skew_basis, _pair_rotations):
+        assert cache.cache_info().misses == 3
+        assert cache.cache_info().currsize == 2
+    second = minimize_roof(problem)
+    assert _skew_basis.cache_info().currsize == 2
+    assert (second.value, second.trace, second.starts) == (first.value, first.trace, first.starts)
+
+
 @given(
     N=st.sampled_from([2, 3]),
     rank=st.integers(1, 6),
