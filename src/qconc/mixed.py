@@ -65,6 +65,7 @@ from .errors import (
     NumericalInconsistency,
     OutOfRange,
     UnsupportedFamily,
+    ZeroState,
 )
 from .linalg import HermitianEig, check_hermitian, check_psd, hermitian_eig, psd_root
 from .linalg import takagi as takagi_factor
@@ -162,13 +163,16 @@ class Decomposition:
     def from_rows(cls, W: np.ndarray, N: int) -> "Decomposition":
         """Ensemble of the rows of W, read as subnormalized N x N states.
 
-        Rows with squared norm at most MEMBER_DROP are dropped; weights sum to 1.
+        Rows with squared norm at most MEMBER_DROP are dropped; weights sum
+        to 1.  Raises ZeroState when no row is left, as for all-zero or NaN rows.
         """
         members = []
         for w in W:
             p = float(np.vdot(w, w).real)
             if p > MEMBER_DROP:
                 members.append((p, from_coefficients(w.reshape(N, N), renormalize=True)))
+        if not members:
+            raise ZeroState(f"no row has squared norm above {MEMBER_DROP}")
         total = math.fsum(p for p, _ in members)
         return cls(tuple((p / total, psi) for p, psi in members))
 

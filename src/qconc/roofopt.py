@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotIsometry, OutOfRange
+from .errors import NonFinite, NotIsometry, OutOfRange
 from .linalg import lapack_errors
 from .mixed import (
     DensityMatrix,
@@ -174,10 +174,16 @@ def transform_decomposition(vectors, V) -> Decomposition:
 
     Raises
     ------
+    NonFinite
+        If ``vectors`` has a NaN or infinite entry.
     NotIsometry
         If V'V deviates from the identity by more than 1e-10, or is not finite.
+    ZeroState
+        If every member is dropped (``Decomposition.from_rows``).
     """
     Vmat = np.array(vectors, dtype=complex)
+    if not np.isfinite(Vmat).all():
+        raise NonFinite("eigenvectors have NaN or infinite entries")
     A = np.asarray(V, dtype=complex)
     if A.ndim != 2 or A.shape[1] != Vmat.shape[0] or A.shape[0] < A.shape[1]:
         raise NotIsometry(f"expected t x r with t >= r = {Vmat.shape[0]}, got {A.shape}")

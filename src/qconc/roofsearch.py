@@ -18,10 +18,9 @@ The direction rule depends on the state of the start, not on the
 objective.  Every start takes BFGS directions first (Riemannian BFGS in
 the Lie-algebra coordinates, Huang, Gallivan and Absil, SIAM J. Optim.
 25, 1660, 2015): with w the coordinates of Omega in the orthonormal
-``_skew_basis``, in its element order (``_coordinates`` and
-``_from_coordinates`` are products with the basis reshaped to t^2 x t^2,
-the same maps the kink rule and the snap use), the gradient in the
-coordinates x of exp(-X) Q is g = -w / 2, the step is p = -Hinv g with a
+basis of the O(t^2) index map ``_skew_layout`` (which ``_coordinates``,
+``_from_coordinates``, the kink rule, the snap and the probe read), the
+gradient in the coordinates x of exp(-X) Q is g = -w / 2, the step is p = -Hinv g with a
 first guess eta = 1, and after it ``_bfgs_update`` takes s = eta p and
 y = g_new - g when s . y > 0.  Hinv starts empty at each start, and is
 emptied again by an accepted probe rotation or a failed line search,
@@ -334,9 +333,12 @@ class Descent:
 
         With dq = conj(dQ_k): d minors_k = dq Z_k^T and d p_k = Re(dq V V^H Q_k^T).
         """
-        basis = _skew_basis(Q.shape[0])
+        t = len(Q)
+        src, scale = (a.reshape(t, 2 * t) for a in _skew_layout(t))
         for k in members:
-            dq = (-(basis[:, k, :] @ Q)).conj()
+            R = np.zeros((t * t, 2 * t))  # the real view of row k of every B
+            R[src[k], np.arange(2 * t)] = scale[k]
+            dq = (-(R.view(complex) @ Q)).conj()
             yield dq @ Z[k].T, (dq @ (self.gram @ Q[k])).real
 
     def snap(self, Q: np.ndarray, members: list[int]) -> np.ndarray:
@@ -356,28 +358,23 @@ class Descent:
         return _rotate(theta, U, U.conj().T @ Q, 1.0)
 
 
-@lru_cache(maxsize=2)
-def _skew_basis(t: int) -> np.ndarray:
-    """An orthonormal real basis of the t x t skew-Hermitian matrices, (t^2, t, t), in the order of ``_coordinates``.
+@lru_cache
+def _skew_layout(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal real basis B_i of the t x t skew-Hermitian matrices as an index map (src, scale), 2 t^2 entries each.
 
     Over j <= l row by row: i e_jj, or (e_jl - e_lj) / sqrt 2 then i (e_jl + e_lj) / sqrt 2.
+    Float p of a row-major t x t complex matrix's real view is entry scale[p] of B_src[p].
     """
-    out = []
+    c = 1.0 / math.sqrt(2.0)
+    src, scale = np.zeros((t, t, 2), dtype=np.intp), np.zeros((t, t, 2))
     for j in range(t):
-        for l in range(j, t):
-            B = np.zeros((t, t), dtype=complex)
-            if j == l:
-                B[j, j] = 1j
-                out.append(B)
-                continue
-            B[j, l], B[l, j] = 1.0, -1.0
-            out.append(B / math.sqrt(2.0))
-            B = np.zeros((t, t), dtype=complex)
-            B[j, l] = B[l, j] = 1j
-            out.append(B / math.sqrt(2.0))
-    basis = np.array(out)
-    basis.flags.writeable = False
-    return basis
+        i = j * (2 * t - j)  # i e_jj follows the j (2t - j) elements of rows 0 .. j - 1
+        src[j, j], scale[j, j, 1] = i, 1.0
+        for l in range(j + 1, t):
+            src[j, l] = src[l, j] = i + 2 * (l - j) - 1, i + 2 * (l - j)
+            scale[j, l], scale[l, j] = (c, c), (-c, c)
+    src.flags.writeable = scale.flags.writeable = False
+    return src.reshape(-1), scale.reshape(-1)
 
 
 def _nearest_isometry(Q: np.ndarray) -> np.ndarray:
@@ -464,14 +461,16 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
 
 
 def _coordinates(A: np.ndarray) -> np.ndarray:
-    """The real coordinates x_i = Re <B_i, A> of a skew-Hermitian A in the orthonormal ``_skew_basis`` B."""
-    t = len(A)
-    return (_skew_basis(t).reshape(t * t, -1).conj() @ A.ravel()).real
+    """The real coordinates x_i = Re <B_i, A> of a skew-Hermitian A in the orthonormal basis B of ``_skew_layout``."""
+    src, scale = _skew_layout(len(A))
+    return np.bincount(src, A.reshape(-1).view(float) * scale, A.size)
 
 
 def _from_coordinates(x: np.ndarray, t: int) -> np.ndarray:
-    """The t x t skew-Hermitian matrix sum_i x_i B_i whose ``_coordinates`` are x."""
-    return (x @ _skew_basis(t).reshape(t * t, -1)).reshape(t, t)
+    """The t x t skew-Hermitian matrix sum_i x_i B_i whose ``_coordinates`` are x; (..., t, t) for x (..., t^2)."""
+    src, scale = _skew_layout(t)
+    # + 0.0 gives zero entries the sign of the sum over the basis, which eigh reads.
+    return (x.take(src, axis=-1) * scale + 0.0).view(complex).reshape(x.shape[:-1] + (t, t))
 
 
 def _nonsmooth(kinks: list[int], loose: list[int]) -> bool:
@@ -505,13 +504,14 @@ def _probe(problem: Descent, Q, F0: float):
     A stationary point of the gradient search can be a saddle, such as
     the eigendecomposition of a symmetric state; the rotations give it
     directions of descent that the vanishing gradient does not.  All
-    t (t - 1) (SCAN - 1) points are scored in one kernel call.
+    t (t - 1) (SCAN - 1) points are rotated and scored in one call each.
     """
-    etas = math.pi * math.sqrt(2.0) * np.arange(1, SCAN) / SCAN
-    stacks = [_rotate(theta, U, U.conj().T @ Q, etas) for theta, U in _pair_rotations(Q.shape[0])]
-    if not stacks:
+    if len(Q) == 1:
         return None
-    Qs = np.concatenate(stacks)
+    etas = math.pi * math.sqrt(2.0) * np.arange(1, SCAN) / SCAN
+    theta, U = _pair_rotations(len(Q))
+    UhQ = U.conj().transpose(0, 2, 1) @ Q
+    Qs = _rotate(theta[:, None, None], U[:, None], UhQ[:, None], etas).reshape(-1, *Q.shape)
     scores, S = problem.values(Qs)
     j = min(range(len(scores)), key=scores.__getitem__)  # ties go to the first
     if not scores[j] < F0 - FLAT * abs(F0):
@@ -519,14 +519,14 @@ def _probe(problem: Descent, Q, F0: float):
     return Qs[j], scores[j], S.at(j)
 
 
-@lru_cache(maxsize=2)
-def _pair_rotations(t: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """eigh of i B for each two-row element B of ``_skew_basis(t)``: the probe's rotation axes."""
-    return [np.linalg.eigh(1j * B) for B in _skew_basis(t) if not B.diagonal().any()]
+def _pair_rotations(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's axes: (theta, U) = eigh of i B, stacked over the t (t - 1) basis elements B off the diagonal."""
+    diagonal = _skew_layout(t)[0][1::2 * t + 2]  # i e_jj, read at the imaginary part of entry (j, j)
+    return np.linalg.eigh(1j * _from_coordinates(np.delete(np.eye(t * t), diagonal, axis=0), t))
 
 
 def _rotate(theta: np.ndarray, U: np.ndarray, UhQ: np.ndarray, eta) -> np.ndarray:
-    """exp(-eta H) Q for eigh(i H) = (theta, U) and UhQ = U^H Q: (t, r) for a float eta, (c, t, r) for a 1-D array."""
+    """exp(-eta H) Q for eigh(i H) = (theta, U), UhQ = U^H Q: (t, r) for a float eta, (c, t, r) for a 1-D array, (..., c, t, r) for stacks."""
     if isinstance(eta, np.ndarray):
         eta = eta[:, None, None]
     return (U * np.exp(1j * eta * theta)) @ UhQ

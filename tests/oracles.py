@@ -8,9 +8,10 @@ their own Schmidt spectra, the D(1, 2) roof kernel is rebuilt on the
 members' N^2-wide rows instead of the r x r cores, the tau cores
 come from two batched matmuls with S4 instead of outer products, the
 deficits of rank-one to rank-three cores come from a batched SVD instead
-of the closed forms, and the Lambda deficits and D(1, 2) cores are rebuilt
+of the closed forms, the Lambda deficits and D(1, 2) cores are rebuilt
 index by index on the (K, r, r) stacks the package used before it built
-its cores index-major.
+its cores index-major, and the roof search's skew-Hermitian basis is a
+dense array of explicit matrices instead of an index map.
 """
 import math
 
@@ -203,27 +204,38 @@ def d_bound_dense(rho, N, m, n, clamp=True):
     return m * n / 2.0 * math.sqrt(total)
 
 
-def _two_row_generators(t):
-    """(E_jl - E_lj) / sqrt(2) and i (E_jl + E_lj) / sqrt(2) for j < l, in row-major order."""
+def skew_basis(t):
+    """The roof search's orthonormal skew-Hermitian basis as a dense (t^2, t, t) array, built element by element.
+
+    Over j <= l row by row: i e_jj, or (e_jl - e_lj) / sqrt 2 then
+    i (e_jl + e_lj) / sqrt 2.  Its products with a t^2 x t^2 reshape are the
+    coordinate maps that ``roofsearch`` reads through an index map instead.
+    """
+    out = []
     for j in range(t):
-        for l in range(j + 1, t):
+        for l in range(j, t):
             B = np.zeros((t, t), dtype=complex)
+            if j == l:
+                B[j, j] = 1j
+                out.append(B)
+                continue
             B[j, l], B[l, j] = 1.0, -1.0
-            yield B / math.sqrt(2.0)
+            out.append(B / math.sqrt(2.0))
             B = np.zeros((t, t), dtype=complex)
             B[j, l] = B[l, j] = 1j
-            yield B / math.sqrt(2.0)
+            out.append(B / math.sqrt(2.0))
+    return np.array(out)
 
 
 def probe_loop(value, Q, scan):
     """(F, Q') of the lowest two-row rotation exp(-eta B) Q, scored one at a time.
 
     The roof search's probe as it was before batching: eta = pi sqrt(2) j / scan
-    for j = 1 .. scan - 1 along each generator, ``value`` called once per
+    for j = 1 .. scan - 1 along each two-row element of ``skew_basis``, ``value`` called once per
     point, and the first strict minimum kept.  None when t = 1.
     """
     best = None
-    for B in _two_row_generators(Q.shape[0]):
+    for B in [b for b in skew_basis(Q.shape[0]) if not b.diagonal().any()]:
         theta, U = np.linalg.eigh(1j * B)
         UhQ = U.conj().T @ Q
         for j in range(1, scan):

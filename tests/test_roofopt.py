@@ -1,6 +1,7 @@
 """Tests for the convex-roof optimizer: BFGS, then Polak-Ribiere+ conjugate gradients once a D start meets a kink."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qconc import (
     random_form_a_mixture,
 )
 from qconc.cli import load_state
-from qconc.errors import ConvergenceFailure, NotIsometry, OutOfRange, ProfileMismatch
+from qconc.errors import ConvergenceFailure, NonFinite, NotIsometry, OutOfRange, ProfileMismatch, ZeroState
 from qconc.mixed import (
     Decomposition,
     d_lower_bound,
@@ -37,13 +38,13 @@ from qconc.roofopt import (
 )
 from qconc import mixed, roofsearch
 from qconc.roofsearch import SCAN, Descent, _pair_rotations, _probe, _rotate, _scan, d12_cores, d12_members, search
-from qconc.roofsearch import _ball_lsq, e12_members, e_members
-from qconc.roofsearch import _bfgs_update, _coordinates, _cubic_step, _from_coordinates, _skew_basis
+from qconc.roofsearch import _ball_lsq, _core_minors, e12_members, e_members
+from qconc.roofsearch import _bfgs_update, _coordinates, _cubic_step, _from_coordinates, _skew_layout
 from qconc.sampling import generator, haar_isometry, haar_unitary, random_form_a_state, random_pure
 from qconc.spectra import eof_of_d
 
 from conftest import random_density
-from oracles import ball_lsq_projected, minors, probe_loop, roof_member, scan_loop
+from oracles import ball_lsq_projected, minors, probe_loop, roof_member, scan_loop, skew_basis
 from oracles import d12_members as oracle_d12_members
 
 BELL = from_coefficients(np.eye(2) / np.sqrt(2))
@@ -76,6 +77,22 @@ def test_transform_rejects_non_isometry():
         V[where] = bad
         with pytest.raises(NotIsometry):
             transform_decomposition(vecs, V)
+
+
+def test_transform_rejects_non_finite_and_vanishing_eigenvectors():
+    """NaN or infinite eigenvector entries raise NonFinite, and rows that all drop raise ZeroState, not an empty decomposition that averages to 0."""
+    vecs = eigen_vectors_subnormalized(random_form_a_mixture(2, 82))
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        V = vecs.astype(complex)
+        V[0, 1] = bad
+        with pytest.raises(NonFinite):
+            transform_decomposition(V, np.eye(2))
+    for scale in (0.0, 1e-8):  # squared norms 0 and below MEMBER_DROP = 1e-14
+        with pytest.raises(ZeroState):
+            transform_decomposition(scale * vecs, np.eye(2))
+    for rows in (np.zeros((2, 9)), np.full((2, 9), np.nan)):
+        with pytest.raises(ZeroState):
+            Decomposition.from_rows(rows, 3)
 
 
 def test_transform_taller_isometry_reconstructs():
@@ -197,18 +214,39 @@ def test_minimize_roof_builds_the_d12_cores_once(monkeypatch):
     assert calls == {"_tau_cores": 1, "_support_table": 1}
 
 
-def test_roof_search_caches_keep_two_cardinalities():
-    """A roof over t = 2, 3, 4 leaves two bases and two rotation sets cached, and a rerun that rebuilds them finds the same roof."""
+def test_skew_basis_maps_stay_small_and_a_rerun_finds_the_same_roof():
+    """At t = 40 the coordinate maps peak under 1 MB and one member's ``_changes`` under 2 MB; the dense basis alone was 41 MB.
+
+    ``_changes`` scatters row k of every element into one (t^2, 2t) real
+    array, 16 t^3 bytes (1.02 MB at t = 40), and takes its product with Q.
+    A t = 2..4 roof run twice gives the same value, trace and starts.
+    """
     problem = RoofProblem(target=random_form_a_mixture(2, 104, 0), objective=AverageD(1, 2), t_max=4, restarts=1)
-    _skew_basis.cache_clear()
-    _pair_rotations.cache_clear()
     first = minimize_roof(problem)
-    for cache in (_skew_basis, _pair_rotations):
-        assert cache.cache_info().misses == 3
-        assert cache.cache_info().currsize == 2
     second = minimize_roof(problem)
-    assert _skew_basis.cache_info().currsize == 2
     assert (second.value, second.trace, second.starts) == (first.value, first.trace, first.starts)
+
+    t = 40
+    V = eigen_vectors_subnormalized(problem.target)
+    descent = Descent(V, 3, True)
+    Q = haar_isometry(t, len(V), generator(113))
+    Z = _core_minors(Q.conj(), descent.cores)[1]
+    B = generator(114).standard_normal((t, t, 2)).view(complex)[..., 0]
+    A = B - B.conj().T
+    calls = [
+        (lambda: _coordinates(A), 1e6),
+        (lambda: _from_coordinates(_coordinates(A), t), 1e6),
+        (lambda: next(descent._changes(Q, Z, [t // 2])), 2e6),
+    ]
+    for i, (call, bound) in enumerate(calls):
+        _skew_layout.cache_clear()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (i, peak)
 
 
 @given(
@@ -401,19 +439,48 @@ def test_cored_e_roof_makes_no_eigh_call_in_its_kernel(eigh_calls, monkeypatch):
     assert len(eigh_calls) > 0
 
 
-@given(t=st.integers(1, 6), seed=st.integers(0, 2**16))
-def test_skew_coordinates_read_the_skew_basis(t, seed):
-    """``_from_coordinates`` maps the unit coordinate e_i onto element i of ``_skew_basis``, and ``_coordinates`` inverts it."""
-    basis = _skew_basis(t)
-    for i, e in enumerate(np.eye(t * t)):
-        assert np.array_equal(_from_coordinates(e, t), basis[i])
-        np.testing.assert_allclose(_coordinates(basis[i]), e, rtol=0.0, atol=1e-15)
-    rng = generator(112, t, seed)
-    A = rng.standard_normal((t, t)) + 1j * rng.standard_normal((t, t))
-    A -= A.conj().T
-    want = np.tensordot(basis.conj(), A, axes=([1, 2], [0, 1])).real
-    np.testing.assert_allclose(_coordinates(A), want, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(_from_coordinates(_coordinates(A), t), A, rtol=0.0, atol=1e-12)
+@given(seed=st.integers(0, 2**16), zeros=st.sampled_from([0.0, 0.3, 0.8]))
+def test_skew_coordinates_read_the_skew_basis(seed, zeros):
+    """The index map gives the dense products with ``oracles.skew_basis`` byte for byte, signed zeros included, at t = 1..9.
+
+    ``_from_coordinates`` of the unit vectors is the basis itself;
+    ``_from_coordinates`` and ``_coordinates`` equal the products with the
+    basis reshaped to t^2 x t^2 on coordinate vectors and skew-Hermitian
+    matrices with a share ``zeros`` of exact zeros (both signs in the
+    coordinates); ``Descent._changes`` equals the product of row k of every
+    dense element with Q, Q an isometry or the eigendecomposition's
+    identity; ``_pair_rotations`` equals one ``eigh`` per two-row element.
+    """
+    for t in range(1, 10):
+        basis = skew_basis(t)
+        dense = basis.reshape(t * t, -1)
+        assert _from_coordinates(np.eye(t * t), t).tobytes() == basis.tobytes()
+        rng = generator(112, t, seed)
+        x = rng.standard_normal((3, t * t))
+        x[rng.random(x.shape) < zeros] = 0.0
+        x[rng.random(x.shape) < zeros / 2] = -0.0
+        B = rng.standard_normal((t, t)) + 1j * rng.standard_normal((t, t))
+        B[rng.random((t, t)) < zeros] = 0.0
+        for xi in x:
+            assert _from_coordinates(xi, t).tobytes() == (xi @ dense).reshape(t, t).tobytes()
+        for A in (B - B.conj().T, _from_coordinates(x[0], t)):
+            assert _coordinates(A).tobytes() == (dense.conj() @ A.ravel()).real.tobytes()
+
+        thetas, Us = _pair_rotations(t)
+        want = [np.linalg.eigh(1j * b) for b in basis if not b.diagonal().any()]
+        assert len(thetas) == len(want) == t * (t - 1)
+        for theta, U, (theta_want, U_want) in zip(thetas, Us, want):
+            assert theta.tobytes() == theta_want.tobytes() and U.tobytes() == U_want.tobytes()
+
+        rho = random_form_a_mixture(min(t, 3), 104, seed)
+        V = eigen_vectors_subnormalized(rho)
+        descent = Descent(V, 3, True)
+        for Q in (np.eye(t, len(V), dtype=complex), haar_isometry(t, len(V), rng)):
+            Z = _core_minors(Q.conj(), descent.cores)[1]
+            for k, (dy, dp) in enumerate(descent._changes(Q, Z, list(range(t)))):
+                dq = (-(basis[:, k, :] @ Q)).conj()
+                assert dy.tobytes() == (dq @ Z[k].T).tobytes()
+                assert dp.tobytes() == (dq @ (descent.gram @ Q[k])).real.tobytes()
 
 
 @given(d=st.integers(1, 12), seed=st.integers(0, 2**16), start=st.booleans())
@@ -878,7 +945,7 @@ def test_batched_scores_match_one_value_call_per_candidate():
             isos = [np.eye(t, r, dtype=complex), haar_isometry(t, r, generator(108, i, t))]
             stack = np.concatenate([Q[None] for Q in isos] + [
                 _rotate(theta, U, U.conj().T @ Q, np.linspace(0.1, 4.0, 5))
-                for Q in isos for theta, U in _pair_rotations(t)])
+                for Q in isos for theta, U in zip(*_pair_rotations(t))])
             batched, _ = problem.values(stack)
             single = [problem.values(q)[0] for q in stack]
             for got, want in zip(batched, single):
