@@ -164,8 +164,11 @@ class Decomposition:
         """Ensemble of the rows of W, read as subnormalized N x N states.
 
         Rows with squared norm at most MEMBER_DROP are dropped; weights sum
-        to 1.  Raises ZeroState when no row is left, as for all-zero or NaN rows.
+        to 1.  Raises NonFinite when any row has a NaN or infinite entry, and
+        ZeroState when no row is left, as for all-zero rows.
         """
+        if not np.isfinite(W).all():
+            raise NonFinite("decomposition rows have NaN or infinite entries")
         members = []
         for w in W:
             p = float(np.vdot(w, w).real)

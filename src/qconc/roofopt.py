@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFinite, NotIsometry, OutOfRange
+from .errors import BadShape, NonFinite, NotIsometry, OutOfRange
 from .linalg import lapack_errors
 from .mixed import (
     DensityMatrix,
@@ -174,6 +174,8 @@ def transform_decomposition(vectors, V) -> Decomposition:
 
     Raises
     ------
+    BadShape
+        If ``vectors`` is not r rows of length N^2 for an integer N.
     NonFinite
         If ``vectors`` has a NaN or infinite entry.
     NotIsometry
@@ -182,6 +184,9 @@ def transform_decomposition(vectors, V) -> Decomposition:
         If every member is dropped (``Decomposition.from_rows``).
     """
     Vmat = np.array(vectors, dtype=complex)
+    N = math.isqrt(Vmat.shape[1]) if Vmat.ndim == 2 else 0
+    if Vmat.ndim != 2 or N * N != Vmat.shape[1]:
+        raise BadShape(f"expected r rows of length N^2, got shape {Vmat.shape}")
     if not np.isfinite(Vmat).all():
         raise NonFinite("eigenvectors have NaN or infinite entries")
     A = np.asarray(V, dtype=complex)
@@ -191,7 +196,6 @@ def transform_decomposition(vectors, V) -> Decomposition:
         gap = np.linalg.norm(A.conj().T @ A - np.eye(A.shape[1]))
     if not gap <= ISOMETRY_TOL:
         raise NotIsometry("columns are not orthonormal within 1e-10")
-    N = int(round(math.sqrt(Vmat.shape[1])))
     return Decomposition.from_rows(A.conj() @ Vmat, N)
 
 

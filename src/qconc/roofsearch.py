@@ -65,18 +65,18 @@ stack in one call and keeps the member values and E (``Scored``).
 The D(1, 2) sum of minor norms has kinks at product members, where the
 entanglement is smooth (its gradient vanishes there), so the kink rule
 and the snap serve ``d12_members`` alone.  A member within SNAP_TOL of a
-product state is snapped onto it by a rank-truncated Newton step
-(singular values below SNAP_RCOND of the largest dropped) when that does
-not raise the objective; at a kink (minor norm at most
-KINK_TOL * p) the search uses the minimum-norm subgradient, found by
-relaxing the member's unit minor vector to the unit ball (the group-lasso
-test), as both the stationarity test and the descent direction; both
-tests read the minor norms f / 2 of the values f the kernel returned.  A
-start's first step scans one period of its geodesic, and a converged
-point is probed along every two-row rotation, so that saddles such as
-the eigendecomposition of a symmetric state are left behind; a scan or
-a probe is one ``values`` stack, each of whose points keeps its
-``Scored`` members, so no decomposition is scored twice.
+product state is snapped onto it by a rank-truncated Newton step on its
+minors alone, its weight free (singular values below SNAP_RCOND of the
+largest dropped), when that does not raise the objective; at a kink
+(minor norm at most KINK_TOL * p) the search uses the minimum-norm
+subgradient, found by relaxing the member's unit minor vector to the unit
+ball (the group-lasso test), as both the stationarity test and the
+descent direction; both tests read the minor norms f / 2 of the values f
+the kernel returned.  A start's first step scans one period of its
+geodesic, and a converged point is probed along every two-row rotation,
+so that saddles such as the eigendecomposition of a symmetric state are
+left behind; a scan or a probe is one ``values`` stack, each of whose
+points keeps its ``Scored`` members, so no decomposition is scored twice.
 ``_rotate`` forms every exp(-eta H) Q.
 
 Imports run one way: this module imports nothing from ``roofopt``, whose
@@ -324,35 +324,31 @@ class Descent:
         # rate 2 Re<u, dy>, which is -1/2 <B, Omega>: Omega's coordinates
         # are -4 (Re dy, Im dy) (Re u, Im u).
         Z = _core_minors(Q.conj(), self.cores)[1]
-        blocks = [-4.0 * np.concatenate([dy.real, dy.imag], axis=1) for dy, _ in self._changes(Q, Z, kinks)]
+        blocks = [-4.0 * np.concatenate([dy.real, dy.imag], axis=1) for dy in self._changes(Q, Z, kinks)]
         xs = _ball_lsq(a, blocks)
         return _from_coordinates(a + sum(B @ x for B, x in zip(blocks, xs)), len(Q)), kinks, loose
 
     def _changes(self, Q: np.ndarray, Z: np.ndarray, members: list[int]):
-        """(d minors_k, d p_k) along dQ = -B Q for every basis element B, per member: (t^2, K), (t^2,).
-
-        With dq = conj(dQ_k): d minors_k = dq Z_k^T and d p_k = Re(dq V V^H Q_k^T).
-        """
+        """d minors_k (t^2, K) along dQ = -B Q for every basis element B, per member: dq Z_k^T with dq = conj(dQ_k)."""
         t = len(Q)
         src, scale = (a.reshape(t, 2 * t) for a in _skew_layout(t))
         for k in members:
             R = np.zeros((t * t, 2 * t))  # the real view of row k of every B
             R[src[k], np.arange(2 * t)] = scale[k]
-            dq = (-(R.view(complex) @ Q)).conj()
-            yield dq @ Z[k].T, (dq @ (self.gram @ Q[k])).real
+            yield (-(R.view(complex) @ Q)).conj() @ Z[k].T
 
     def snap(self, Q: np.ndarray, members: list[int]) -> np.ndarray:
         """One Newton step exp(-Omega) Q towards product states for ``members``.
 
         Omega is the minimum-norm skew-Hermitian solution of the linearized
-        equations minors_k + d minors_k = 0 and d p_k = 0 under dQ = -Omega Q,
-        so each member turns towards a product state instead of shrinking.
-        The solve drops singular values below SNAP_RCOND times the largest.
+        equations minors_k + d minors_k = 0 under dQ = -Omega Q; each member's
+        weight is free, so it moves onto a product state in the support,
+        whatever that state's weight.  The solve drops singular values below
+        SNAP_RCOND times the largest.
         """
         y, Z = _core_minors(Q.conj(), self.cores)
-        rows = [np.concatenate([dy.real, dy.imag, dp[:, None]], axis=1).T
-                for dy, dp in self._changes(Q, Z, members)]
-        rhs = [np.concatenate([-yk.real, -yk.imag, [0.0]]) for yk in y[members]]
+        rows = [np.concatenate([dy.real, dy.imag], axis=1).T for dy in self._changes(Q, Z, members)]
+        rhs = [np.concatenate([-yk.real, -yk.imag]) for yk in y[members]]
         coef = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=SNAP_RCOND)[0]
         theta, U = np.linalg.eigh(1j * _from_coordinates(coef, len(Q)))
         return _rotate(theta, U, U.conj().T @ Q, 1.0)
