@@ -164,9 +164,13 @@ class Decomposition:
         """Ensemble of the rows of W, read as subnormalized N x N states.
 
         Rows with squared norm at most MEMBER_DROP are dropped; weights sum
-        to 1.  Raises NonFinite when any row has a NaN or infinite entry, and
-        ZeroState when no row is left, as for all-zero rows.
+        to 1.  Raises BadShape unless W is 2-D with rows of length N^2,
+        NonFinite when any row has a NaN or infinite entry, and ZeroState
+        when no row is left, as for all-zero rows.
         """
+        W = np.asarray(W)
+        if W.ndim != 2 or W.shape[1] != N * N:
+            raise BadShape(f"expected rows of length N^2 = {N * N}, got shape {W.shape}")
         if not np.isfinite(W).all():
             raise NonFinite("decomposition rows have NaN or infinite entries")
         members = []

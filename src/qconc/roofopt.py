@@ -6,8 +6,8 @@ eigenvectors: |w_k> = sum_l conj(Q_kl) |v_l>.  ``minimize_roof`` searches
 these isometries from several starts (the Riemannian search of
 ``roofsearch``: BFGS, conjugate gradients past a D kink) and recomputes the
 winner's value through ``average_objective`` from the member states.
-Average D is the 2x2-minor form that the closed-form bound bounds, on
-every support.
+Average D is the closed-form bound's own 2x2-minor form on every support,
+in the search and in the reported value alike.
 This is an independent numeric check of the closed-form lower bounds; it
 never certifies global optimality.
 """
@@ -24,6 +24,9 @@ from .linalg import lapack_errors
 from .mixed import (
     DensityMatrix,
     Decomposition,
+    _index_deficits,
+    _support_table,
+    bound_from_deficits,
     check_profile,
     d_lower_bound,
     eigen_vectors_subnormalized,
@@ -45,16 +48,16 @@ class AverageD:
     """Decomposition-averaged generalized concurrence D(m, n) in its 2x2-minor form.
 
     Each member psi_k scores (mn / 2) 2 ||2x2 minors of psi_k||
-    = (mn / sqrt 2) sqrt(I0^2 - I1) = mn sqrt(e2(lambda)), with e2 the
-    second elementary symmetric function of its Schmidt spectrum, on any
-    support.  This is the quantity whose decomposition average the
-    closed-form bound (mn / 2) sqrt(sum of squared deficits) bounds
-    (the Takagi step of Mintert, Kus and Buchleitner, PRL 92, 167902,
-    2004); at (1, 2) it is the I-concurrence of Rungta et al. (PRA 64,
-    042315, 2001).  It equals the spectral ``generalized_concurrence_D``
-    exactly where every member meets ``psi_condition_iii``, so at (1, 2)
-    on Schmidt rank <= 2.  m >= 1 is the multiplicity and n >= 2 the
-    number of distinct values; anything else raises OutOfRange.
+    = mn sqrt(e2(lambda)), e2 the second elementary symmetric function of
+    its Schmidt spectrum: the closed-form bound (mn / 2) sqrt(sum of squared
+    deficits) of that pure member, as ``average_objective`` reads it, so a
+    product member scores 0 up to rounding; the bound bounds its average
+    (the Takagi step of Mintert, Kus and Buchleitner, PRL 92, 167902, 2004).
+    At (1, 2) it is the I-concurrence of Rungta et al. (PRA 64, 042315,
+    2001).  It equals the spectral ``generalized_concurrence_D`` exactly
+    where every member meets ``psi_condition_iii``, so at (1, 2) on Schmidt
+    rank <= 2.  m >= 1 is the multiplicity and n >= 2 the number of
+    distinct values; anything else raises OutOfRange.
     """
 
     m: int
@@ -80,11 +83,9 @@ class RoofProblem:
     (the real dimension of the t x r isometries).  A start keeps its BFGS
     inverse Hessian across cycles; an AverageD start that has met a kink
     takes conjugate-gradient directions, which restart at steepest descent
-    after each cycle.  Every AverageD(m, n) runs the one
-    D(1, 2) minor-form search, whose values ``minimize_roof`` scales by
-    mn / 2.  restarts or max_sweeps below 1, a negative seed, a tol that is
-    not positive and finite, an AverageD profile with m n > N and an
-    objective other than AverageE or AverageD raise OutOfRange.
+    after each cycle.  restarts or max_sweeps below 1, a negative seed, a
+    tol that is not positive and finite, an AverageD profile with m n > N
+    and an objective other than AverageE or AverageD raise OutOfRange.
     """
 
     target: DensityMatrix
@@ -148,22 +149,6 @@ class RoofResult:
     starts: tuple[RoofStart, ...] = field(repr=False, default=())
 
 
-def _pure_measure(objective):
-    """The objective's value of a normalized descending Schmidt spectrum; the kernels that ``roofsearch.Descent`` picks are its batched twins.
-
-    AverageD(m, n) reads mn sqrt(e2(lambda)), e2 = sum_{i<j} lambda_i
-    lambda_j summed as sum_j lambda_j (lambda_1 + ... + lambda_{j-1}), which
-    on a rank-two spectrum is 2 sqrt(lambda_1 lambda_2) up to the rounding
-    of the zero values.
-    """
-    if isinstance(objective, AverageE):
-        return entropy_bits
-    if isinstance(objective, AverageD):
-        mn = objective.m * objective.n
-        return lambda lam: mn * math.sqrt(float(lam[1:] @ np.cumsum(lam[:-1])))
-    raise OutOfRange(f"unknown objective {objective!r}")
-
-
 def transform_decomposition(vectors, V) -> Decomposition:
     """Decomposition |w_k> = sum_l conj(V_kl) |v_l> from eigenvectors.
 
@@ -203,11 +188,21 @@ def average_objective(decomposition: Decomposition, objective) -> float:
     """Weighted average sum_a p_a f(psi_a) of the objective's pure measure.
 
     f is the entropy of the Schmidt spectrum for AverageE and, for
-    AverageD(m, n), the minor form mn sqrt(e2) of the Schmidt spectrum
-    (``AverageD``), which is 0 for a product state.
+    AverageD(m, n), the pure member's closed-form bound (mn / 2) 2 ||2x2
+    minors|| (``AverageD``), so a product member reads 0 up to rounding.  A
+    member whose N cannot have the (m, n) profile raises OutOfRange.
     """
-    f = _pure_measure(objective)
-    return float(math.fsum(p * f(schmidt_spectrum(psi)) for p, psi in decomposition.members))
+    members = decomposition.members
+    if isinstance(objective, AverageE):
+        return float(math.fsum(p * entropy_bits(schmidt_spectrum(psi)) for p, psi in members))
+    if not isinstance(objective, AverageD):
+        raise OutOfRange(f"unknown objective {objective!r}")
+    m, n = objective.m, objective.n
+    scores = []
+    for p, psi in members:
+        check_profile(m, n, psi.dim)
+        scores.append(p * bound_from_deficits(_index_deficits(psi.vector()[None], _support_table(psi.dim)), m, n, clamp=False))
+    return float(math.fsum(scores))
 
 
 def minimize_roof(problem: RoofProblem) -> RoofResult:
@@ -226,8 +221,9 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
     values are multiplied here by mn / 2 (exactly 1.0 at (1, 2)).  A
     result is always returned; a winning start that did not converge is
     reported with converged=False rather than raised; a LAPACK failure
-    inside the search raises ConvergenceFailure.  The value is recomputed
-    from the winning decomposition's members by ``average_objective``.
+    inside the search raises ConvergenceFailure.  The value is the winning
+    members' ``average_objective``: for D the search's own minor formula,
+    so trace[-1] up to rounding.
     """
     rho = problem.target
     N = rho.dim

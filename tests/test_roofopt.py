@@ -108,6 +108,13 @@ def test_from_rows_rejects_any_non_finite_row():
             Decomposition.from_rows(rows, 3)
 
 
+def test_from_rows_rejects_rows_that_are_not_n_squared_long():
+    """Rows that are not N^2 long and a W that is not 2-D raise BadShape, not numpy's reshape error."""
+    for W, N in ((np.ones((2, 8)), 3), (np.ones((2, 9)), 2), (np.ones(9), 3), (np.ones((1, 9, 1)), 3)):
+        with pytest.raises(BadShape):
+            Decomposition.from_rows(W, N)
+
+
 def test_transform_rejects_rows_that_are_not_n_squared_long():
     """Rows of length 8 or 3, which are no N^2, and a 1-D vector raise BadShape, not numpy's reshape or index error."""
     for shape in ((2, 8), (2, 3)):
@@ -167,6 +174,34 @@ def test_average_objective_scores_a_generic_state_by_its_invariants():
     assert average_objective(dec, AverageD(1, 2)) == pytest.approx(math.sqrt(2.0 * (1.0 - i1)), abs=1e-12)
     with pytest.raises(OutOfRange):
         average_objective(dec, "not-an-objective")
+
+
+@given(N=st.integers(2, 5), schmidt_rank=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_average_d_of_one_pure_member_is_mn_sqrt_e2(N, schmidt_rank, seed):
+    """One member's AverageD(m, n) is mn sqrt(e2(lambda)) within 1e-12, for every (m, n) with mn <= N.
+
+    e2 is summed here over the squared singular values of the member's
+    coefficient matrix, which has Schmidt rank at most ``schmidt_rank``.
+    """
+    rng = generator(seed)
+    k = min(schmidt_rank, N)
+    left, right = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in ((N, k), (k, N)))
+    psi = from_coefficients(left @ right, renormalize=True)
+    lam = np.linalg.svd(psi.coeffs, compute_uv=False) ** 2
+    e2 = math.fsum(lam[i] * lam[j] for i in range(N) for j in range(i + 1, N))
+    one = Decomposition(((1.0, psi),))
+    for m in range(1, N // 2 + 1):
+        for n in range(2, N // m + 1):
+            assert abs(average_objective(one, AverageD(m, n)) - m * n * math.sqrt(e2)) <= 1e-12, (m, n)
+
+
+def test_average_d_rejects_a_profile_the_members_cannot_have():
+    """AverageD(m, n) with mn > N on the members raises OutOfRange, as RoofProblem does, instead of a value."""
+    bell = Decomposition(((1.0, BELL),))
+    assert average_objective(bell, AverageD(1, 2)) == pytest.approx(1.0, abs=1e-15)
+    for objective in (AverageD(1, 3), AverageD(2, 2)):
+        with pytest.raises(OutOfRange):
+            average_objective(bell, objective)
 
 
 def test_roof_problem_validation():
@@ -797,6 +832,34 @@ def test_roof_results_equal_average_objective_bit_for_bit():
             assert result.value == average_objective(result.decomposition, objective)
 
 
+def test_d_roof_value_is_its_search_minimum():
+    """The reported D(1, 2) roof is the winning start's last search value within 1e-14.
+
+    The search and ``average_objective`` read D from the same 2x2 minors:
+    on the benchmark corpus at criterion 4's settings and on two density
+    fixtures at RoofProblem's defaults.
+    """
+    cases = [
+        (random_form_a_mixture(2 + k % 2, 104, k), dict(t_max=2 + k % 2, restarts=2, tol=1e-7, max_sweeps=30))
+        for k in range(5)
+    ]
+    cases += [(load_state(f"fixtures/{name}.json"), {}) for name in ("form_a_mix", "werner_p05")]
+    for i, (rho, search) in enumerate(cases):
+        result = minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), **search))
+        assert abs(result.value - result.trace[-1]) <= 1e-14, (i, result.value, result.trace[-1])
+
+
+def test_snapped_product_member_of_corpus_mixture_3_reads_zero():
+    """Corpus mixture 3's D roof ends at a kink; its product member (p = 0.09) scores D <= 1e-14."""
+    result = minimize_roof(RoofProblem(
+        target=random_form_a_mixture(3, 104, 3), objective=AverageD(1, 2), t_max=3, restarts=2, tol=1e-7, max_sweeps=30,
+    ))
+    assert any(s.kinks for s in result.starts)
+    scores = [(average_objective(Decomposition(((1.0, psi),)), AverageD(1, 2)), p) for p, psi in result.decomposition.members]
+    d, p = min(scores)
+    assert p > 0.05 and d <= 1e-14, (p, d)
+
+
 def _densities():
     """The benchmark's roof corpus (criterion 4's mixtures 0..4) and the three fixtures."""
     out = [random_form_a_mixture(2 + k % 2, 104, k) for k in range(5)]
@@ -1027,12 +1090,12 @@ def test_batched_scan_and_probe_pick_the_loop_winner():
 
 
 def test_bench_corpus_roofs_converge_at_the_criterion_settings():
-    """The corpus roofs converge, and each D value is the two-value oracle sum_k p_k 2 sqrt(lambda_1 lambda_2) within 1e-12.
+    """The corpus roofs converge, and each D value is the minor oracle sum_k p_k 2 ||minors of psi_k|| within 1e-12.
 
-    The benchmark checks each D roof against that oracle within 1e-9, on
-    the members' unit coefficient matrices; so does this test, since a
-    product member's lambda_2 is rounding of order 1e-17 and any other
-    normalization of the same member moves its D by up to about 1e-8 p.
+    The oracle gathers every 2x2 minor of the members' unit coefficient
+    matrices explicitly (``oracles.minors``), so a product member reads 0
+    up to rounding on any normalization, where a Schmidt spectrum's
+    lambda_2 is rounding of order 1e-17 and its D reads up to about 1e-8 p.
     """
     for k in range(5):
         rank = 2 + k % 2
@@ -1043,7 +1106,9 @@ def test_bench_corpus_roofs_converge_at_the_criterion_settings():
             )
             assert result.converged, (k, objective)
             if isinstance(objective, AverageD):
-                oracle = math.fsum(p * roof_member(psi.vector(), 3, 2) for p, psi in result.decomposition.members)
+                oracle = math.fsum(
+                    p * 2.0 * np.linalg.norm(minors(psi.vector()[None], 3)) for p, psi in result.decomposition.members
+                )
                 assert abs(result.value - oracle) <= 1e-12, (k, result.value, oracle)
 
 
@@ -1083,9 +1148,10 @@ def test_cubic_step_gives_numpy_scalars_the_arithmetic_of_floats():
 
 
 # D(1, 2) roofs of the five benchmark corpus mixtures at criterion 4's
-# settings, as the search found them before its cubic steps were clipped.
+# settings, as the search found them before its cubic steps were clipped;
+# mixture 3's decomposition read through its members' 2x2 minors.
 _CORPUS_D_BEFORE_CLIPPING = (
-    0.5924665559813924, 0.3868733436484886, 0.4401600046675125, 0.7888215985726096, 0.6809871501111724,
+    0.5924665559813924, 0.3868733436484886, 0.4401600046675125, 0.788821597229019, 0.6809871501111724,
 )
 
 
@@ -1231,9 +1297,9 @@ def test_d12_members_scores_numpys_row_norm_of_the_minors():
 _CORPUS_RECORDS = {
     "D": (
         ([(2, 0, 6, 34, 0), (2, 1, 6, 33, 0)], [0.5924665559813922, 0.5924665559813922], 0.5924665559813929),
-        ([(3, 0, 17, 89, 0), (3, 1, 20, 98, 0)], [0.38687334364848674, 0.38687334364848613], 0.3868733436484878),
+        ([(3, 0, 17, 89, 0), (3, 1, 20, 98, 0)], [0.38687334364848674, 0.38687334364848613], 0.38687334364848586),
         ([(2, 0, 4, 31, 0), (2, 1, 5, 30, 0)], [0.44016000466751315, 0.44016000466751204], 0.44016000466751265),
-        ([(3, 0, 30, 159, 1), (3, 1, 27, 161, 1)], [0.7888215972290131, 0.7888215972290185], 0.7888215977966885),
+        ([(3, 0, 30, 159, 1), (3, 1, 27, 161, 1)], [0.7888215972290131, 0.7888215972290185], 0.7888215972290132),
         ([(2, 0, 7, 35, 0), (2, 1, 5, 30, 0)], [0.6809871501111726, 0.6809871501111722], 0.6809871501111724),
     ),
     "E": (
