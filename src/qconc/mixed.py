@@ -10,12 +10,15 @@ exceeds four) control how small the decomposition average of that minor can
 be made, and combining all canonical indices yields a closed-form lower
 bound on the decomposition-averaged generalized concurrence D.
 
-Every spectrum comes from ``DensityMatrix.eig``, one eigendecomposition per
-density taken on first use (validation's, for a density read from a file).
-On a rank-deficient rho (rank r < N^2) it is the singular values of the
-r x r matrix tau_x = V[J]^H S4 conj(V[J]) over the subnormalized
-eigenvectors V (through its 4 x 4 QR core when r > 4); at full rank it comes
-from the 4 x 4 QR core of sqrt(rho)[:, J].  The cores are built
+A density owns one eigendecomposition, ``DensityMatrix.eig``
+(validation's, for a density read from a file), and one read-only factor
+F with F^H F = rho, ``DensityMatrix.factor``, each taken on first use and
+kept; every spectrum, deficit, tau and roof start reads them and none
+rebuilds F.  On a rank-deficient rho (rank r < N^2) F = conj(V) over the
+subnormalized eigenvector rows V, and the spectrum is the singular values
+of the r x r matrix tau_x = V[J]^H S4 conj(V[J]) (through its 4 x 4 QR
+core when r > 4); at full rank F = sqrt(rho) and the spectrum comes from
+the 4 x 4 QR core of sqrt(rho)[:, J].  The cores are built
 index-major: one gather F.take(J.T, axis=1) gives X = F[:, J] for all K
 indices as (r, 4, K), ``_tau_cores`` returns (r, r, K), and every product
 runs along the K indices.  Eigenvalues at or below RANK_EPS = 1e-12 count
@@ -87,9 +90,12 @@ class DensityMatrix:
 
     ``matrix`` is N^2 x N^2, Hermitian, positive semidefinite and unit
     trace; basis ordering follows the PureState vectorization (row-major
-    over coefficient-matrix indices).  ``eig``, its ``hermitian_eig``, is
-    taken on first use and kept, so a matrix that is not Hermitian raises
-    NotHermitian there.
+    over coefficient-matrix indices).  The density owns one ``eig``, its
+    ``hermitian_eig`` (NotHermitian there), and one read-only ``factor``,
+    the F with F^H F = rho of ``_factor`` (NotPSD there, on every access),
+    each built on first use and kept.  The densities qconc builds have a
+    read-only ``matrix``; one built directly must not be written into, or
+    ``eig`` and ``factor`` go stale.
     """
 
     dim: int
@@ -98,6 +104,12 @@ class DensityMatrix:
     @cached_property
     def eig(self) -> HermitianEig:
         return hermitian_eig(self.matrix)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        F = _factor(self.eig)
+        F.flags.writeable = False
+        return F
 
 
 @dataclass(frozen=True)
@@ -206,13 +218,19 @@ def validate_density(M, N: int) -> DensityMatrix:
         raise NonFinite("density matrix has NaN or infinite entries")
     big = max(float(np.abs(A.real).max()), float(np.abs(A.imag).max()), 1.0)
     B = check_hermitian(A / big)
-    rho = DensityMatrix(N, 0.5 * (B + B.conj().T))
+    rho = _read_only_density(N, 0.5 * (B + B.conj().T))
     check_psd(rho.eig)
     tr = sum(A.diagonal().real.tolist())
     if abs(tr - 1.0) > DENSITY_TOL:
         raise BadTrace(f"trace {tr!r} differs from 1 by more than {DENSITY_TOL}")
     # A / 1.0 is A bit for bit; a scaled density can pass only at the trace tolerance's edge.
-    return rho if big == 1.0 else DensityMatrix(N, 0.5 * (A + A.conj().T))
+    return rho if big == 1.0 else _read_only_density(N, 0.5 * (A + A.conj().T))
+
+
+def _read_only_density(N: int, M: np.ndarray) -> DensityMatrix:
+    """The DensityMatrix of a fresh array M, marked read-only so that its cached eig and factor cannot go stale."""
+    M.flags.writeable = False
+    return DensityMatrix(N, M)
 
 
 def pure_density(psi: PureState) -> DensityMatrix:
@@ -241,17 +259,22 @@ def mix_pure_states(weights, states) -> DensityMatrix:
         z = psi.vector()
         z = z / np.linalg.norm(z)
         rho += wk * np.outer(z, z.conj())
-    return DensityMatrix(dim, 0.5 * (rho + rho.conj().T))
+    return _read_only_density(dim, 0.5 * (rho + rho.conj().T))
 
 
 def eigen_vectors_subnormalized(rho: DensityMatrix) -> np.ndarray:
-    """Orthogonal eigenvectors scaled so that <v_k|v_k> = eigenvalue, as rows.
+    """Orthogonal eigenvectors scaled so that <v_k|v_k> = eigenvalue, as read-only rows.
 
     Returns a C-contiguous (r, N^2) array, eigenvalues descending; only
     eigenvalues above 1e-12 contribute.  The outer-product sum of the rows
-    reconstructs rho within 1e-9.
+    reconstructs rho within 1e-9.  Below full rank the rows are
+    conj(rho.factor); at full rank, where the factor is sqrt(rho), they
+    come from rho.eig.  Eigenvalues below -1e-10 raise NotPSD.
     """
-    return _rows(rho.eig)
+    F = rho.factor
+    V = F.conj() if len(F) < F.shape[1] else _rows(rho.eig)
+    V.flags.writeable = False
+    return V
 
 
 def _rows(eig: HermitianEig) -> np.ndarray:
@@ -262,7 +285,7 @@ def _rows(eig: HermitianEig) -> np.ndarray:
 
 
 def _factor(eig: HermitianEig) -> np.ndarray:
-    """The smallest factor F with F^H F = rho that rho's eigendecomposition gives.
+    """The smallest factor F with F^H F = rho that rho's eigendecomposition gives; ``DensityMatrix.factor`` keeps it.
 
     Rank r < N^2: F = conj(V), the r x N^2 subnormalized eigenvector rows,
     so that F S F^T is tau.  Full rank: F = sqrt(rho).  Eigenvalues below
@@ -320,7 +343,7 @@ def _tau_cores(X: np.ndarray) -> np.ndarray:
 def _spectra(F: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Lambda spectra of the indices with rows J (shape (K, 4)); (K, 4), descending.
 
-    F is the (r, N^2) factor of ``_factor``.  S = P S4 P^T with P the
+    F is the (r, N^2) ``DensityMatrix.factor``.  S = P S4 P^T with P the
     N^2 x 4 selection of the rows J, so F S F^T = X S4 X^T with X = F[:, J],
     whose nonzero singular values are the spectrum (Mintert, Kus,
     Buchleitner, PRL 92, 167902).  For r <= 4 the r x r core X S4 X^T is
@@ -345,7 +368,7 @@ def _deficits(lam: np.ndarray) -> np.ndarray:
 def _index_deficits(F: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Signed deficits Lambda1 - Lambda2 - Lambda3 - Lambda4 of the indices with rows J, (K,).
 
-    F is the (r, N^2) factor of ``_factor``.  For r <= 3 the deficit is
+    F is the (r, N^2) ``DensityMatrix.factor``.  For r <= 3 the deficit is
     sigma1 - ... - sigma_r of the core tau in the module docstring's closed
     forms, with no LAPACK call (at r = 3, none for the cores the closed
     form resolves), on the index-major cores of one gather, where a, b
@@ -493,7 +516,7 @@ def lambda_spectrum(rho: DensityMatrix, idx: SIndex) -> LambdaSpectrum:
     BadIndex
         If the quadruple does not fit the density's dimension.
     """
-    lam = _spectra(_factor(rho.eig), np.array([_support(idx, rho.dim)]))
+    lam = _spectra(rho.factor, np.array([_support(idx, rho.dim)]))
     return LambdaSpectrum(tuple(float(x) for x in lam[0]))
 
 
@@ -570,7 +593,7 @@ def index_deficits(rho: DensityMatrix) -> np.ndarray:
     rank-3 cores they leave, and at N = 3) and the batched SVD of the cores
     above.
     """
-    return _index_deficits(_factor(rho.eig), _support_table(rho.dim))
+    return _index_deficits(rho.factor, _support_table(rho.dim))
 
 
 def bound_from_deficits(deficits: np.ndarray, m: int, n: int, clamp: bool = True) -> float:
@@ -620,11 +643,14 @@ def form_a_check(rho: DensityMatrix) -> bool:
     """
     if rho.dim != 3:
         raise DimensionMismatch(f"the rows-2=3 class lives at N = 3, got N = {rho.dim}")
-    return _rows_form_a(eigen_vectors_subnormalized(rho))
+    return _factor_form_a(rho.factor)
 
 
-def _rows_form_a(V: np.ndarray) -> bool:
-    for v in V:
+def _factor_form_a(F: np.ndarray) -> bool:
+    """The form-(a) test of the eigenvector rows, read from their conjugates F below rank 9; no rank-9 density passes."""
+    if len(F) == 9:
+        return False
+    for v in F:
         A = (v / np.linalg.norm(v)).reshape(3, 3)
         if np.linalg.norm(A[1] - A[2]) > FORM_A_TOL:
             return False
@@ -661,6 +687,6 @@ def example_3x3_bound(rho: DensityMatrix, clamp: bool = True) -> float:
     NotFormA
         If the support condition fails.
     """
-    if rho.dim != 3 or not _rows_form_a(_rows(rho.eig)):
+    if rho.dim != 3 or not _factor_form_a(rho.factor):
         raise NotFormA("density is not supported on the rows-2=3 subspace")
-    return float(math.sqrt(2.0) * _deficit_norm(_index_deficits(_factor(rho.eig), _FORM_A_SUPPORT), clamp))
+    return float(math.sqrt(2.0) * _deficit_norm(_index_deficits(rho.factor, _FORM_A_SUPPORT), clamp))

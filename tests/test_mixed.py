@@ -58,7 +58,7 @@ from qconc.mixed import (
     eigen_vectors_subnormalized,
     s_matrix_raw,
 )
-from qconc.roofopt import transform_decomposition
+from qconc.roofopt import AverageD, RoofProblem, minimize_roof, transform_decomposition
 from qconc.roofsearch import d12_cores
 from qconc.sampling import (
     generator,
@@ -887,21 +887,94 @@ def test_eigenvalues_near_rank_eps_move_the_bound_by_at_most_1e_11():
                     assert abs(d_lower_bound(rho, 1, 2, clamp=clamp) - expect) <= 1e-11
 
 
-def test_bound_and_spectra_eigendecompose_rho_once(eigh_calls):
-    """The three spectra of one density share its one eigendecomposition."""
-    rho = random_form_a_mixture(3, 63)
-    example_3x3_bound(rho)
-    d_lower_bound(rho, 1, 2)
-    lambda_spectrum(rho, IDX2)
-    assert eigh_calls.of(rho.matrix) == 1
+def test_bound_and_spectra_eigendecompose_rho_once(eigh_calls, monkeypatch):
+    """Bounds, spectra, tau, the form-(a) bound and a roof search share one eigendecomposition and one factor."""
+    built = []
+
+    def counting(eig):
+        built.append(eig)
+        return _factor(eig)
+
+    monkeypatch.setattr(mixed, "_factor", counting)
+    for rho in (random_form_a_mixture(3, 63), random_density(3, 9, 64)):
+        built.clear()
+        d_lower_bound(rho, 1, 2)
+        eof_lower_bound(rho, 1, 2)
+        index_deficits(rho)
+        for idx in canonical_indices(3):
+            lambda_spectrum(rho, idx)
+            tau_matrix(rho, idx)
+        optimal_index_decomposition(rho, IDX2)
+        if form_a_check(rho):
+            example_3x3_bound(rho)
+        else:
+            with pytest.raises(NotFormA):
+                example_3x3_bound(rho)
+        minimize_roof(RoofProblem(target=rho, objective=AverageD(1, 2), t_max=len(rho.factor), restarts=1, max_sweeps=1))
+        assert len(built) == 1
+        assert eigh_calls.of(rho.matrix) == 1
+
+
+def test_factor_and_eigenvector_rows_are_read_only():
+    for rho in (random_density(3, 2, 65), random_density(2, 4, 65)):
+        F, V = rho.factor, eigen_vectors_subnormalized(rho)
+        assert rho.factor is F
+        assert not F.flags.writeable and not V.flags.writeable
+        for array in (F, V):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+
+
+def test_densities_that_qconc_builds_hold_a_read_only_matrix():
+    """In-place writes fail, so the kept eig and factor cannot go stale; the caller's array stays writable."""
+    A = np.diag([1.0 + 5e-11, 0.0, 0.0, -5e-11]).astype(complex)  # validated unscaled, then stored as given
+    densities = [
+        validate_density(A, 2),
+        validate_density(pure_density(BELL).matrix, 2),
+        pure_density(BELL),
+        mix_pure_states([0.3, 0.7], [BELL, from_coefficients(np.diag([1.0, 0.0]))]),
+        random_density(3, 2, 66),
+    ]
+    for rho in densities:
+        assert not rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+    assert A.flags.writeable
+
+
+@given(st.integers(2, 6), st.sampled_from((1, 2, 3, 4, 0)), st.integers(0, 2**30))
+def test_a_reused_density_gives_a_fresh_copys_values_bit_for_bit(n, rank, seed):
+    """Bound, deficits and spectra read through a kept factor, at ranks 1 to 4 and N^2 (0)."""
+
+    def readings(rho):
+        hexes = [d_lower_bound(rho, 1, 2).hex(), d_lower_bound(rho, 1, 2, clamp=False).hex()]
+        hexes += [x.hex() for x in index_deficits(rho).tolist()]
+        hexes += [x.hex() for idx in canonical_indices(n) for x in lambda_spectrum(rho, idx).values]
+        return hexes
+
+    rho = random_density(n, rank or n * n, seed, n)
+    first = readings(rho)
+    assert readings(rho) == first
+    assert readings(DensityMatrix(n, rho.matrix.copy())) == first
 
 
 def test_bound_and_spectra_reject_negative_eigenvalues():
+    """A failed factor build is not kept, so every reader raises NotPSD on every call."""
     for w in ([0.7, 0.5, -0.1, -0.1], [0.6, 0.6, -0.2, 0.0]):
         rho = DensityMatrix(2, np.diag(w).astype(complex))
-        for call in (lambda: d_lower_bound(rho, 1, 2), lambda: lambda_spectrum(rho, IDX2)):
+        calls = (
+            lambda: rho.factor,
+            lambda: d_lower_bound(rho, 1, 2),
+            lambda: eof_lower_bound(rho, 1, 2),
+            lambda: index_deficits(rho),
+            lambda: lambda_spectrum(rho, IDX2),
+            lambda: tau_matrix(rho, IDX2),
+            lambda: eigen_vectors_subnormalized(rho),
+        )
+        for call in calls + calls:
             with pytest.raises(NotPSD):
                 call()
+        assert "factor" not in vars(rho)
 
 
 def _swap_subsystems(rho: DensityMatrix) -> DensityMatrix:
