@@ -11,14 +11,14 @@ be made, and combining all canonical indices yields a closed-form lower
 bound on the decomposition-averaged generalized concurrence D.
 
 A density owns one eigendecomposition, ``DensityMatrix.eig``
-(validation's, for a density read from a file), and one read-only factor
-F with F^H F = rho, ``DensityMatrix.factor``, each taken on first use and
-kept; every spectrum, deficit, tau and roof start reads them and none
-rebuilds F.  On a rank-deficient rho (rank r < N^2) F = conj(V) over the
-subnormalized eigenvector rows V, and the spectrum is the singular values
-of the r x r matrix tau_x = V[J]^H S4 conj(V[J]) (through its 4 x 4 QR
-core when r > 4); at full rank F = sqrt(rho) and the spectrum comes from
-the 4 x 4 QR core of sqrt(rho)[:, J].  The cores are built
+(validation's, for a density read from a file), and one factor F with
+F^H F = rho, ``DensityMatrix.factor``, each taken on first use, kept and
+read-only; every spectrum and deficit reads F and none rebuilds it.  On
+a rank-deficient rho (rank r < N^2) F = conj(V) over the subnormalized
+eigenvector rows V, and the spectrum is the singular values of the r x r
+matrix tau_x = V[J]^H S4 conj(V[J]) (through its 4 x 4 QR core when
+r > 4); at full rank F = sqrt(rho) and the spectrum comes from the 4 x 4
+QR core of sqrt(rho)[:, J].  The cores are built
 index-major: one gather F.take(J.T, axis=1) gives X = F[:, J] for all K
 indices as (r, 4, K), ``_tau_cores`` returns (r, r, K), and every product
 runs along the K indices.  Eigenvalues at or below RANK_EPS = 1e-12 count
@@ -91,9 +91,9 @@ class DensityMatrix:
     ``matrix`` is N^2 x N^2, Hermitian, positive semidefinite and unit
     trace; basis ordering follows the PureState vectorization (row-major
     over coefficient-matrix indices).  The density owns one ``eig``, its
-    ``hermitian_eig`` (NotHermitian there), and one read-only ``factor``,
-    the F with F^H F = rho of ``_factor`` (NotPSD there, on every access),
-    each built on first use and kept.  The densities qconc builds have a
+    ``hermitian_eig`` (NotHermitian there), and one ``factor``, the F with
+    F^H F = rho of ``_factor`` (NotPSD there, on every access), each built
+    on first use, kept and read-only.  The densities qconc builds have a
     read-only ``matrix``; one built directly must not be written into, or
     ``eig`` and ``factor`` go stale.
     """
@@ -103,7 +103,9 @@ class DensityMatrix:
 
     @cached_property
     def eig(self) -> HermitianEig:
-        return hermitian_eig(self.matrix)
+        eig = hermitian_eig(self.matrix)
+        eig.eigenvalues.flags.writeable = eig.eigenvectors.flags.writeable = False
+        return eig
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -166,7 +168,7 @@ class Decomposition:
     members: tuple[tuple[float, PureState], ...]
 
     def density(self) -> np.ndarray:
-        return mix_pure_states(self.weights(), [psi for _, psi in self.members]).matrix
+        return mix_pure_states(self.weights(), [psi for _, psi in self.members]).matrix.copy()
 
     def weights(self) -> np.ndarray:
         return np.array([p for p, _ in self.members])
@@ -267,12 +269,10 @@ def eigen_vectors_subnormalized(rho: DensityMatrix) -> np.ndarray:
 
     Returns a C-contiguous (r, N^2) array, eigenvalues descending; only
     eigenvalues above 1e-12 contribute.  The outer-product sum of the rows
-    reconstructs rho within 1e-9.  Below full rank the rows are
-    conj(rho.factor); at full rank, where the factor is sqrt(rho), they
-    come from rho.eig.  Eigenvalues below -1e-10 raise NotPSD.
+    reconstructs rho within 1e-9.  The rows come from ``rho.eig``, the
+    density's one eigendecomposition.  Eigenvalues below -1e-10 raise NotPSD.
     """
-    F = rho.factor
-    V = F.conj() if len(F) < F.shape[1] else _rows(rho.eig)
+    V = _rows(check_psd(rho.eig))
     V.flags.writeable = False
     return V
 

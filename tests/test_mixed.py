@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qconc import (
+    Decomposition,
     DensityMatrix,
     SIndex,
     canonical_indices,
@@ -915,14 +916,15 @@ def test_bound_and_spectra_eigendecompose_rho_once(eigh_calls, monkeypatch):
         assert eigh_calls.of(rho.matrix) == 1
 
 
-def test_factor_and_eigenvector_rows_are_read_only():
+def test_factor_eig_and_eigenvector_rows_are_read_only():
     for rho in (random_density(3, 2, 65), random_density(2, 4, 65)):
         F, V = rho.factor, eigen_vectors_subnormalized(rho)
+        w, U = rho.eig
         assert rho.factor is F
-        assert not F.flags.writeable and not V.flags.writeable
-        for array in (F, V):
+        for array in (F, V, w, U):
+            assert not array.flags.writeable
             with pytest.raises(ValueError):
-                array[0, 0] = 0.0
+                array[0] = 0.0
 
 
 def test_densities_that_qconc_builds_hold_a_read_only_matrix():
@@ -940,6 +942,7 @@ def test_densities_that_qconc_builds_hold_a_read_only_matrix():
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
     assert A.flags.writeable
+    assert Decomposition(((1.0, BELL),)).density().flags.writeable
 
 
 @given(st.integers(2, 6), st.sampled_from((1, 2, 3, 4, 0)), st.integers(0, 2**30))
