@@ -147,8 +147,8 @@ def _build_parser() -> _Parser:
     search = argparse.ArgumentParser(
         add_help=False, parents=[common, profile], argument_default=argparse.SUPPRESS
     )
-    search.add_argument("--restarts", type=int)
-    search.add_argument("--seed", type=int)
+    search.add_argument("--restarts", type=int, help="search starts per cardinality, each a random (Haar) isometry")
+    search.add_argument("--seed", type=int, help="seed of the random starts; one seed gives one result, bit for bit")
     search.add_argument("--t-max", type=int, dest="t_max")
     search.add_argument("--tol", type=float, help="converged once the Riemannian gradient norm is below this")
     search.add_argument("--max-sweeps", type=int, dest="max_sweeps",

@@ -76,7 +76,8 @@ class RoofProblem:
     rank-r target ``minimize_roof`` takes r <= t_max <= max(r^2, r + 2), as
     r^2 members reach any convex roof on a rank-r support (Uhlmann's
     Caratheodory bound).  restarts counts optimization starts per
-    cardinality, the first being the eigendecomposition itself.  tol is the
+    cardinality, each a Haar draw from ``generator(seed, t, k)``, so a
+    result depends on the seed, at restarts=1 too.  tol is the
     threshold on the Frobenius norm of the Riemannian gradient (at kinks,
     the minimum-norm subgradient) below which a start has converged.
     max_sweeps caps the cycles of a start; a cycle is 2tr - r^2 iterations
@@ -115,8 +116,8 @@ class RoofStart:
     """One start of the search: its cardinality t, start index and outcome.
 
     ``kinks`` counts the members at a D(1, 2) kink at the end of the start;
-    ``evaluations`` counts the decompositions the start scored, each point
-    of a batched scan or probe once.
+    ``iterations`` counts its line-search steps and ``evaluations`` the
+    decompositions it scored, each point of its first-step scan once.
     """
 
     t: int
@@ -133,7 +134,7 @@ class RoofResult:
     """Best decomposition found, its objective value, and search metadata.
 
     ``iterations`` counts search iterations summed over every start (an
-    iteration is one line-search step, or one accepted rotation probe);
+    iteration is one line-search step);
     ``trace`` holds the search's objective value before the first and
     after every iteration of the winning start, nonincreasing up to the
     objective's rounding (``roofsearch.FLAT`` relative); ``converged``
@@ -208,10 +209,10 @@ def average_objective(decomposition: Decomposition, objective) -> float:
 def minimize_roof(problem: RoofProblem) -> RoofResult:
     """Best decomposition over cardinalities rank..t_max and all restarts.
 
-    Start 0 at each cardinality is the eigendecomposition (identity
-    isometry); later starts use ``sampling.haar_isometry`` drawn from
+    Every start is ``sampling.haar_isometry`` drawn from
     ``generator(seed, cardinality, start)``, so results are reproducible
-    bit for bit and independent of evaluation order.  Each start runs the
+    bit for bit and independent of evaluation order; no start is the
+    eigendecomposition, a saddle of symmetric states.  Each start runs the
     search (BFGS directions until a step ends with an AverageD member at
     a kink or near a product state, then conjugate-gradient directions,
     restarted at steepest descent every cycle) until the gradient norm
@@ -243,10 +244,7 @@ def minimize_roof(problem: RoofProblem) -> RoofResult:
     starts = []
     for t in range(r, t_hi + 1):
         for k in range(problem.restarts):
-            if k == 0:
-                iso = np.eye(t, r, dtype=complex)
-            else:
-                iso = haar_isometry(t, r, generator(problem.seed, t, k))
+            iso = haar_isometry(t, r, generator(problem.seed, t, k))
             scored = descent.evaluations
             with lapack_errors():
                 Q, trace, converged, kinks = search(descent, iso, problem.tol, problem.max_sweeps)

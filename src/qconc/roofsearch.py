@@ -19,19 +19,18 @@ objective.  Every start takes BFGS directions first (Riemannian BFGS in
 the Lie-algebra coordinates, Huang, Gallivan and Absil, SIAM J. Optim.
 25, 1660, 2015): with w the coordinates of Omega in the orthonormal
 basis of the O(t^2) index map ``_skew_layout`` (which ``_coordinates``,
-``_from_coordinates``, the kink rule, the snap and the probe read), the
+``_from_coordinates``, the kink rule and the snap read), the
 gradient in the coordinates x of exp(-X) Q is g = -w / 2, the step is p = -Hinv g with a
 first guess eta = 1, and after it ``_bfgs_update`` takes s = eta p and
 y = g_new - g when s . y > 0.  Hinv starts empty at each start, and is
-emptied again by an accepted probe rotation or a failed line search,
-which is retried along Omega from a scan; while it is empty the step
-follows Omega.  D has kinks at product members, where BFGS can take
+emptied again by a failed line search, which is retried along Omega
+from a scan; while it is empty the step follows Omega.  D has kinks at product members, where BFGS can take
 twenty times the evaluations of CG.  So the first step that ends (after
 its snap) with a member at a kink or loose drops Hinv, and the start
 takes Polak-Ribiere+ conjugate-gradient directions from then on,
 restarted at Omega every 2tr - r^2 iterations.  E has no kinks, and its
 starts stay BFGS throughout.  Everything else (line search, first-step
-scan, probe, snap, kink rule, stopping test and iteration cap) is shared.
+scan, snap, kink rule, stopping test and iteration cap) is shared.
 
 The kernel contract (``Descent.members``): conjugated isometry rows
 conj(Q) (n, r) in; every member's value p f(psi) and its r-space gradient
@@ -73,11 +72,12 @@ subgradient, found by relaxing the member's unit minor vector to the unit
 ball (the group-lasso test), as both the stationarity test and the
 descent direction; both tests read the minor norms f / 2 of the values f
 the kernel returned.  A start's first step scans one period of its
-geodesic, and a converged point is probed along every two-row rotation,
-so that saddles such as the eigendecomposition of a symmetric state are
-left behind; a scan or a probe is one ``values`` stack, each of whose
-points keeps its ``Scored`` members, so no decomposition is scored twice.
-``_rotate`` forms every exp(-eta H) Q.
+geodesic as one ``values`` stack, each of whose points keeps its
+``Scored`` members, so no decomposition is scored twice.  There is no
+second-order test: every start is a Haar draw, and a first-order descent
+from a random start almost surely avoids strict saddles such as the
+eigendecomposition of a symmetric state (Lee, Simchowitz, Jordan and
+Recht, COLT 2016).  ``_rotate`` forms every exp(-eta H) Q.
 
 Imports run one way: this module imports nothing from ``roofopt``, whose
 ``minimize_roof`` imports it on the first search, since the CLI's other
@@ -384,7 +384,7 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
-    """Riemannian descent from Q; returns (Q, trace, converged, kinks).
+    """Riemannian descent from Q until the gradient norm is below tol; returns (Q, trace, converged, kinks).
 
     After each step, members near a product state are snapped onto it
     when that does not raise the objective.  The direction is BFGS's
@@ -392,9 +392,11 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
     at a kink or loose (``_nonsmooth``); from that step on, Hinv is
     dropped and the direction is Polak-Ribiere+ CG's, which takes that
     step as a steepest-descent one and restarts at the gradient every
-    cycle.  E never reports such members and stays BFGS.  Every cycle, Q
-    is replaced by ``_nearest_isometry(Q)``, a move at rounding level, and
-    keeps the ``Scored`` members of the point the step reached.
+    cycle.  E never reports such members and stays BFGS.  Before that,
+    Hinv is emptied only by a failed line search, retried along the
+    gradient.  Every cycle, Q is replaced by ``_nearest_isometry(Q)``, a
+    move at rounding level, and keeps the ``Scored`` members of the
+    point the step reached.
     """
     t, r = Q.shape
     cycle = 2 * t * r - r * r
@@ -407,14 +409,7 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
     for it in range(max_cycles * cycle):
         gnorm2 = _inner(grad, grad)
         if math.sqrt(gnorm2) < tol:
-            step = _probe(problem, Q, F)
-            if step is None:
-                return Q, trace, True, len(kinks)
-            Q, F, S = step
-            grad, kinks, _ = problem.gradient(Q, S)
-            H, eta, Hinv = grad, None, None
-            trace.append(F)
-            continue
+            return Q, trace, True, len(kinks)
         if it % cycle == 0 and not smooth:
             H = grad
         last = slope
@@ -494,35 +489,8 @@ def _bfgs_update(Hinv: np.ndarray | None, s: np.ndarray, y: np.ndarray) -> np.nd
     return Hinv - rho * (np.outer(s, Hy) + np.outer(Hy, s))
 
 
-def _probe(problem: Descent, Q, F0: float):
-    """Scan every two-row rotation of Q; (Q, F, S) of the lowest point if it beats F0 beyond rounding.
-
-    A stationary point of the gradient search can be a saddle, such as
-    the eigendecomposition of a symmetric state; the rotations give it
-    directions of descent that the vanishing gradient does not.  All
-    t (t - 1) (SCAN - 1) points are rotated and scored in one call each.
-    """
-    if len(Q) == 1:
-        return None
-    etas = math.pi * math.sqrt(2.0) * np.arange(1, SCAN) / SCAN
-    theta, U = _pair_rotations(len(Q))
-    UhQ = U.conj().transpose(0, 2, 1) @ Q
-    Qs = _rotate(theta[:, None, None], U[:, None], UhQ[:, None], etas).reshape(-1, *Q.shape)
-    scores, S = problem.values(Qs)
-    j = min(range(len(scores)), key=scores.__getitem__)  # ties go to the first
-    if not scores[j] < F0 - FLAT * abs(F0):
-        return None
-    return Qs[j], scores[j], S.at(j)
-
-
-def _pair_rotations(t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The probe's axes: (theta, U) = eigh of i B, stacked over the t (t - 1) basis elements B off the diagonal."""
-    diagonal = _skew_layout(t)[0][1::2 * t + 2]  # i e_jj, read at the imaginary part of entry (j, j)
-    return np.linalg.eigh(1j * _from_coordinates(np.delete(np.eye(t * t), diagonal, axis=0), t))
-
-
 def _rotate(theta: np.ndarray, U: np.ndarray, UhQ: np.ndarray, eta) -> np.ndarray:
-    """exp(-eta H) Q for eigh(i H) = (theta, U), UhQ = U^H Q: (t, r) for a float eta, (c, t, r) for a 1-D array, (..., c, t, r) for stacks."""
+    """exp(-eta H) Q for eigh(i H) = (theta, U), UhQ = U^H Q: (t, r) for a float eta, (c, t, r) for a 1-D array."""
     if isinstance(eta, np.ndarray):
         eta = eta[:, None, None]
     return (U * np.exp(1j * eta * theta)) @ UhQ

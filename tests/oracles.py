@@ -11,7 +11,9 @@ deficits of rank-one to rank-three cores come from a batched SVD instead
 of the closed forms, the Lambda deficits and D(1, 2) cores are rebuilt
 index by index on the (K, r, r) stacks the package used before it built
 its cores index-major, and the roof search's skew-Hermitian basis is a
-dense array of explicit matrices instead of an index map.
+dense array of explicit matrices instead of an index map.  The N x N
+Werner state is built from explicit SWAP projectors, and its entanglement
+of formation is Vollbrecht and Werner's closed form.
 """
 import math
 
@@ -51,6 +53,33 @@ def binary_entropy(x):
 def eof_from_concurrence(c):
     """Two-qubit entanglement of formation as a function of concurrence."""
     return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+
+
+def werner_state(N, p):
+    """The N x N Werner state p P_a / d_a + (1 - p) P_s / d_s, p = Tr(rho P_a).
+
+    P_a and P_s = (I -+ SWAP) / 2 are built from the explicit SWAP
+    permutation |ij> -> |ji>, with d_a = N (N - 1) / 2 and
+    d_s = N (N + 1) / 2 their ranks.
+    """
+    swap = np.zeros((N * N, N * N))
+    for i in range(N):
+        for j in range(N):
+            swap[j * N + i, i * N + j] = 1.0
+    eye = np.eye(N * N)
+    return p * (eye - swap) / (N * (N - 1)) + (1.0 - p) * (eye + swap) / (N * (N + 1))
+
+
+def werner_eof(p):
+    """Entanglement of formation of a Werner state in any dimension N >= 2, in bits.
+
+    H2(1/2 - sqrt(p (1 - p))) for p >= 1/2 and 0 below (Vollbrecht and
+    Werner, PRA 64, 062307, 2001); at N = 2 it is Wootters' formula at
+    concurrence 2p - 1.
+    """
+    if p <= 0.5:
+        return 0.0
+    return binary_entropy(0.5 - math.sqrt(p * (1.0 - p)))
 
 
 def entropy_bits(weights):
@@ -225,25 +254,6 @@ def skew_basis(t):
             B[j, l] = B[l, j] = 1j
             out.append(B / math.sqrt(2.0))
     return np.array(out)
-
-
-def probe_loop(value, Q, scan):
-    """(F, Q') of the lowest two-row rotation exp(-eta B) Q, scored one at a time.
-
-    The roof search's probe as it was before batching: eta = pi sqrt(2) j / scan
-    for j = 1 .. scan - 1 along each two-row element of ``skew_basis``, ``value`` called once per
-    point, and the first strict minimum kept.  None when t = 1.
-    """
-    best = None
-    for B in [b for b in skew_basis(Q.shape[0]) if not b.diagonal().any()]:
-        theta, U = np.linalg.eigh(1j * B)
-        UhQ = U.conj().T @ Q
-        for j in range(1, scan):
-            Qn = (U * np.exp(1j * (math.pi * math.sqrt(2.0) * j / scan) * theta)) @ UhQ
-            Fn = value(Qn)
-            if best is None or Fn < best[0]:
-                best = (Fn, Qn)
-    return best
 
 
 def scan_loop(value, Q, H, scan):
