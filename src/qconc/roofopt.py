@@ -117,7 +117,7 @@ class RoofStart:
 
     ``kinks`` counts the members at a D(1, 2) kink at the end of the start;
     ``iterations`` counts its line-search steps and ``evaluations`` the
-    decompositions it scored, each point of its first-step scan once.
+    decompositions it scored, one per kernel call.
     """
 
     t: int

@@ -24,13 +24,14 @@ gradient in the coordinates x of exp(-X) Q is g = -w / 2, the step is p = -Hinv 
 first guess eta = 1, and after it ``_bfgs_update`` takes s = eta p and
 y = g_new - g when s . y > 0.  Hinv starts empty at each start, and is
 emptied again by a failed line search, which is retried along Omega
-from a scan; while it is empty the step follows Omega.  D has kinks at product members, where BFGS can take
-twenty times the evaluations of CG.  So the first step that ends (after
-its snap) with a member at a kink or loose drops Hinv, and the start
+with the same first trial; while it is empty the step follows Omega.
+D has kinks at product members, where BFGS can take twenty times the
+evaluations of CG.  So the first step that ends (after its snap) with
+a member at a kink or loose drops Hinv, and the start
 takes Polak-Ribiere+ conjugate-gradient directions from then on,
 restarted at Omega every 2tr - r^2 iterations.  E has no kinks, and its
-starts stay BFGS throughout.  Everything else (line search, first-step
-scan, snap, kink rule, stopping test and iteration cap) is shared.
+starts stay BFGS throughout.  Everything else (line search, snap, kink
+rule, stopping test and iteration cap) is shared.
 
 The kernel contract (``Descent.members``): conjugated isometry rows
 conj(Q) (n, r) in; every member's value p f(psi) and its r-space gradient
@@ -58,8 +59,8 @@ so every member has Schmidt rank <= 2.
   X = (log p - log M) / ln 2 on the range of M, mapped back to
   E = conj(G) V^T.
 
-``Descent.values``, the kernel's one caller, scores one isometry or a
-stack in one call and keeps the member values and E (``Scored``).
+``Descent.values``, the kernel's one caller, scores one isometry per
+call and keeps the member values and E (``Scored``).
 
 The D(1, 2) sum of minor norms has kinks at product members, where the
 entanglement is smooth (its gradient vanishes there), so the kink rule
@@ -71,13 +72,12 @@ largest dropped), when that does not raise the objective; at a kink
 subgradient, found by relaxing the member's unit minor vector to the unit
 ball (the group-lasso test), as both the stationarity test and the
 descent direction; both tests read the minor norms f / 2 of the values f
-the kernel returned.  A start's first step scans one period of its
-geodesic as one ``values`` stack, each of whose points keeps its
-``Scored`` members, so no decomposition is scored twice.  There is no
-second-order test: every start is a Haar draw, and a first-order descent
-from a random start almost surely avoids strict saddles such as the
-eigendecomposition of a symmetric state (Lee, Simchowitz, Jordan and
-Recht, COLT 2016).  ``_rotate`` forms every exp(-eta H) Q.
+the kernel returned.  Every line search starts from one trial step, and
+every point it scores keeps its ``Scored`` members, so no decomposition
+is scored twice.  There is no second-order test: every start is a Haar
+draw, and a first-order descent from a random start almost surely
+avoids strict saddles such as the eigendecomposition of a symmetric
+state (Lee, Simchowitz, Jordan and Recht, COLT 2016).  ``_rotate`` forms every exp(-eta H) Q.
 
 Imports run one way: this module imports nothing from ``roofopt``, whose
 ``minimize_roof`` imports it on the first search, since the CLI's other
@@ -112,7 +112,6 @@ CURVATURE = 0.1
 # Relative rounding of a summed objective value.
 FLAT = 1e-13
 MAX_EVALS = 30
-SCAN = 8
 BALL_SWEEPS = 100
 LN2 = math.log(2.0)
 
@@ -241,14 +240,10 @@ def _ball_lsq(a: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
 
 
 class Scored(NamedTuple):
-    """A kernel call's member values f and r-space gradients E: (t,), (t, r) per isometry; (c, t), (c, t, r) per stack."""
+    """A kernel call's member values f (t,) and r-space gradients E (t, r) for one isometry."""
 
     f: np.ndarray
     E: np.ndarray
-
-    def at(self, j: int) -> "Scored":
-        """The members of isometry j of a stack."""
-        return Scored(self.f[j], self.E[j])
 
 
 class Descent:
@@ -263,9 +258,9 @@ class Descent:
     cored kernels read the ``d12_cores`` and the Gram matrix V V^H built
     here.  ``members`` is the kernel contract: conjugated isometry rows
     conj(Q) in, member values and r-space gradients E = conj(G) V^T out.
-    ``values``, its one caller, scores one isometry or a stack and hands
-    the members on as a ``Scored``, which the gradient and the kink rule
-    read instead of scoring them again.  ``evaluations`` counts the
+    ``values``, its one caller, scores one isometry per kernel call and
+    hands the members on as a ``Scored``, which the gradient and the kink
+    rule read instead of scoring them again.  ``evaluations`` counts the
     decompositions scored so far, one per isometry that reaches the
     kernel.
     """
@@ -284,17 +279,11 @@ class Descent:
         """Values (n,) and r-space gradients E (n, r) of the members whose isometry rows are conj(Qbar)."""
         return self.kernel(Qbar, *self.inputs)
 
-    def values(self, Qs: np.ndarray) -> tuple[float | list[float], Scored]:
-        """(F, Scored) of one isometry (t, r), or ([F_1 ... F_c], stacked Scored) of a stack (c, t, r), from one kernel call."""
-        if Qs.ndim == 2:
-            self.evaluations += 1
-            f, E = self.members(Qs.conj())
-            return math.fsum(f.tolist()), Scored(f, E)
-        c, t, r = Qs.shape
-        self.evaluations += c
-        f, E = self.members(Qs.reshape(c * t, r).conj())
-        f = f.reshape(c, t)
-        return list(map(math.fsum, f.tolist())), Scored(f, E.reshape(c, t, r))
+    def values(self, Q: np.ndarray) -> tuple[float, Scored]:
+        """(F, Scored) of one isometry Q (t, r), from one kernel call."""
+        self.evaluations += 1
+        f, E = self.members(Q.conj())
+        return math.fsum(f.tolist()), Scored(f, E)
 
     def omega(self, Q: np.ndarray, S: Scored) -> np.ndarray:
         """Skew-Hermitian Omega = B - B^H with B = E Q^H, for the member gradients E of S at Q."""
@@ -394,9 +383,13 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
     step as a steepest-descent one and restarts at the gradient every
     cycle.  E never reports such members and stays BFGS.  Before that,
     Hinv is emptied only by a failed line search, retried along the
-    gradient.  Every cycle, Q is replaced by ``_nearest_isometry(Q)``, a
-    move at rounding level, and keeps the ``Scored`` members of the
-    point the step reached.
+    gradient with the same first trial.  Each line search's first trial
+    is the unit step at the start's first step and along a BFGS
+    direction, and eta * last / slope otherwise: the last step's length
+    scaled by the ratio of the last slope to this one (Nocedal and
+    Wright, eq. 3.60).  Every cycle, Q is replaced by
+    ``_nearest_isometry(Q)``, a move at rounding level, and keeps the
+    ``Scored`` members of the point the step reached.
     """
     t, r = Q.shape
     cycle = 2 * t * r - r * r
@@ -416,12 +409,10 @@ def search(problem: Descent, Q: np.ndarray, tol: float, max_cycles: int):
         slope = 0.5 * _inner(H, grad)
         if slope <= 0.0:
             H, slope, Hinv = grad, 0.5 * gnorm2, None
-        guess = 1.0 if Hinv is not None else None if eta is None else eta * last / slope
+        guess = eta * last / slope if Hinv is None and eta is not None else 1.0
         step = _line_search(problem, Q, F, H, slope, guess)
         if step is None and H is not grad:
-            if Hinv is not None:
-                Hinv = guess = None
-            H, slope = grad, 0.5 * gnorm2
+            H, slope, Hinv = grad, 0.5 * gnorm2, None
             step = _line_search(problem, Q, F, H, slope, guess)
         if step is None:
             return Q, trace, False, len(kinks)
@@ -489,19 +480,9 @@ def _bfgs_update(Hinv: np.ndarray | None, s: np.ndarray, y: np.ndarray) -> np.nd
     return Hinv - rho * (np.outer(s, Hy) + np.outer(Hy, s))
 
 
-def _rotate(theta: np.ndarray, U: np.ndarray, UhQ: np.ndarray, eta) -> np.ndarray:
-    """exp(-eta H) Q for eigh(i H) = (theta, U), UhQ = U^H Q: (t, r) for a float eta, (c, t, r) for a 1-D array."""
-    if isinstance(eta, np.ndarray):
-        eta = eta[:, None, None]
+def _rotate(theta: np.ndarray, U: np.ndarray, UhQ: np.ndarray, eta: float) -> np.ndarray:
+    """exp(-eta H) Q for eigh(i H) = (theta, U), UhQ = U^H Q."""
     return (U * np.exp(1j * eta * theta)) @ UhQ
-
-
-def _scan(problem: Descent, theta, U, UhQ, etas: np.ndarray, F0: float):
-    """(j, Qs, scores, S): the lowest j of scores = [F(Q) = F0] + F(Qs), Qs = exp(-etas[1:] H) Q, and Qs's ``Scored``."""
-    Qs = _rotate(theta, U, UhQ, etas[1:])
-    scores, S = problem.values(Qs)
-    scores = [F0] + scores
-    return min(range(len(scores)), key=scores.__getitem__), Qs, scores, S
 
 
 def _cubic_step(a, fa, da, b, fb, db) -> float:
@@ -530,7 +511,7 @@ def _cubic_step(a, fa, da, b, fb, db) -> float:
     return min(max(x, lo + margin), hi - margin)
 
 
-def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
+def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess: float):
     """Strong-Wolfe line search along exp(-eta H) Q; (eta, Q, F, S) or None.
 
     phi(eta) = F(exp(-eta H) Q) has phi'(0) = -slope.  A point is
@@ -543,11 +524,9 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     width inside either end, or at the midpoint when that minimizer is
     not finite; so each trial cuts the bracket by at least a tenth, and a
     trial that overshot by orders of magnitude is cut back by the cubic's
-    own estimate, not by halving.  Without a
-    guess (a start's first step), phi is first scanned over
-    SCAN points of one period of the fastest rotation and the search
-    continues from the lowest, so that the first step is not confined to
-    the nearest basin.
+    own estimate, not by halving.  The first trial is min(guess, cap),
+    cap = pi / max|theta| the half period of the fastest rotation; a
+    trial that decreases with phi' still negative is doubled, up to cap.
     """
     theta, U = np.linalg.eigh(1j * H)
     top = float(np.abs(theta).max())
@@ -556,12 +535,10 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
     cap = math.pi / top
     UhQ = U.conj().T @ Q
 
-    def point(eta, Qn, Fn, Sn):
-        return eta, Qn, Fn, Sn, -0.5 * _inner(H, problem.omega(Qn, Sn))
-
     def at(eta):
         Qn = _rotate(theta, U, UhQ, eta)
-        return point(eta, Qn, *problem.values(Qn))
+        Fn, Sn = problem.values(Qn)
+        return eta, Qn, Fn, Sn, -0.5 * _inner(H, problem.omega(Qn, Sn))
 
     noise = FLAT * abs(F0)
 
@@ -587,27 +564,7 @@ def _line_search(problem: Descent, Q, F0: float, H, slope: float, guess):
         return None if best is None else best[:4]
 
     prev = (0.0, Q, F0, None, -slope)
-    if guess is None:
-        etas = 2.0 * cap * np.arange(SCAN) / SCAN
-        j, Qs, scores, S = _scan(problem, theta, U, UhQ, etas, F0)
-        grid = {0: prev}
-
-        def node(i):
-            if i not in grid:
-                grid[i] = point(etas[i], Qs[i - 1], scores[i], S.at(i - 1))
-            return grid[i]
-
-        pt = node(j)
-        if j > 0 and decreases(pt):
-            if abs(pt[4]) <= CURVATURE * slope:
-                return pt[:4]
-            if pt[4] > 0.0:
-                return zoom(pt, node(j - 1), pt)
-            if j + 1 < SCAN:
-                return zoom(pt, node(j + 1), pt)
-        pt = node(1)
-    else:
-        pt = at(min(guess, cap))
+    pt = at(min(guess, cap))
     best = None
     for _ in range(MAX_EVALS):
         if not decreases(pt) or (prev[0] > 0.0 and pt[2] > prev[2] + noise):

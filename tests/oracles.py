@@ -256,15 +256,6 @@ def skew_basis(t):
     return np.array(out)
 
 
-def scan_loop(value, Q, H, scan):
-    """Index of the lowest of F(Q) and F(exp(-eta_j H) Q), eta_j = 2 pi j / (scan max|eig H|), one call each."""
-    theta, U = np.linalg.eigh(1j * H)
-    cap = math.pi / float(np.max(np.abs(theta)))
-    UhQ = U.conj().T @ Q
-    grid = [value(Q)] + [value((U * np.exp(1j * (2.0 * cap * j / scan) * theta)) @ UhQ) for j in range(1, scan)]
-    return min(range(scan), key=grid.__getitem__)
-
-
 def ball_lsq_projected(a, blocks, iterations=5000):
     """argmin ||a + sum_g B_g x_g|| subject to ||x_g|| <= 1, by projected gradient descent.
 
